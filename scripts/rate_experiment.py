@@ -24,7 +24,7 @@ def main() -> int:
                     help="tuned step scale, or 'optimal' to derive it")
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--inner-tol", type=float, default=1e-6)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--output", default="rate_sweep.csv")
     args = ap.parse_args()
 

@@ -12,11 +12,11 @@ from .core import (
     CompositeProblem,
     ProblemMeta,
     StochasticOracle,
-    StochasticSample,
     check_hypomonotonicity,
     check_oracle_unbiasedness,
     check_second_moment,
     check_weak_convexity,
+    deterministic_oracle,
 )
 from .prox import (
     ProxFriendly,
@@ -84,11 +84,11 @@ __all__ = [
     "CompositeProblem",
     "ProblemMeta",
     "StochasticOracle",
-    "StochasticSample",
     "check_hypomonotonicity",
     "check_oracle_unbiasedness",
     "check_second_moment",
     "check_weak_convexity",
+    "deterministic_oracle",
     "ProxFriendly",
     "ball_indicator",
     "box_indicator",

@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CapabilityError, CompositeProblem, StochasticOracle, StochasticSample
+from .core import CapabilityError, CompositeProblem, StochasticOracle, coerce_rng
 from .moreau import MoreauPoint, moreau_prox
-from .solver import RunResult, StepSchedule, run_psgm, _coerce_rng
+from .solver import RunResult, StepSchedule, run_psgm
 
 Array = np.ndarray
 
@@ -58,28 +58,17 @@ class RegularizedProblem:
         object.__setattr__(self, "x_c", x_c)
         object.__setattr__(self, "problem", _build_regularized(self.base, self.mu, x_c))
 
-    @property
-    def second_moment_bound(self) -> float:
-        base = self.base.require_bound_constants()
-        return (base.lipschitz_L + self.mu * base.domain_diameter) ** 2
-
 
 def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> CompositeProblem:
     oracle = base.g_oracle
 
-    def sample(x: Array, rng: np.random.Generator) -> StochasticSample:
-        s = oracle.sample(x, rng)
-        return StochasticSample(vector=s.vector + mu * (x - x_c), draw_id=s.draw_id)
+    def sample(x: Array, w: Array) -> Array:
+        return oracle.sample(x, w) + mu * (x - x_c)
 
     mean = None
     if oracle.unbiased_mean is not None:
         base_mean = oracle.unbiased_mean
         mean = lambda x: base_mean(x) + mu * (x - x_c)
-
-    batch = None
-    if oracle.sample_batch is not None:
-        base_batch = oracle.sample_batch
-        batch = lambda x, n, rng: base_batch(x, n, rng) + mu * (x - x_c)
 
     g_value = lambda x: float(base.g_value(x)) + 0.5 * mu * float(np.sum((x - x_c) ** 2))
     g_value_batch = None
@@ -105,7 +94,7 @@ def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> Composi
 
     return CompositeProblem(
         dim=base.dim,
-        g_oracle=StochasticOracle(sample=sample, unbiased_mean=mean, sample_batch=batch),
+        g_oracle=StochasticOracle(sample=sample, draw=oracle.draw, unbiased_mean=mean),
         regularizer=base.regularizer,
         rho=0.0,
         g_value=g_value,
@@ -231,7 +220,7 @@ def two_stage_convex(
     L, D = base.lipschitz_L, base.domain_diameter
     if L is None or D is None:
         raise CapabilityError("two-stage scheme needs lipschitz_L and domain_diameter")
-    rng, seed = _coerce_rng(rng_or_seed)
+    rng, seed = coerce_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
 
     if x0 is None:
@@ -356,7 +345,7 @@ def regularized_pipeline(
 
     mu = eps / (2.0 * D)
     lam = 2.0 * rho - mu
-    rng, _ = _coerce_rng(rng_or_seed)
+    rng, _ = coerce_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
 
     if x_c is None:

@@ -6,6 +6,11 @@ oracle, and r is prox-friendly convex.  All randomness flows through an
 explicitly seeded ``numpy.random.Generator``; identical seeds give
 bit-identical results.  Problem objects are immutable after construction and
 safe to share across worker threads.
+
+Oracles are batch-first: ``StochasticOracle.draw`` produces the randomness
+of many draws at once and ``StochasticOracle.sample`` maps one row of it,
+or all rows, to subgradients.  The solver draws in chunks and samples one
+row per step; the Monte-Carlo checks below sample whole batches.
 """
 
 from __future__ import annotations
@@ -25,34 +30,49 @@ class CapabilityError(RuntimeError):
     """An operation needs an oracle this problem does not expose."""
 
 
-@dataclass(frozen=True)
-class StochasticSample:
-    """One stochastic subgradient draw with its reproducibility tag."""
+def coerce_rng(rng_or_seed) -> tuple[np.random.Generator, int]:
+    """A generator and the integer seed it came from (-1 for a live generator,
+    whose seed cannot be read back)."""
+    if isinstance(rng_or_seed, np.random.Generator):
+        return rng_or_seed, -1
+    seed = int(rng_or_seed)
+    return np.random.default_rng(seed), seed
 
-    vector: Array
-    draw_id: int = 0
+
+def no_draws(rng: np.random.Generator, n: int) -> Array:
+    """Randomness of a deterministic oracle: n empty rows, no variates."""
+    return np.empty((n, 0))
 
 
 @dataclass(frozen=True)
 class StochasticOracle:
-    """Sampling access to subgradients of g.
+    """Sampling access to subgradients of g, split into randomness and map.
 
-    ``sample(x, rng)`` returns an unbiased draw whose mean lies in the
-    subdifferential of g at x.  ``unbiased_mean`` exposes that mean when it
-    is computable.  ``sample_batch(x, n, rng)`` returns an ``(n, dim)`` array
-    of independent draws; it exists purely so Monte-Carlo checks can
-    vectorize, and must match ``n`` repeated ``sample`` calls in
-    distribution (not draw-for-draw).
+    ``draw(rng, n)`` returns the randomness of n independent draws as an
+    array with n rows (component indices, noise vectors, or empty rows
+    for a deterministic oracle).  It consumes the generator exactly as n
+    draws of one would, so drawing in chunks of any size gives the same
+    stream.  ``sample(x, w)`` maps randomness to subgradients: one row
+    ``w = W[k]`` gives a ``(dim,)`` vector, the whole ``W`` an
+    ``(n, dim)`` array whose rows match the single calls up to the
+    rounding of a matrix-vector product.  The mean over the randomness
+    lies in the subdifferential of g at x; ``unbiased_mean`` exposes it
+    when it is computable.
     """
 
-    sample: Callable[[Array, np.random.Generator], StochasticSample]
+    sample: Callable[[Array, Array], Array]
+    draw: Callable[[np.random.Generator, int], Array] = no_draws
     unbiased_mean: Callable[[Array], Array] | None = None
-    sample_batch: Callable[[Array, int, np.random.Generator], Array] | None = None
 
-    def draw_batch(self, x: Array, n: int, rng: np.random.Generator) -> Array:
-        if self.sample_batch is not None:
-            return self.sample_batch(x, n, rng)
-        return np.stack([self.sample(x, rng).vector for _ in range(n)])
+
+def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOracle:
+    """Oracle that returns the subgradient selection itself and draws nothing."""
+
+    def sample(x: Array, w: Array) -> Array:
+        v = subgradient(x)
+        return v if w.ndim == 1 else np.tile(v, (len(w), 1))
+
+    return StochasticOracle(sample=sample, unbiased_mean=subgradient)
 
 
 @dataclass(frozen=True)
@@ -265,7 +285,7 @@ def check_oracle_unbiasedness(
     n_passed = 0
     worst = 0.0
     for _ in range(n_repeats):
-        draws = oracle.draw_batch(x, n_samples, rng)
+        draws = oracle.sample(x, oracle.draw(rng, n_samples))
         mean = draws.mean(axis=0)
         spread = float(np.sqrt(np.mean(np.sum((draws - mean) ** 2, axis=1))))
         err = float(np.linalg.norm(mean - target))
@@ -305,7 +325,7 @@ def check_second_moment(
     worst = 0.0
     n_passed = 0
     for x in pts:
-        draws = problem.g_oracle.draw_batch(x, n_samples, rng)
+        draws = problem.g_oracle.sample(x, problem.g_oracle.draw(rng, n_samples))
         est = float(np.mean(np.sum(draws**2, axis=1)))
         worst = max(worst, est / bound)
         n_passed += est <= bound

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import lsq_linear, minimize
@@ -91,9 +90,6 @@ class StationarityReport:
     dist_to_xhat: float
     subdiff_dist_bound: float
     exact_subdiff_dist: float | None = None
-
-
-MoreauOracle = Callable[..., MoreauPoint]
 
 
 def _validate_lam(problem: CompositeProblem, lam: float) -> None:

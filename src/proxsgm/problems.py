@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CompositeProblem, ProblemMeta, StochasticOracle, StochasticSample
+from .core import (
+    CompositeProblem,
+    ProblemMeta,
+    StochasticOracle,
+    coerce_rng,
+    deterministic_oracle,
+)
 from .prox import ball_indicator, box_indicator, zero_regularizer
 
 Array = np.ndarray
@@ -27,14 +33,6 @@ Array = np.ndarray
 # Fixed per-coordinate noise level for smooth_ls instances built from a
 # string id (the id schema carries no real-valued slot).
 SMOOTH_LS_DEFAULT_SIGMA = 0.1
-
-
-def _coerce_seed(rng_or_seed) -> tuple[np.random.Generator, int]:
-    if isinstance(rng_or_seed, np.random.Generator):
-        # no portable way to read a seed back out; tag as -1
-        return rng_or_seed, -1
-    seed = int(rng_or_seed)
-    return np.random.default_rng(seed), seed
 
 
 def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
@@ -72,7 +70,7 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
     """
     if m < 1 or d < 1:
         raise ValueError("need m >= 1 and d >= 1")
-    rng, seed = _coerce_seed(rng_or_seed)
+    rng, seed = coerce_rng(rng_or_seed)
     A, x_sharp, b = _phase_retrieval_data(m, d, rng)
     radius = 2.0
     row_sq = np.sum(A**2, axis=1)
@@ -91,24 +89,17 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
         signs = np.sign(inner**2 - b)
         return (2.0 / m) * (A.T @ (signs * inner))
 
-    def sample(x: Array, rng: np.random.Generator) -> StochasticSample:
-        i = int(rng.integers(m))
-        inner = float(A[i] @ x)
-        return StochasticSample(
-            vector=2.0 * np.sign(inner**2 - b[i]) * inner * A[i], draw_id=i
-        )
+    def draw(rng: np.random.Generator, n: int) -> Array:
+        return rng.integers(m, size=n)
 
-    def sample_batch(x: Array, n: int, rng: np.random.Generator) -> Array:
-        idx = rng.integers(m, size=n)
-        inner = A[idx] @ x
-        coef = 2.0 * np.sign(inner**2 - b[idx]) * inner
-        return coef[:, None] * A[idx]
+    def sample(x: Array, i: Array) -> Array:
+        inner = A[i] @ x
+        coef = 2.0 * np.sign(inner**2 - b[i]) * inner
+        return coef[..., None] * A[i]
 
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(
-            sample=sample, unbiased_mean=g_full_subgradient, sample_batch=sample_batch
-        ),
+        g_oracle=StochasticOracle(sample=sample, draw=draw, unbiased_mean=g_full_subgradient),
         regularizer=ball_indicator(np.zeros(d), radius),
         rho=rho,
         g_value=g_value,
@@ -147,7 +138,7 @@ def make_robust_regression(
         raise ValueError("need m >= 1 and d >= 1")
     if not 0.0 <= outlier_fraction < 1.0:
         raise ValueError("outlier_fraction must lie in [0, 1)")
-    rng, seed = _coerce_seed(rng_or_seed)
+    rng, seed = coerce_rng(rng_or_seed)
     A, b, x_sharp = _robust_regression_data(rng, m, d, outlier_fraction)
     L = float(np.max(np.linalg.norm(A, axis=1)))
 
@@ -161,21 +152,16 @@ def make_robust_regression(
     def g_full_subgradient(x: Array) -> Array:
         return A.T @ np.sign(A @ x - b) / m
 
-    def sample(x: Array, rng: np.random.Generator) -> StochasticSample:
-        i = int(rng.integers(m))
-        return StochasticSample(vector=np.sign(float(A[i] @ x) - b[i]) * A[i], draw_id=i)
+    def draw(rng: np.random.Generator, n: int) -> Array:
+        return rng.integers(m, size=n)
 
-    def sample_batch(x: Array, n: int, rng: np.random.Generator) -> Array:
-        idx = rng.integers(m, size=n)
-        signs = np.sign(A[idx] @ x - b[idx])
-        return signs[:, None] * A[idx]
+    def sample(x: Array, i: Array) -> Array:
+        return np.sign(A[i] @ x - b[i])[..., None] * A[i]
 
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(
-            sample=sample, unbiased_mean=g_full_subgradient, sample_batch=sample_batch
-        ),
+        g_oracle=StochasticOracle(sample=sample, draw=draw, unbiased_mean=g_full_subgradient),
         regularizer=box_indicator(lo, hi),
         rho=0.0,
         g_value=g_value,
@@ -232,7 +218,7 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
         raise ValueError("need m >= 1 and d >= 1")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    rng, seed = _coerce_seed(rng_or_seed)
+    rng, seed = coerce_rng(rng_or_seed)
     A = rng.standard_normal((m, d))
     x_sharp = rng.uniform(-0.5, 0.5, size=d)
     b = A @ x_sharp
@@ -249,20 +235,16 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
     def g_gradient(x: Array) -> Array:
         return A.T @ (A @ x - b) / m
 
-    def sample(x: Array, rng: np.random.Generator) -> StochasticSample:
-        return StochasticSample(
-            vector=g_gradient(x) + sigma * rng.standard_normal(d), draw_id=0
-        )
+    def draw(rng: np.random.Generator, n: int) -> Array:
+        return sigma * rng.standard_normal((n, d))
 
-    def sample_batch(x: Array, n: int, rng: np.random.Generator) -> Array:
-        return g_gradient(x) + sigma * rng.standard_normal((n, d))
+    def sample(x: Array, noise: Array) -> Array:
+        return g_gradient(x) + noise
 
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(
-            sample=sample, unbiased_mean=g_gradient, sample_batch=sample_batch
-        ),
+        g_oracle=StochasticOracle(sample=sample, draw=draw, unbiased_mean=g_gradient),
         regularizer=box_indicator(lo, hi),
         rho=rho,
         g_value=g_value,
@@ -304,17 +286,9 @@ def make_toy1d(kind: str) -> CompositeProblem:
                 return -1.0, -1.0
             return -1.0, 1.0
 
-        def sample(x: Array, rng: np.random.Generator) -> StochasticSample:
-            return StochasticSample(vector=g_sub(x), draw_id=0)
-
-        def sample_batch(x: Array, n: int, rng: np.random.Generator) -> Array:
-            return np.tile(g_sub(x), (n, 1))
-
         return CompositeProblem(
             dim=1,
-            g_oracle=StochasticOracle(
-                sample=sample, unbiased_mean=g_sub, sample_batch=sample_batch
-            ),
+            g_oracle=deterministic_oracle(g_sub),
             regularizer=zero_regularizer(),
             rho=0.0,
             g_value=g_value,
@@ -346,17 +320,9 @@ def make_toy1d(kind: str) -> CompositeProblem:
                 return s, s
             return -2.0 * abs(v), 2.0 * abs(v)
 
-        def sample(x: Array, rng: np.random.Generator) -> StochasticSample:
-            return StochasticSample(vector=g_sub(x), draw_id=0)
-
-        def sample_batch(x: Array, n: int, rng: np.random.Generator) -> Array:
-            return np.tile(g_sub(x), (n, 1))
-
         return CompositeProblem(
             dim=1,
-            g_oracle=StochasticOracle(
-                sample=sample, unbiased_mean=g_sub, sample_batch=sample_batch
-            ),
+            g_oracle=deterministic_oracle(g_sub),
             regularizer=box_indicator(-2.0, 2.0),
             rho=2.0,
             g_value=g_value,

@@ -27,14 +27,28 @@ def prox_zero(x: Array, alpha: float) -> Array:
 
 
 def proj_box(x: Array, lo, hi) -> Array:
-    """Coordinatewise clamp onto the box [lo, hi]."""
-    return np.clip(np.asarray(x, dtype=float), lo, hi)
+    """Coordinatewise clamp onto the box [lo, hi].
+
+    The values of ``np.clip`` without its call overhead, which dominates on
+    a single vector.  NaN propagates and a bound wins a tie, so a signed
+    zero at a zero bound takes the bound's sign (``np.clip`` does that too
+    unless it broadcasts the bound).
+    """
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def proj_ball(x: Array, center, radius: float) -> Array:
     """Euclidean projection onto the closed ball of given center and radius."""
     x = np.asarray(x, dtype=float)
     diff = x - center
+    if diff.ndim == 1:
+        # the batched formula below without its broadcasting: the norm is
+        # summed as np.linalg.norm sums it along an axis, and an inside
+        # point gets center + diff, so both paths agree bit for bit
+        nrm = math.sqrt(np.add.reduce(diff * diff))
+        if nrm > radius:
+            return center + diff * (radius / max(nrm, 1e-300))
+        return center + diff
     nrm = np.linalg.norm(diff, axis=-1, keepdims=True)
     # scale only the rows that lie outside; the max() guards div-by-zero
     scale = np.where(nrm > radius, radius / np.maximum(nrm, 1e-300), 1.0)

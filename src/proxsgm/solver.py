@@ -19,12 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CompositeProblem
+from .core import CompositeProblem, coerce_rng
 from .moreau import MoreauPoint, moreau_prox
 
 Array = np.ndarray
 
 TRAJECTORY_CAP = 1_000_000
+# Steps whose randomness and step sizes `run_psgm` prepares at once.
+CHUNK = 4096
 
 
 class DomainError(ValueError):
@@ -37,12 +39,6 @@ class OracleError(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(message)
         self.iteration = iteration
-
-
-def _coerce_rng(rng_or_seed) -> tuple[np.random.Generator, int]:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed, -1
-    return np.random.default_rng(rng_or_seed), int(rng_or_seed)
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,10 @@ class RunResult:
     truncated: bool = False
 
     def __post_init__(self):
-        if not self.truncated:
-            assert np.array_equal(self.iterates[self.t_star], self.x_star)
+        if not self.truncated and not np.array_equal(
+            self.iterates[self.t_star], self.x_star
+        ):
+            raise ValueError("x_star must equal iterates[t_star]")
 
 
 def sample_tstar(alphas, rng: np.random.Generator) -> int:
@@ -148,11 +146,18 @@ def run_psgm(
 ) -> RunResult:
     """Run the proximal stochastic subgradient method for T+1 steps.
 
-    Deterministic given (seed, problem data, x0, schedule).  The selection
-    index t* is drawn from a single uniform variate after the loop, so the
-    subgradient stream is identical across schedules of equal length.
+    Deterministic given (seed, problem data, x0, schedule).  One loop
+    serves both modes: randomness (``g_oracle.draw``) and step sizes are
+    prepared CHUNK steps at a time, and each step makes one
+    ``g_oracle.sample`` call, one finite check and one prox call.  The
+    whole trajectory is kept when it fits under TRAJECTORY_CAP entries;
+    past that only x_0, x_star and x_{T+1} are.  The selection index t* is
+    one uniform variate: drawn after the loop in the full mode, so the
+    subgradient stream is identical across schedules of equal length, and
+    up front from a spawned substream in the long-horizon mode, which
+    leaves that stream untouched.
     """
-    rng, seed = _coerce_rng(rng_or_seed)
+    rng, seed = coerce_rng(rng_or_seed)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise DomainError(f"x0 has shape {x0.shape}, problem dim {problem.dim}")
@@ -160,20 +165,35 @@ def run_psgm(
         raise DomainError("x0 outside dom r")
 
     alphas = schedule.alphas
-    T = schedule.horizon
-    n_iter = T + 1
+    n_iter = alphas.size
     full = (n_iter + 1) * problem.dim <= TRAJECTORY_CAP
-
-    x = x0.copy()
     if full:
         iterates = np.empty((n_iter + 1, problem.dim))
-        iterates[0] = x
-        for t in range(n_iter):
-            g = problem.g_oracle.sample(x, rng).vector
-            if not np.all(np.isfinite(g)):
+        iterates[0] = x0
+    else:
+        t_star = sample_tstar(alphas, rng.spawn(1)[0])
+        x_star = x0
+
+    draw, sample = problem.g_oracle.draw, problem.g_oracle.sample
+    prox = problem.regularizer.prox
+    # 0 * v is 0 for finite v and NaN for an infinite or NaN one, so this
+    # dot is finite exactly when every entry of g is
+    zero = np.zeros(problem.dim)
+    x = x0
+    for start in range(0, n_iter, CHUNK):
+        stop = min(start + CHUNK, n_iter)
+        steps = zip(range(start, stop), alphas[start:stop].tolist(), draw(rng, stop - start))
+        for t, a, w in steps:
+            g = sample(x, w)
+            if not math.isfinite(g.dot(zero)):
                 raise OracleError(f"non-finite subgradient at iteration {t}", t)
-            x = problem.regularizer.prox(x - alphas[t] * g, alphas[t])
-            iterates[t + 1] = x
+            x = prox(x - a * g, a)
+            if full:
+                iterates[t + 1] = x
+            elif t + 1 == t_star:
+                x_star = x
+
+    if full:
         t_star = sample_tstar(alphas, rng)
         return RunResult(
             iterates=iterates,
@@ -183,24 +203,10 @@ def run_psgm(
             seed=seed,
             schedule_used=schedule,
         )
-
-    # long-horizon mode: keep only the selected iterate; the selection
-    # index is drawn up front from a spawned substream so the subgradient
-    # stream matches the full-trajectory mode draw for draw
-    t_star = sample_tstar(alphas, rng.spawn(1)[0])
-    x_star = x.copy() if t_star == 0 else None
-    for t in range(n_iter):
-        g = problem.g_oracle.sample(x, rng).vector
-        if not np.all(np.isfinite(g)):
-            raise OracleError(f"non-finite subgradient at iteration {t}", t)
-        x = problem.regularizer.prox(x - alphas[t] * g, alphas[t])
-        if t + 1 == t_star:
-            x_star = x.copy()
-    endpoints = np.stack([x0, x_star, x])
     return RunResult(
-        iterates=endpoints,
+        iterates=np.stack([x0, x_star, x]),
         t_star=t_star,
-        x_star=x_star,
+        x_star=x_star.copy(),
         oracle_calls=n_iter,
         seed=seed,
         schedule_used=schedule,
@@ -249,7 +255,7 @@ def check_descent_lemma(
     plus noise.  Flags violation when the estimate minus its 95% confidence
     half-width exceeds the bound.
     """
-    rng, _ = _coerce_rng(rng_or_seed)
+    rng, _ = coerce_rng(rng_or_seed)
     if variant is None:
         variant = "smooth" if problem.smooth else "weakly_convex"
     if rho_hat <= problem.rho:
@@ -279,7 +285,7 @@ def check_descent_lemma(
         raise ValueError(f"unknown variant {variant!r}")
     bound = dist_sq + noise_term - contraction * dist_sq
 
-    draws = problem.g_oracle.draw_batch(x_t, n_samples, rng)
+    draws = problem.g_oracle.sample(x_t, problem.g_oracle.draw(rng, n_samples))
     stepped = problem.regularizer.prox(x_t - alpha * draws, alpha)
     sq = np.sum((stepped - x_hat) ** 2, axis=-1)
     est = float(sq.mean())

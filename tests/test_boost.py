@@ -22,7 +22,6 @@ from proxsgm.core import (
     CapabilityError,
     CompositeProblem,
     StochasticOracle,
-    StochasticSample,
     check_second_moment,
 )
 from proxsgm.harness import BoundInputs, fit_rate, theoretical_bound
@@ -42,18 +41,15 @@ def noisy_linear_problem(c, noise, lo, hi, seed_norm=None):
     d = c.size
     L = float(np.sqrt(np.dot(c, c) + d * noise * noise))
 
-    def sample(x, rng):
-        return StochasticSample(c + noise * rng.standard_normal(d))
-
-    def sample_batch(x, n, rng):
-        return c + noise * rng.standard_normal((n, d))
+    def draw(rng, n):
+        return noise * rng.standard_normal((n, d))
 
     lo = np.full(d, lo)
     hi = np.full(d, hi)
     return CompositeProblem(
         dim=d,
         g_oracle=StochasticOracle(
-            sample=sample, unbiased_mean=lambda x: c.copy(), sample_batch=sample_batch
+            sample=lambda x, w: c + w, draw=draw, unbiased_mean=lambda x: c.copy()
         ),
         regularizer=box_indicator(lo, hi),
         rho=0.0,

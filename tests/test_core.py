@@ -10,12 +10,11 @@ from proxsgm.core import (
     CapabilityError,
     CompositeProblem,
     ProblemMeta,
-    StochasticOracle,
-    StochasticSample,
     check_hypomonotonicity,
     check_oracle_unbiasedness,
     check_second_moment,
     check_weak_convexity,
+    deterministic_oracle,
     sample_domain_points,
 )
 from proxsgm.problems import make_phase_retrieval, make_robust_regression, make_toy1d
@@ -24,10 +23,7 @@ from proxsgm.prox import box_indicator, zero_regularizer
 
 def constant_oracle(c):
     vec = np.asarray(c, dtype=float)
-    return StochasticOracle(
-        sample=lambda x, rng: StochasticSample(vec.copy()),
-        unbiased_mean=lambda x: vec.copy(),
-    )
+    return deterministic_oracle(lambda x: vec.copy())
 
 
 def test_weak_convexity_certified_modulus_passes():
@@ -116,12 +112,12 @@ def test_require_deterministic():
         p.phi(np.zeros(1))
 
 
-def test_draw_batch_fallback_shape():
+def test_deterministic_oracle_batch_shape():
     p = CompositeProblem(
         dim=2, g_oracle=constant_oracle([1.0, -1.0]), regularizer=zero_regularizer(),
         rho=0.0,
     )
-    out = p.g_oracle.draw_batch(np.zeros(2), 7, np.random.default_rng(0))
+    out = p.g_oracle.sample(np.zeros(2), p.g_oracle.draw(np.random.default_rng(0), 7))
     assert out.shape == (7, 2)
     np.testing.assert_array_equal(out[3], [1.0, -1.0])
 

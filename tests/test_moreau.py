@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from proxsgm.core import CompositeProblem, StochasticOracle, StochasticSample
+from proxsgm.core import CompositeProblem, deterministic_oracle
 from proxsgm.moreau import (
     DimensionError,
     GridSpec,
@@ -26,10 +26,7 @@ def quadratic_problem(dim):
     grad = lambda x: x.copy()
     return CompositeProblem(
         dim=dim,
-        g_oracle=StochasticOracle(
-            sample=lambda x, rng: StochasticSample(x.copy()),
-            unbiased_mean=grad,
-        ),
+        g_oracle=deterministic_oracle(grad),
         regularizer=zero_regularizer(),
         rho=0.0,
         g_value=lambda x: 0.5 * float(x @ x),
@@ -171,8 +168,7 @@ def test_prox_gradient_mapping_box_hand_value():
     grad = lambda x: x.copy()
     p = CompositeProblem(
         dim=1,
-        g_oracle=StochasticOracle(
-            sample=lambda x, rng: StochasticSample(x.copy()), unbiased_mean=grad),
+        g_oracle=deterministic_oracle(grad),
         regularizer=box_indicator(np.array([-0.1]), np.array([0.1])),
         rho=0.0,
         g_value=lambda x: 0.5 * float(x @ x),

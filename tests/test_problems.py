@@ -69,7 +69,7 @@ def test_phase_retrieval_single_row_oracle_matches_full_subgradient():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = sample_domain_points(p, 1, 1.5, rng)[0]
-        draw = p.g_oracle.sample(x, rng).vector
+        draw = p.g_oracle.sample(x, p.g_oracle.draw(rng, 1)[0])
         np.testing.assert_allclose(draw, p.g_full_subgradient(x), atol=1e-14)
 
 
@@ -105,7 +105,7 @@ def test_robust_regression_constants():
     # sampled norms are bounded by L and attain it
     rng = np.random.default_rng(2)
     x = np.array([1.7, -0.4])
-    norms = [float(np.linalg.norm(p.g_oracle.sample(x, rng).vector)) for _ in range(300)]
+    norms = [float(np.linalg.norm(p.g_oracle.sample(x, w))) for w in p.g_oracle.draw(rng, 300)]
     assert max(norms) <= p.lipschitz_L + 1e-12
     assert max(norms) == pytest.approx(p.lipschitz_L, rel=1e-9)
 
@@ -132,8 +132,7 @@ def test_smooth_ls_sigma_zero_is_deterministic():
     p = make_smooth_ls_noisy(20, 3, 0.0, 5)
     x = np.array([0.4, -0.2, 1.0])
     rng = np.random.default_rng(0)
-    d1 = p.g_oracle.sample(x, rng).vector
-    d2 = p.g_oracle.sample(x, rng).vector
+    d1, d2 = (p.g_oracle.sample(x, w) for w in p.g_oracle.draw(rng, 2))
     np.testing.assert_array_equal(d1, d2)
     np.testing.assert_allclose(d1, p.g_full_subgradient(x), atol=1e-14)
 
@@ -145,7 +144,7 @@ def test_smooth_ls_noise_variance():
     assert p.sigma == pytest.approx(s * np.sqrt(d))
     x = np.array([0.5, 0.1, -0.9])
     mean = p.g_full_subgradient(x)
-    draws = p.g_oracle.draw_batch(x, 100_000, np.random.default_rng(9))
+    draws = p.g_oracle.sample(x, p.g_oracle.draw(np.random.default_rng(9), 100_000))
     var = float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
     assert abs(var - p.sigma**2) <= 0.05 * p.sigma**2
 
@@ -210,3 +209,42 @@ def test_default_x0_feasible_everywhere():
         x0 = default_x0(p)
         assert x0.shape == (p.dim,)
         assert p.regularizer.value(x0) == 0.0
+
+
+# ------------------------------------------------------ oracle stream contract
+
+ORACLE_IDS = [
+    "phase_retrieval:12:3:7",
+    "robust_regression:9:2:4",
+    "smooth_ls:15:2:6",
+    "toy1d:abs",
+    "toy1d:absquad",
+]
+
+
+@pytest.mark.parametrize("pid", ORACLE_IDS)
+def test_draw_consumes_the_stream_like_single_draws(pid):
+    oracle = problem_from_id(pid).g_oracle
+    rng_batch, rng_single = np.random.default_rng(21), np.random.default_rng(21)
+    batch = oracle.draw(rng_batch, 40)
+    singles = [oracle.draw(rng_single, 1)[0] for _ in range(40)]
+    assert len(batch) == 40
+    assert np.asarray(singles).tobytes() == np.asarray(batch).tobytes()
+    # the generator is left in the same state: the next variate agrees
+    assert rng_batch.uniform() == rng_single.uniform()
+
+
+@pytest.mark.parametrize("pid", ORACLE_IDS)
+def test_batch_sample_rows_match_single_samples(pid):
+    p = problem_from_id(pid)
+    x = sample_domain_points(p, 1, 1.5, np.random.default_rng(3))[0]
+    draws = p.g_oracle.draw(np.random.default_rng(8), 60)
+    batch = p.g_oracle.sample(x, draws)
+    assert batch.shape == (60, p.dim)
+    rows = np.stack([p.g_oracle.sample(x, w) for w in draws])
+    if p.meta.family in ("smooth_ls", "toy1d"):
+        assert rows.tobytes() == batch.tobytes()
+    else:
+        # the batch takes all inner products in one matrix-vector product
+        np.testing.assert_allclose(rows, batch, rtol=1e-12, atol=1e-12)
+

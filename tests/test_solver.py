@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 import proxsgm.solver as solver_mod
-from proxsgm.core import CompositeProblem, StochasticOracle, StochasticSample
+from proxsgm.core import CompositeProblem, StochasticOracle, deterministic_oracle
 from proxsgm.moreau import moreau_grid_oracle
-from proxsgm.problems import make_phase_retrieval, make_smooth_ls_noisy, make_toy1d, problem_from_id
+from proxsgm.problems import (
+    default_x0,
+    make_phase_retrieval,
+    make_smooth_ls_noisy,
+    make_toy1d,
+    problem_from_id,
+)
 from proxsgm.prox import box_indicator, zero_regularizer
 from proxsgm.solver import (
     DomainError,
     OracleError,
+    RunResult,
     StepSchedule,
     check_descent_lemma,
     check_prox_identity,
@@ -23,10 +30,7 @@ def constant_gradient_problem(c, reg=None):
     vec = np.asarray(c, dtype=float)
     return CompositeProblem(
         dim=vec.size,
-        g_oracle=StochasticOracle(
-            sample=lambda x, rng: StochasticSample(vec.copy()),
-            unbiased_mean=lambda x: vec.copy(),
-        ),
+        g_oracle=deterministic_oracle(lambda x: vec.copy()),
         regularizer=reg if reg is not None else zero_regularizer(),
         rho=0.0,
         g_value=lambda x: float(vec @ x),
@@ -117,6 +121,38 @@ def test_run_psgm_bit_identical_reruns():
     assert a.iterates.tobytes() != c.iterates.tobytes()
 
 
+@pytest.mark.parametrize(
+    "pid", ["phase_retrieval:12:3:7", "robust_regression:9:2:4", "smooth_ls:15:2:6",
+            "toy1d:abs", "toy1d:absquad"],
+)
+@pytest.mark.parametrize("truncated", [False, True])
+def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, truncated):
+    p = problem_from_id(pid)
+    x0 = default_x0(p)
+    sched = StepSchedule.constant(0.05, 40)
+    if truncated:
+        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
+    runs = []
+    for chunk in (1, 7, solver_mod.CHUNK):
+        monkeypatch.setattr(solver_mod, "CHUNK", chunk)
+        runs.append(run_psgm(p, x0, sched, np.random.default_rng(5)))
+    for r in runs:
+        assert r.truncated == truncated
+        assert r.iterates.tobytes() == runs[0].iterates.tobytes()
+        assert r.x_star.tobytes() == runs[0].x_star.tobytes()
+        assert r.t_star == runs[0].t_star
+
+
+def test_run_result_rejects_inconsistent_x_star():
+    sched = StepSchedule.constant(1.0, 2)
+    iterates = np.arange(4.0).reshape(4, 1)
+    with pytest.raises(ValueError, match="x_star"):
+        RunResult(iterates, t_star=1, x_star=np.array([2.0]), oracle_calls=3, seed=0,
+                  schedule_used=sched)
+    RunResult(iterates, t_star=2, x_star=np.array([2.0]), oracle_calls=3, seed=0,
+              schedule_used=sched)
+
+
 def test_run_psgm_rejects_infeasible_start():
     p = problem_from_id("robust_regression:12:2:3")
     with pytest.raises(DomainError):
@@ -126,10 +162,9 @@ def test_run_psgm_rejects_infeasible_start():
 def test_run_psgm_flags_nonfinite_oracle():
     calls = {"n": 0}
 
-    def sample(x, rng):
+    def sample(x, w):
         calls["n"] += 1
-        v = np.array([np.nan]) if calls["n"] == 3 else np.array([1.0])
-        return StochasticSample(v)
+        return np.array([np.nan]) if calls["n"] == 3 else np.array([1.0])
 
     p = CompositeProblem(
         dim=1, g_oracle=StochasticOracle(sample=sample), regularizer=zero_regularizer(),
