@@ -60,6 +60,11 @@ def _prox_zoo(d: int) -> list[tuple[str, ProxFriendly]]:
     ]
 
 
+def _row_dots(D: Array) -> Array:
+    """``D[i] @ D[i]`` per row, bit for bit the 1-D dot (``norm(axis=-1)`` is not)."""
+    return (D[:, None, :] @ D[:, :, None])[:, 0, 0]
+
+
 def check_prox_nonexpansive(
     n_pairs: int = 10_000, d: int = 4, seed: int = 0
 ) -> list[CheckResult]:
@@ -69,12 +74,11 @@ def check_prox_nonexpansive(
     for name, reg in _prox_zoo(d):
         xs = 3.0 * rng.standard_normal((n_pairs, d))
         ys = 3.0 * rng.standard_normal((n_pairs, d))
-        worst = -math.inf
-        for alpha in (1e-3, 1.0, 1e3):
-            for x, y in zip(xs, ys):
-                lhs = float(np.linalg.norm(reg.prox(x, alpha) - reg.prox(y, alpha)))
-                rhs = float(np.linalg.norm(x - y))
-                worst = max(worst, lhs - rhs)
+        rhs = np.sqrt(_row_dots(xs - ys))
+        worst = max(
+            float(np.max(np.sqrt(_row_dots(reg.prox(xs, a) - reg.prox(ys, a))) - rhs))
+            for a in (1e-3, 1.0, 1e3)
+        )
         out.append(
             CheckResult(
                 name=f"prox_nonexpansive[{name}]",
@@ -96,13 +100,11 @@ def check_prox_optimality(
         for _ in range(n_points):
             x = 3.0 * rng.standard_normal(d)
             alpha = float(10.0 ** rng.uniform(-2, 2))
-            p = reg.prox(x, alpha)
-            fp = reg.value(p) + float((p - x) @ (p - x)) / (2 * alpha)
             comp = 2.0 * rng.standard_normal((n_competitors, d))
-            for z in comp:
-                z = reg.project_domain(z)
-                fz = reg.value(z) + float((z - x) @ (z - x)) / (2 * alpha)
-                worst = max(worst, fp - fz)
+            # the prox point (row 0) shares its competitors' expression: a tie reads 0
+            us = np.vstack([reg.prox(x, alpha), reg.project_domain(comp)])
+            f = reg.value_batch(us) + _row_dots(us - x) / (2 * alpha)
+            worst = max(worst, float(np.max(f[0] - f[1:])))
         out.append(
             CheckResult(
                 name=f"prox_optimality[{name}]",
@@ -170,36 +172,24 @@ def check_oracles(seed: int = 3) -> list[CheckResult]:
 
 def check_tstar_distribution(n_draws: int = 100_000, seed: int = 4) -> list[CheckResult]:
     """Sampled return index matches the step-weight law (chi-square p >= 0.01)."""
-    out = []
-    # constant schedule: uniform over 0..T
-    T = 9
     rng = np.random.default_rng(seed)
-    alphas = np.full(T + 1, 0.1)
-    counts = np.bincount(
-        [sample_tstar(alphas, rng) for _ in range(n_draws)], minlength=T + 1
-    )
-    p_uni = stats.chisquare(counts).pvalue
-    out.append(
-        CheckResult(
-            name="tstar_uniform",
-            passed=p_uni >= 0.01,
-            detail=f"chi-square p={p_uni:.4f} over {n_draws} draws",
+    ramp = np.arange(1, 11, dtype=float)
+    out = []
+    # a constant schedule gives the uniform law over 0..9, a ramp the law
+    # proportional to the step sizes
+    for name, alphas, expected in (
+        ("tstar_uniform", np.full(10, 0.1), None),
+        ("tstar_ramp", ramp, ramp / ramp.sum() * n_draws),
+    ):
+        counts = np.bincount(sample_tstar(alphas, rng, n_draws), minlength=10)
+        p = stats.chisquare(counts, expected).pvalue
+        out.append(
+            CheckResult(
+                name=name,
+                passed=bool(p >= 0.01),
+                detail=f"chi-square p={p:.4f} over {n_draws} draws",
+            )
         )
-    )
-    # ramp schedule: probabilities proportional to the step sizes
-    alphas = np.arange(1, 11, dtype=float)
-    expected = alphas / alphas.sum() * n_draws
-    counts = np.bincount(
-        [sample_tstar(alphas, rng) for _ in range(n_draws)], minlength=10
-    )
-    p_ramp = stats.chisquare(counts, expected).pvalue
-    out.append(
-        CheckResult(
-            name="tstar_ramp",
-            passed=p_ramp >= 0.01,
-            detail=f"chi-square p={p_ramp:.4f} over {n_draws} draws",
-        )
-    )
     return out
 
 
@@ -256,7 +246,7 @@ def check_envelope_basics(seed: int = 5) -> list[CheckResult]:
     out = []
     abs1 = problem_from_id("toy1d:abs")
     pt = moreau_prox(abs1, np.array([0.5]), 1.0, 1e-12)
-    hand_ok = abs(pt.envelope_value - 0.125) <= 1e-10 and abs(pt.x_hat[0]) <= 1e-10
+    hand_ok = abs(pt.envelope_value - 0.125) <= 1e-10 and abs(float(pt.x_hat[0])) <= 1e-10
     out.append(
         CheckResult(
             "envelope_hand_value",

@@ -79,7 +79,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_check(args) -> int:
     verbose = not args.quiet
     results = run_all_checks(
-        progress=(lambda name, secs: print(f"... {name} ({secs:.1f}s)"))
+        progress=(lambda name, secs: print(f"... {name} ({1e3 * secs:.0f} ms)"))
         if verbose
         else None
     )

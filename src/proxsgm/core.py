@@ -173,7 +173,7 @@ def sample_domain_points(
     raw = rng.standard_normal((n, d))
     raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
     raw *= radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
-    return np.stack([problem.regularizer.project_domain(p) for p in raw])
+    return problem.regularizer.project_domain(raw)
 
 
 def check_weak_convexity(

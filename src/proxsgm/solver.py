@@ -123,10 +123,11 @@ class RunResult:
             raise ValueError("x_star must equal iterates[t_star]")
 
 
-def sample_tstar(alphas, rng: np.random.Generator) -> int:
+def sample_tstar(alphas, rng: np.random.Generator, size: int | None = None) -> int | Array:
     """Index t with probability alpha_t / sum(alphas), by inverse CDF.
 
-    Consumes exactly one uniform variate.
+    Consumes one uniform variate per index drawn: ``size=None`` gives one
+    ``int``, an integer ``size`` an array equal to that many such calls.
     """
     a = np.asarray(alphas, dtype=float)
     if a.size == 0:
@@ -134,8 +135,9 @@ def sample_tstar(alphas, rng: np.random.Generator) -> int:
     if not np.all(a > 0):
         raise ValueError("steps must be positive")
     cdf = np.cumsum(a)
-    u = rng.uniform(0.0, cdf[-1])
-    return int(np.searchsorted(cdf, u, side="right").clip(0, a.size - 1))
+    t = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size), side="right")
+    t = t.clip(0, a.size - 1)
+    return int(t) if size is None else t
 
 
 def run_psgm(

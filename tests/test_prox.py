@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from proxsgm.checks import _prox_zoo
 from proxsgm.prox import (
     ball_indicator,
     box_indicator,
@@ -127,6 +128,28 @@ def test_prox_nonexpansive(kind_idx, alpha, seed):
     y = rng.normal(size=3) * 5.0
     dpx = np.linalg.norm(reg.prox(x, alpha) - reg.prox(y, alpha))
     assert dpx <= np.linalg.norm(x - y) + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kind", [name for name, _ in _prox_zoo(1)])
+def test_batch_maps_equal_row_maps(kind, alpha):
+    # the check suites and sample_domain_points map (n, d) arrays and must
+    # reproduce the per-row calls byte for byte
+    for d in (1, 2, 4, 10, 33):
+        reg = dict(_prox_zoo(d))[kind]
+        rng = np.random.default_rng(d)
+        rows = np.vstack([
+            3.0 * rng.standard_normal((300, d)),
+            np.zeros((2, d)),
+            0.1 * rng.standard_normal((20, d)),  # inside the ball
+        ])
+        prox = reg.prox(rows, alpha)
+        assert prox.tobytes() == np.stack([reg.prox(r, alpha) for r in rows]).tobytes()
+        proj = reg.project_domain(rows)
+        assert proj.tobytes() == np.stack([reg.project_domain(r) for r in rows]).tobytes()
+        for pts in (rows, prox):
+            values = np.array([reg.value(r) for r in pts])
+            assert reg.value_batch(pts).tobytes() == values.tobytes()
 
 
 def normal_cone_violation(reg, x, s, rng, n=200):

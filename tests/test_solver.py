@@ -215,6 +215,17 @@ def test_sample_tstar_uniform_chi_square():
     assert stats.chisquare(counts).pvalue >= 1e-3
 
 
+def test_sample_tstar_size_equals_scalar_calls():
+    alphas = np.arange(1.0, 8.0)
+    batch_rng, row_rng = np.random.default_rng(3), np.random.default_rng(3)
+    batch = sample_tstar(alphas, batch_rng, 1000)
+    rows = [sample_tstar(alphas, row_rng) for _ in range(1000)]
+    assert all(type(t) is int for t in rows)
+    np.testing.assert_array_equal(batch, rows)
+    # both consumed one uniform per index
+    assert batch_rng.uniform() == row_rng.uniform()
+
+
 # ------------------------------------------------------------ lemma checks
 
 
