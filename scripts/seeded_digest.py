@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Print one short sha256 per seeded output area of the library.
+
+A refactor that claims bit-identical outputs runs this script on the tree
+before and after the change and compares the printed lines:
+
+    python3 scripts/seeded_digest.py
+
+Areas (every input is fixed here, so the digests depend only on the code):
+
+* ``run_psgm.full`` / ``run_psgm.truncated``: iterates, x_star and t_star
+  of seeded runs on five families, once keeping the whole trajectory and
+  once in the long-horizon mode (forced by setting ``TRAJECTORY_CAP`` to 0).
+* ``moreau_prox`` / ``moreau_grid_oracle``: proximal point, envelope value
+  and gradient, certificate and gap at sampled anchors.
+* ``run_sweep``: every row and per-horizon statistic of small sweeps.
+* ``check_details``: the verdict and detail line of every ``proxsgm check``
+  result.
+
+Takes a few seconds on one core.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from proxsgm import solver  # noqa: E402
+from proxsgm.checks import run_all_checks  # noqa: E402
+from proxsgm.core import sample_domain_points  # noqa: E402
+from proxsgm.harness import ExperimentConfig, run_sweep  # noqa: E402
+from proxsgm.moreau import GridSpec, moreau_grid_oracle, moreau_prox  # noqa: E402
+from proxsgm.problems import default_x0, problem_from_id  # noqa: E402
+
+FAMILIES = (
+    "phase_retrieval:30:4:3",
+    "robust_regression:40:2:1",
+    "smooth_ls:30:3:2",
+    "toy1d:abs",
+    "toy1d:absquad",
+)
+# dim <= 2 instances for the grid oracle
+GRID_IDS = (
+    "toy1d:abs",
+    "toy1d:absquad",
+    "robust_regression:20:1:5",
+    "robust_regression:40:2:1",
+    "phase_retrieval:20:2:3",
+    "smooth_ls:30:2:6",
+)
+SWEEPS = (  # id, horizons, gamma
+    ("toy1d:absquad", (50, 100), 0.2),
+    ("phase_retrieval:20:4:3", (20, 200), "optimal"),
+    ("smooth_ls:30:3:2", (20, 200), 0.05),
+)
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *items) -> None:
+        for item in items:
+            if isinstance(item, np.ndarray):
+                self.h.update(np.ascontiguousarray(item, dtype=float).tobytes())
+            else:
+                self.h.update(repr(item).encode())
+            self.h.update(b"|")
+
+    def short(self) -> str:
+        return self.h.hexdigest()[:16]
+
+
+def _envelope_lam(problem) -> float:
+    return 1.0 / (2.0 * problem.rho) if problem.rho > 0 else 0.5
+
+
+def _add_point(dig: Digest, pt) -> None:
+    dig.add(pt.x_hat, pt.envelope_value, pt.envelope_grad, pt.zeta_hat, pt.inner_tol)
+
+
+def digest_runs(cap: int | None) -> str:
+    dig = Digest()
+    saved = solver.TRAJECTORY_CAP
+    if cap is not None:
+        solver.TRAJECTORY_CAP = cap
+    try:
+        for k, pid in enumerate(FAMILIES):
+            problem = problem_from_id(pid)
+            x0 = default_x0(problem)
+            for T in (0, 7, 300):
+                sched = solver.StepSchedule.constant(0.05, T)
+                run = solver.run_psgm(problem, x0, sched, np.random.default_rng([k, T]))
+                dig.add(pid, T, run.truncated, run.iterates, run.x_star, run.t_star)
+    finally:
+        solver.TRAJECTORY_CAP = saved
+    return dig.short()
+
+
+def digest_moreau_prox() -> str:
+    dig = Digest()
+    for k, pid in enumerate(FAMILIES):
+        problem = problem_from_id(pid)
+        lam = _envelope_lam(problem)
+        radius = 0.5 * (problem.domain_diameter or 3.0)
+        for x in sample_domain_points(problem, 3, radius, np.random.default_rng(k)):
+            for tol in (1e-6, 1e-10):
+                _add_point(dig, moreau_prox(problem, x, lam, tol))
+    return dig.short()
+
+
+def digest_grid_oracle() -> str:
+    dig = Digest()
+    grid = GridSpec(points_per_dim=201, n_refine=2)
+    for k, pid in enumerate(GRID_IDS):
+        problem = problem_from_id(pid)
+        lam = _envelope_lam(problem)
+        radius = 0.5 * (problem.domain_diameter or 3.0)
+        for x in sample_domain_points(problem, 3, radius, np.random.default_rng(k)):
+            _add_point(dig, moreau_grid_oracle(problem, x, lam, grid))
+    return dig.short()
+
+
+def digest_sweeps() -> str:
+    dig = Digest()
+    for pid, horizons, gamma in SWEEPS:
+        config = ExperimentConfig(
+            problem_id=pid, horizons=horizons, gamma=gamma, n_seeds=3, output=""
+        )
+        rep = run_sweep(config, clock=lambda: 0.0)
+        dig.add(pid, rep.gamma, rep.rho_hat, rep.lam, rep.envelope_value_x0, rep.phi_best)
+        for row in rep.rows:
+            dig.add(row.T, row.seed, row.grad_norm_sq, row.phi_at_star,
+                    row.oracle_calls, row.inner_tol_achieved)
+        for h in rep.per_horizon:
+            dig.add(h.T, h.mean, h.ci_half_width, h.bound_value, h.bound_satisfied)
+        dig.add(rep.slope, rep.slope_stderr)
+    return dig.short()
+
+
+def digest_checks() -> str:
+    dig = Digest()
+    for r in run_all_checks():
+        dig.add(r.name, r.passed, r.detail)
+    return dig.short()
+
+
+def main() -> int:
+    areas = (
+        ("run_psgm.full", lambda: digest_runs(None)),
+        ("run_psgm.truncated", lambda: digest_runs(0)),
+        ("moreau_prox", digest_moreau_prox),
+        ("moreau_grid_oracle", digest_grid_oracle),
+        ("run_sweep", digest_sweeps),
+        ("check_details", digest_checks),
+    )
+    for name, fn in areas:
+        print(f"{name:<20} {fn()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,12 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .core import CapabilityError, CompositeProblem, StochasticOracle, coerce_rng
-from .moreau import MoreauPoint, moreau_prox
+from .core import (
+    CapabilityError,
+    CompositeProblem,
+    StochasticOracle,
+    coerce_rng,
+    point_value,
+)
+from .moreau import moreau_prox
 from .solver import RunResult, StepSchedule, run_psgm
 
 Array = np.ndarray
@@ -65,18 +70,9 @@ def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> Composi
     def sample(x: Array, w: Array) -> Array:
         return oracle.sample(x, w) + mu * (x - x_c)
 
-    mean = None
-    if oracle.unbiased_mean is not None:
-        base_mean = oracle.unbiased_mean
-        mean = lambda x: base_mean(x) + mu * (x - x_c)
-
-    g_value = lambda x: float(base.g_value(x)) + 0.5 * mu * float(np.sum((x - x_c) ** 2))
-    g_value_batch = None
-    if base.g_value_batch is not None:
-        base_vb = base.g_value_batch
-        g_value_batch = lambda pts: base_vb(pts) + 0.5 * mu * np.sum(
-            (pts - x_c) ** 2, axis=-1
-        )
+    g_value = lambda x: point_value(
+        base.g_value(x) + 0.5 * mu * np.sum((x - x_c) ** 2, axis=-1)
+    )
     g_sub = lambda x: base.g_full_subgradient(x) + mu * (x - x_c)
 
     interval = None
@@ -94,7 +90,7 @@ def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> Composi
 
     return CompositeProblem(
         dim=base.dim,
-        g_oracle=StochasticOracle(sample=sample, draw=oracle.draw, unbiased_mean=mean),
+        g_oracle=StochasticOracle(sample=sample, draw=oracle.draw),
         regularizer=base.regularizer,
         rho=0.0,
         g_value=g_value,
@@ -103,7 +99,6 @@ def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> Composi
         sigma=base.sigma,
         domain_diameter=base.domain_diameter,
         smooth=base.smooth,
-        g_value_batch=g_value_batch,
         g_subdiff_interval=interval,
         planted_point=None,
         meta=None,
@@ -136,7 +131,6 @@ def envelope_shift_identity_check(
     x_c: Array,
     lam: float,
     x: Array,
-    moreau: Callable[..., MoreauPoint] = moreau_prox,
     tol: float = 1e-10,
 ) -> float:
     """|LHS - RHS| for the regularized-envelope identity.
@@ -154,10 +148,10 @@ def envelope_shift_identity_check(
         lhs_problem = base
     else:
         lhs_problem = RegularizedProblem(base, mu, x_c).problem
-    lhs = moreau(lhs_problem, x, 1.0 / lam, tol).envelope_value
+    lhs = moreau_prox(lhs_problem, x, 1.0 / lam, tol).envelope_value
     z = map_back(x, mu, lam, x_c)
     shift = lam * mu / (2.0 * (mu + lam)) * float(np.sum((x - x_c) ** 2))
-    rhs = moreau(base, z, 1.0 / (lam + mu), tol).envelope_value + shift
+    rhs = moreau_prox(base, z, 1.0 / (lam + mu), tol).envelope_value + shift
     return abs(lhs - rhs)
 
 
@@ -220,7 +214,7 @@ def two_stage_convex(
     L, D = base.lipschitz_L, base.domain_diameter
     if L is None or D is None:
         raise CapabilityError("two-stage scheme needs lipschitz_L and domain_diameter")
-    rng, seed = coerce_rng(rng_or_seed)
+    rng, _ = coerce_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
 
     if x0 is None:

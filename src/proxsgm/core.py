@@ -7,10 +7,14 @@ explicitly seeded ``numpy.random.Generator``; identical seeds give
 bit-identical results.  Problem objects are immutable after construction and
 safe to share across worker threads.
 
-Oracles are batch-first: ``StochasticOracle.draw`` produces the randomness
-of many draws at once and ``StochasticOracle.sample`` maps one row of it,
-or all rows, to subgradients.  The solver draws in chunks and samples one
-row per step; the Monte-Carlo checks below sample whole batches.
+The maps of a problem are batch-first, with one formula per family: a
+``(d,)`` point gives a Python ``float`` value or a ``(d,)`` vector, an
+``(n, d)`` stack gives ``(n,)`` values or ``(n, d)`` vectors.  That covers
+``g_value``, ``g_full_subgradient``, ``ProxFriendly.value`` and the oracle:
+``StochasticOracle.draw`` produces the randomness of many draws at once and
+``StochasticOracle.sample`` maps one row of it, or all rows, to
+subgradients.  The solver draws in chunks and samples one row per step;
+the certifications below evaluate whole stacks of points.
 """
 
 from __future__ import annotations
@@ -39,6 +43,18 @@ def coerce_rng(rng_or_seed) -> tuple[np.random.Generator, int]:
     return np.random.default_rng(seed), seed
 
 
+def point_value(v) -> float | Array:
+    """A Python ``float`` for the value at one point, the ``(n,)`` array
+    for a stack: the return convention of every batch-first value map."""
+    return v if np.ndim(v) else float(v)
+
+
+def row_dots(U: Array, V: Array) -> Array:
+    """``U[i] @ V[i]`` per row, bit for bit the 1-D dot (``np.sum(U * V, axis=-1)``
+    is not); a pair of ``(d,)`` vectors gives their dot as a 0-d array."""
+    return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
+
+
 def no_draws(rng: np.random.Generator, n: int) -> Array:
     """Randomness of a deterministic oracle: n empty rows, no variates."""
     return np.empty((n, 0))
@@ -56,13 +72,12 @@ class StochasticOracle:
     ``w = W[k]`` gives a ``(dim,)`` vector, the whole ``W`` an
     ``(n, dim)`` array whose rows match the single calls up to the
     rounding of a matrix-vector product.  The mean over the randomness
-    lies in the subdifferential of g at x; ``unbiased_mean`` exposes it
-    when it is computable.
+    lies in the subdifferential of g at x; ``check_oracle_unbiasedness``
+    compares it with the problem's ``g_full_subgradient``.
     """
 
     sample: Callable[[Array, Array], Array]
     draw: Callable[[np.random.Generator, int], Array] = no_draws
-    unbiased_mean: Callable[[Array], Array] | None = None
 
 
 def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOracle:
@@ -72,7 +87,7 @@ def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOra
         v = subgradient(x)
         return v if w.ndim == 1 else np.tile(v, (len(w), 1))
 
-    return StochasticOracle(sample=sample, unbiased_mean=subgradient)
+    return StochasticOracle(sample=sample)
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,12 @@ class CompositeProblem:
     two must be present before the solver runs.  ``smooth`` declares that g
     is continuously differentiable and ``g_full_subgradient`` returns the
     exact gradient.
+
+    ``g_value`` and ``g_full_subgradient`` are batch-first: a ``(d,)``
+    point gives a ``float`` and a ``(d,)`` subgradient, an ``(n, d)`` stack
+    gives ``(n,)`` values and ``(n, d)`` subgradients whose rows match the
+    point calls (bit for bit on the shipped families).  The subgradient
+    selection is also the mean of the oracle's draws.
     """
 
     dim: int
@@ -111,7 +132,6 @@ class CompositeProblem:
     sigma: float | None = None
     domain_diameter: float | None = None
     smooth: bool = False
-    g_value_batch: Callable[[Array], Array] | None = None
     g_subdiff_interval: Callable[[Array], tuple[float, float]] | None = None
     planted_point: Array | None = None
     meta: ProblemMeta | None = None
@@ -134,13 +154,7 @@ class CompositeProblem:
         rv = self.regularizer.value(x)
         if math.isinf(rv):
             return math.inf
-        return float(self.g_value(x)) + rv
-
-    def g_batch(self, pts: Array) -> Array:
-        if self.g_value_batch is not None:
-            return np.asarray(self.g_value_batch(pts), dtype=float)
-        self.require_deterministic()
-        return np.array([self.g_value(p) for p in np.asarray(pts, dtype=float)])
+        return self.g_value(x) + rv
 
     def require_deterministic(self) -> "CompositeProblem":
         if self.g_value is None or self.g_full_subgradient is None:
@@ -176,6 +190,34 @@ def sample_domain_points(
     return problem.regularizer.project_domain(raw)
 
 
+def _sampled_pairs(
+    problem: CompositeProblem, n_pairs: int, radius: float, rng: np.random.Generator
+) -> tuple[Array, Array]:
+    problem.require_deterministic()
+    if n_pairs < 1 or radius <= 0:
+        raise ValueError("need n_pairs >= 1 and radius > 0")
+    xs = sample_domain_points(problem, n_pairs, radius, rng)
+    ys = sample_domain_points(problem, n_pairs, radius, rng)
+    return xs, ys
+
+
+def _violation_report(
+    check: str, gap: Array, g_ys: Array, xs: Array, ys: Array
+) -> ViolationReport:
+    """Flag every pair whose gap exceeds 1e-9 * (1 + |g(y)|); the worst
+    pair is the first one of largest gap."""
+    tol = 1e-9 * (1.0 + np.abs(g_ys))
+    k = int(np.argmax(gap))
+    return ViolationReport(
+        check=check,
+        n_pairs=len(gap),
+        max_violation=float(gap[k]),
+        tolerance=float(tol[k]),
+        violated=bool(np.any(gap > tol)),
+        worst_pair=(xs[k], ys[k]),
+    )
+
+
 def check_weak_convexity(
     problem: CompositeProblem,
     n_pairs: int,
@@ -189,36 +231,16 @@ def check_weak_convexity(
     subgradient selection v at x.  The violation margin is the left-over of
     the right side; anything above 1e-9 * (1 + |g(y)|) is flagged.
     """
-    problem.require_deterministic()
-    if n_pairs < 1 or radius <= 0:
-        raise ValueError("need n_pairs >= 1 and radius > 0")
-    xs = sample_domain_points(problem, n_pairs, radius, rng)
-    ys = sample_domain_points(problem, n_pairs, radius, rng)
-    worst = -math.inf
-    worst_pair = None
-    violated = False
-    for x, y in zip(xs, ys):
-        v = problem.g_full_subgradient(x)
-        gap = (
-            problem.g_value(x)
-            + float(v @ (y - x))
-            - 0.5 * problem.rho * float((y - x) @ (y - x))
-            - problem.g_value(y)
-        )
-        tol = 1e-9 * (1.0 + abs(problem.g_value(y)))
-        if gap > worst:
-            worst, worst_pair = gap, (x, y)
-        if gap > tol:
-            violated = True
-    tol_worst = 1e-9 * (1.0 + abs(problem.g_value(worst_pair[1])))
-    return ViolationReport(
-        check="weak_convexity",
-        n_pairs=n_pairs,
-        max_violation=worst,
-        tolerance=tol_worst,
-        violated=violated,
-        worst_pair=worst_pair,
+    xs, ys = _sampled_pairs(problem, n_pairs, radius, rng)
+    D = ys - xs
+    g_ys = problem.g_value(ys)
+    gap = (
+        problem.g_value(xs)
+        + row_dots(problem.g_full_subgradient(xs), D)
+        - 0.5 * problem.rho * row_dots(D, D)
+        - g_ys
     )
+    return _violation_report("weak_convexity", gap, g_ys, xs, ys)
 
 
 def check_hypomonotonicity(
@@ -228,32 +250,11 @@ def check_hypomonotonicity(
     rng: np.random.Generator,
 ) -> ViolationReport:
     """Sampled certification of <v - w, x - y> >= -rho * ||x - y||^2."""
-    problem.require_deterministic()
-    if n_pairs < 1 or radius <= 0:
-        raise ValueError("need n_pairs >= 1 and radius > 0")
-    xs = sample_domain_points(problem, n_pairs, radius, rng)
-    ys = sample_domain_points(problem, n_pairs, radius, rng)
-    worst = -math.inf
-    worst_pair = None
-    violated = False
-    for x, y in zip(xs, ys):
-        v = problem.g_full_subgradient(x)
-        w = problem.g_full_subgradient(y)
-        gap = -(float((v - w) @ (x - y)) + problem.rho * float((x - y) @ (x - y)))
-        tol = 1e-9 * (1.0 + abs(problem.g_value(y)))
-        if gap > worst:
-            worst, worst_pair = gap, (x, y)
-        if gap > tol:
-            violated = True
-    tol_worst = 1e-9 * (1.0 + abs(problem.g_value(worst_pair[1])))
-    return ViolationReport(
-        check="hypomonotonicity",
-        n_pairs=n_pairs,
-        max_violation=worst,
-        tolerance=tol_worst,
-        violated=violated,
-        worst_pair=worst_pair,
-    )
+    xs, ys = _sampled_pairs(problem, n_pairs, radius, rng)
+    D = xs - ys
+    V = problem.g_full_subgradient(xs) - problem.g_full_subgradient(ys)
+    gap = -(row_dots(V, D) + problem.rho * row_dots(D, D))
+    return _violation_report("hypomonotonicity", gap, problem.g_value(ys), xs, ys)
 
 
 @dataclass(frozen=True)
@@ -272,16 +273,15 @@ def check_oracle_unbiasedness(
     n_samples: int = 10_000,
     n_repeats: int = 20,
 ) -> OracleReport:
-    """Empirical mean of oracle draws against the declared unbiased mean.
+    """Empirical mean of oracle draws against the subgradient selection
+    ``g_full_subgradient(x)``, which the oracle's mean must equal.
 
     Each repeat draws ``n_samples`` subgradients and passes when the mean
     deviates by at most five empirical standard errors.  At least 95% of the
     repeats must pass.
     """
     oracle = problem.g_oracle
-    if oracle.unbiased_mean is None:
-        raise CapabilityError("oracle does not declare an unbiased mean")
-    target = oracle.unbiased_mean(x)
+    target = problem.require_deterministic().g_full_subgradient(x)
     n_passed = 0
     worst = 0.0
     for _ in range(n_repeats):

@@ -106,7 +106,7 @@ def _psi(problem: CompositeProblem, x: Array, lam: float, y: Array) -> float:
     if math.isinf(rv):
         return math.inf
     diff = y - x
-    return float(problem.g_value(y)) + rv + float(diff @ diff) / (2.0 * lam)
+    return problem.g_value(y) + rv + float(diff @ diff) / (2.0 * lam)
 
 
 def _finish_point(
@@ -531,8 +531,8 @@ def moreau_grid_oracle(
             g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
             pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
         vals = (
-            problem.g_batch(pts)
-            + r.value_batch(pts)
+            problem.g_value(pts)
+            + r.value(pts)
             + np.sum((pts - x) ** 2, axis=1) / (2.0 * lam)
         )
         k = int(np.argmin(vals))

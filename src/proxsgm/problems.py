@@ -13,6 +13,10 @@ Generators accept either an integer seed or a ``numpy.random.Generator``;
 regeneration from the same ``(family, m, d, seed)`` is bit-identical, which
 is what makes the string ids below ("family:m:d:seed") reproducible
 addresses.
+
+The g callables are batch-first (see :mod:`proxsgm.core`) and take every
+product with the data matrix through ``_matvec``, so each row of a stack
+is computed exactly as its point is: stacks match point calls bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .core import (
     StochasticOracle,
     coerce_rng,
     deterministic_oracle,
+    point_value,
+    row_dots,
 )
 from .prox import ball_indicator, box_indicator, zero_regularizer
 
@@ -33,6 +39,16 @@ Array = np.ndarray
 # Fixed per-coordinate noise level for smooth_ls instances built from a
 # string id (the id schema carries no real-valued slot).
 SMOOTH_LS_DEFAULT_SIGMA = 0.1
+
+
+def _matvec(M: Array, x: Array) -> Array:
+    """``M @ x`` for a point, ``M @ x[i]`` in row i for an ``(n, k)`` stack.
+
+    A stack is a stacked matrix-vector product, one BLAS gemv per row like
+    the point's own; a single gemm (``x @ M.T``) would sum the rows in
+    another order.
+    """
+    return M @ x if x.ndim == 1 else (M @ x[:, :, None])[:, :, 0]
 
 
 def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
@@ -77,17 +93,13 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
     rho = 2.0 * float(np.max(row_sq))
     L = 2.0 * radius * float(np.max(row_sq))
 
-    def g_value(x: Array) -> float:
-        return float(np.mean(np.abs((A @ x) ** 2 - b)))
-
-    def g_value_batch(pts: Array) -> Array:
-        inner = np.asarray(pts, dtype=float) @ A.T
-        return np.mean(np.abs(inner**2 - b), axis=-1)
+    def g_value(x: Array) -> float | Array:
+        return point_value(np.mean(np.abs(_matvec(A, x) ** 2 - b), axis=-1))
 
     def g_full_subgradient(x: Array) -> Array:
-        inner = A @ x
+        inner = _matvec(A, x)
         signs = np.sign(inner**2 - b)
-        return (2.0 / m) * (A.T @ (signs * inner))
+        return (2.0 / m) * _matvec(A.T, signs * inner)
 
     def draw(rng: np.random.Generator, n: int) -> Array:
         return rng.integers(m, size=n)
@@ -99,14 +111,13 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
 
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(sample=sample, draw=draw, unbiased_mean=g_full_subgradient),
+        g_oracle=StochasticOracle(sample=sample, draw=draw),
         regularizer=ball_indicator(np.zeros(d), radius),
         rho=rho,
         g_value=g_value,
         g_full_subgradient=g_full_subgradient,
         lipschitz_L=L,
         domain_diameter=2.0 * radius,
-        g_value_batch=g_value_batch,
         planted_point=x_sharp,
         meta=ProblemMeta(family="phase_retrieval", m=m, d=d, seed=seed),
     )
@@ -142,15 +153,11 @@ def make_robust_regression(
     A, b, x_sharp = _robust_regression_data(rng, m, d, outlier_fraction)
     L = float(np.max(np.linalg.norm(A, axis=1)))
 
-    def g_value(x: Array) -> float:
-        return float(np.mean(np.abs(A @ x - b)))
-
-    def g_value_batch(pts: Array) -> Array:
-        resid = np.asarray(pts, dtype=float) @ A.T - b
-        return np.mean(np.abs(resid), axis=-1)
+    def g_value(x: Array) -> float | Array:
+        return point_value(np.mean(np.abs(_matvec(A, x) - b), axis=-1))
 
     def g_full_subgradient(x: Array) -> Array:
-        return A.T @ np.sign(A @ x - b) / m
+        return _matvec(A.T, np.sign(_matvec(A, x) - b)) / m
 
     def draw(rng: np.random.Generator, n: int) -> Array:
         return rng.integers(m, size=n)
@@ -161,14 +168,13 @@ def make_robust_regression(
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(sample=sample, draw=draw, unbiased_mean=g_full_subgradient),
+        g_oracle=StochasticOracle(sample=sample, draw=draw),
         regularizer=box_indicator(lo, hi),
         rho=0.0,
         g_value=g_value,
         g_full_subgradient=g_full_subgradient,
         lipschitz_L=L,
         domain_diameter=float(np.linalg.norm(hi - lo)),
-        g_value_batch=g_value_batch,
         planted_point=x_sharp,
         meta=ProblemMeta(
             family="robust_regression",
@@ -224,16 +230,12 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
     b = A @ x_sharp
     rho = float(np.linalg.eigvalsh(A.T @ A / m)[-1])
 
-    def g_value(x: Array) -> float:
-        resid = A @ x - b
-        return float(resid @ resid) / (2.0 * m)
-
-    def g_value_batch(pts: Array) -> Array:
-        resid = np.asarray(pts, dtype=float) @ A.T - b
-        return np.sum(resid**2, axis=-1) / (2.0 * m)
+    def g_value(x: Array) -> float | Array:
+        resid = _matvec(A, x) - b
+        return point_value(row_dots(resid, resid) / (2.0 * m))
 
     def g_gradient(x: Array) -> Array:
-        return A.T @ (A @ x - b) / m
+        return _matvec(A.T, _matvec(A, x) - b) / m
 
     def draw(rng: np.random.Generator, n: int) -> Array:
         return sigma * rng.standard_normal((n, d))
@@ -244,7 +246,7 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(sample=sample, draw=draw, unbiased_mean=g_gradient),
+        g_oracle=StochasticOracle(sample=sample, draw=draw),
         regularizer=box_indicator(lo, hi),
         rho=rho,
         g_value=g_value,
@@ -252,7 +254,6 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
         sigma=sigma * float(np.sqrt(d)),
         domain_diameter=float(np.linalg.norm(hi - lo)),
         smooth=True,
-        g_value_batch=g_value_batch,
         planted_point=x_sharp,
         meta=ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed),
     )
@@ -269,14 +270,11 @@ def make_toy1d(kind: str) -> CompositeProblem:
     """
     if kind == "abs":
 
-        def g_value(x: Array) -> float:
-            return float(np.abs(np.atleast_1d(np.asarray(x, float))[0]))
+        def g_value(x: Array) -> float | Array:
+            return point_value(np.abs(np.asarray(x, float)[..., 0]))
 
         def g_sub(x: Array) -> Array:
-            return np.sign(np.atleast_1d(np.asarray(x, float))[:1])
-
-        def g_batch(pts: Array) -> Array:
-            return np.abs(np.asarray(pts, float))[..., 0]
+            return np.sign(np.asarray(x, float))
 
         def interval(x: Array) -> tuple[float, float]:
             v = float(np.atleast_1d(x)[0])
@@ -294,24 +292,19 @@ def make_toy1d(kind: str) -> CompositeProblem:
             g_value=g_value,
             g_full_subgradient=g_sub,
             lipschitz_L=1.0,
-            g_value_batch=g_batch,
             g_subdiff_interval=interval,
             meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="abs"),
         )
 
     if kind == "absquad":
 
-        def g_value(x: Array) -> float:
-            v = float(np.atleast_1d(np.asarray(x, float))[0])
-            return abs(v * v - 1.0)
+        def g_value(x: Array) -> float | Array:
+            v = np.asarray(x, float)[..., 0]
+            return point_value(np.abs(v * v - 1.0))
 
         def g_sub(x: Array) -> Array:
-            v = float(np.atleast_1d(np.asarray(x, float))[0])
-            return np.array([2.0 * v * np.sign(v * v - 1.0)])
-
-        def g_batch(pts: Array) -> Array:
-            v = np.asarray(pts, float)[..., 0]
-            return np.abs(v * v - 1.0)
+            v = np.asarray(x, float)
+            return 2.0 * v * np.sign(v * v - 1.0)
 
         def interval(x: Array) -> tuple[float, float]:
             v = float(np.atleast_1d(x)[0])
@@ -329,7 +322,6 @@ def make_toy1d(kind: str) -> CompositeProblem:
             g_full_subgradient=g_sub,
             lipschitz_L=4.0,
             domain_diameter=4.0,
-            g_value_batch=g_batch,
             g_subdiff_interval=interval,
             meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="absquad"),
         )

@@ -1,9 +1,10 @@
 """Convex regularizers with exact proximal maps.
 
 Every regularizer used by the solver is one of five closed convex model
-classes with a closed-form prox.  All maps accept batched inputs with the
-coordinate axis last, so ``prox`` on an ``(n, d)`` array applies the map
-row by row.
+classes with a closed-form prox.  All maps are batch-first with the
+coordinate axis last: ``prox`` on an ``(n, d)`` array applies the map row
+by row, and ``value`` gives a ``float`` for a ``(d,)`` point and ``(n,)``
+values for an ``(n, d)`` stack, each row equal to its point's value.
 """
 
 from __future__ import annotations
@@ -93,40 +94,24 @@ class ProxFriendly:
     radius: float | None = None
     weight: float | None = None
 
-    # -- scalar interface ---------------------------------------------------
-
-    def value(self, x: Array) -> float:
+    def value(self, x: Array) -> float | Array:
+        """r at a point, or per row of a stack; inf marks infeasibility."""
         x = np.asarray(x, dtype=float)
         if self.kind is ProxKind.ZERO:
-            return 0.0
-        if self.kind is ProxKind.BOX:
+            v = np.zeros(x.shape[:-1])
+        elif self.kind is ProxKind.BOX:
             slack = _FEAS_REL * (1.0 + float(np.max(np.abs(self.hi - self.lo))))
-            inside = np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack)
-            return 0.0 if inside else math.inf
-        if self.kind is ProxKind.BALL:
+            ok = np.all((x >= self.lo - slack) & (x <= self.hi + slack), axis=-1)
+            v = np.where(ok, 0.0, math.inf)
+        elif self.kind is ProxKind.BALL:
             slack = _FEAS_REL * (1.0 + self.radius)
-            inside = np.linalg.norm(x - self.center) <= self.radius + slack
-            return 0.0 if inside else math.inf
-        if self.kind is ProxKind.L1:
-            return float(self.weight * np.sum(np.abs(x)))
-        return float(0.5 * self.weight * np.sum((x - self.center) ** 2))
-
-    def value_batch(self, pts: Array) -> Array:
-        """Vectorized ``value`` over rows of ``pts``; inf marks infeasibility."""
-        pts = np.asarray(pts, dtype=float)
-        if self.kind is ProxKind.ZERO:
-            return np.zeros(pts.shape[:-1])
-        if self.kind is ProxKind.BOX:
-            slack = _FEAS_REL * (1.0 + float(np.max(np.abs(self.hi - self.lo))))
-            ok = np.all((pts >= self.lo - slack) & (pts <= self.hi + slack), axis=-1)
-            return np.where(ok, 0.0, math.inf)
-        if self.kind is ProxKind.BALL:
-            slack = _FEAS_REL * (1.0 + self.radius)
-            ok = np.linalg.norm(pts - self.center, axis=-1) <= self.radius + slack
-            return np.where(ok, 0.0, math.inf)
-        if self.kind is ProxKind.L1:
-            return self.weight * np.sum(np.abs(pts), axis=-1)
-        return 0.5 * self.weight * np.sum((pts - self.center) ** 2, axis=-1)
+            ok = np.linalg.norm(x - self.center, axis=-1) <= self.radius + slack
+            v = np.where(ok, 0.0, math.inf)
+        elif self.kind is ProxKind.L1:
+            v = self.weight * np.sum(np.abs(x), axis=-1)
+        else:
+            v = 0.5 * self.weight * np.sum((x - self.center) ** 2, axis=-1)
+        return v if v.ndim else float(v)
 
     def prox(self, x: Array, alpha: float) -> Array:
         if alpha < 0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,8 +51,6 @@ class StepSchedule:
     """
 
     alphas: Array
-    kind: str = "explicit"
-    gamma: float | None = None
     rho_hat: float | None = None
 
     def __post_init__(self):
@@ -89,9 +86,7 @@ class StepSchedule:
         if T < 0:
             raise ValueError("horizon must be nonnegative")
         alpha = gamma / math.sqrt(T + 1)
-        return StepSchedule(
-            alphas=np.full(T + 1, alpha), kind="constant", gamma=gamma, rho_hat=rho_hat
-        )
+        return StepSchedule(alphas=np.full(T + 1, alpha), rho_hat=rho_hat)
 
     @staticmethod
     def explicit(alphas, rho_hat: float | None = None) -> "StepSchedule":
@@ -112,8 +107,6 @@ class RunResult:
     t_star: int
     x_star: Array
     oracle_calls: int
-    seed: int
-    schedule_used: StepSchedule
     truncated: bool = False
 
     def __post_init__(self):
@@ -159,7 +152,7 @@ def run_psgm(
     up front from a spawned substream in the long-horizon mode, which
     leaves that stream untouched.
     """
-    rng, seed = coerce_rng(rng_or_seed)
+    rng, _ = coerce_rng(rng_or_seed)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise DomainError(f"x0 has shape {x0.shape}, problem dim {problem.dim}")
@@ -202,16 +195,12 @@ def run_psgm(
             t_star=t_star,
             x_star=iterates[t_star].copy(),
             oracle_calls=n_iter,
-            seed=seed,
-            schedule_used=schedule,
         )
     return RunResult(
         iterates=np.stack([x0, x_star, x]),
         t_star=t_star,
         x_star=x_star.copy(),
         oracle_calls=n_iter,
-        seed=seed,
-        schedule_used=schedule,
         truncated=True,
     )
 
@@ -244,7 +233,6 @@ def check_descent_lemma(
     alpha: float,
     n_samples: int,
     rng_or_seed,
-    moreau: Callable[..., MoreauPoint] = moreau_prox,
     variant: str | None = None,
     inner_tol: float = 1e-10,
 ) -> LemmaReport:
@@ -268,7 +256,7 @@ def check_descent_lemma(
         raise ValueError("alpha must not exceed 1/rho_hat")
     x_t = np.asarray(x_t, dtype=float)
 
-    point = moreau(problem, x_t, 1.0 / rho_hat, inner_tol)
+    point = moreau_prox(problem, x_t, 1.0 / rho_hat, inner_tol)
     x_hat = point.x_hat
     dist_sq = float(np.sum((x_t - x_hat) ** 2))
 
@@ -306,7 +294,6 @@ def check_prox_identity(
     x: Array,
     rho_hat: float,
     alpha: float,
-    moreau: Callable[..., MoreauPoint] = moreau_prox,
     inner_tol: float = 1e-10,
     point: MoreauPoint | None = None,
 ) -> float:
@@ -325,7 +312,7 @@ def check_prox_identity(
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
     if point is None:
-        point = moreau(problem, x, 1.0 / rho_hat, inner_tol)
+        point = moreau_prox(problem, x, 1.0 / rho_hat, inner_tol)
     if point.zeta_hat is None:
         raise ValueError("Moreau point carries no certificate")
     x_hat = point.x_hat

@@ -48,9 +48,7 @@ def noisy_linear_problem(c, noise, lo, hi, seed_norm=None):
     hi = np.full(d, hi)
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(
-            sample=lambda x, w: c + w, draw=draw, unbiased_mean=lambda x: c.copy()
-        ),
+        g_oracle=StochasticOracle(sample=lambda x, w: c + w, draw=draw),
         regularizer=box_indicator(lo, hi),
         rho=0.0,
         g_value=lambda x: float(c @ x),

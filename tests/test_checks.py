@@ -1,5 +1,6 @@
 """Invariant suites: batched suites against per-row references, full run."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,20 +8,29 @@ import pytest
 from scipy import stats
 
 from proxsgm.checks import (
+    CERTIFICATION_IDS,
     CheckResult,
     _prox_zoo,
-    _row_dots,
     check_prox_nonexpansive,
     check_prox_optimality,
     check_tstar_distribution,
     run_all_checks,
 )
+from proxsgm.core import (
+    ViolationReport,
+    check_hypomonotonicity,
+    check_weak_convexity,
+    row_dots,
+    sample_domain_points,
+)
+from proxsgm.problems import problem_from_id
 from proxsgm.solver import sample_tstar
 
 # ----------------------------------------------- per-row reference suites
 #
 # The suites as they were written before they evaluated whole batches: one
-# prox, projection, value and norm per row, one sample_tstar call per draw.
+# prox, projection, value and norm per row, one sample_tstar call per draw,
+# one g_value and subgradient call per point of a certification pair.
 
 
 def reference_prox_nonexpansive(n_pairs, d, seed):
@@ -96,6 +106,50 @@ def reference_tstar_distribution(n_draws, seed):
     return out
 
 
+def _reference_pairs(problem, n_pairs, radius, rng):
+    xs = sample_domain_points(problem, n_pairs, radius, rng)
+    ys = sample_domain_points(problem, n_pairs, radius, rng)
+    return xs, ys
+
+
+def _reference_report(check, problem, n_pairs, gaps, xs, ys):
+    worst = -math.inf
+    worst_pair = None
+    violated = False
+    for gap, x, y in zip(gaps, xs, ys):
+        tol = 1e-9 * (1.0 + abs(problem.g_value(y)))
+        if gap > worst:
+            worst, worst_pair = gap, (x, y)
+        if gap > tol:
+            violated = True
+    tol_worst = 1e-9 * (1.0 + abs(problem.g_value(worst_pair[1])))
+    return ViolationReport(check, n_pairs, worst, tol_worst, violated, worst_pair)
+
+
+def reference_weak_convexity(problem, n_pairs, radius, rng):
+    xs, ys = _reference_pairs(problem, n_pairs, radius, rng)
+    gaps = []
+    for x, y in zip(xs, ys):
+        v = problem.g_full_subgradient(x)
+        gaps.append(
+            problem.g_value(x)
+            + float(v @ (y - x))
+            - 0.5 * problem.rho * float((y - x) @ (y - x))
+            - problem.g_value(y)
+        )
+    return _reference_report("weak_convexity", problem, n_pairs, gaps, xs, ys)
+
+
+def reference_hypomonotonicity(problem, n_pairs, radius, rng):
+    xs, ys = _reference_pairs(problem, n_pairs, radius, rng)
+    gaps = []
+    for x, y in zip(xs, ys):
+        v = problem.g_full_subgradient(x)
+        w = problem.g_full_subgradient(y)
+        gaps.append(-(float((v - w) @ (x - y)) + problem.rho * float((x - y) @ (x - y))))
+    return _reference_report("hypomonotonicity", problem, n_pairs, gaps, xs, ys)
+
+
 # ------------------------------------------------------------ comparisons
 
 
@@ -103,9 +157,46 @@ def reference_tstar_distribution(n_draws, seed):
 def test_row_dots_equal_one_dimensional_dots(d):
     # the suites' details are rounded to 3 digits; the sums they rest on
     # must match the per-row dots exactly
-    rows = 3.0 * np.random.default_rng(d).standard_normal((2000, d))
+    rng = np.random.default_rng(d)
+    rows = 3.0 * rng.standard_normal((2000, d))
+    others = rng.standard_normal((2000, d))
     expected = np.array([float(r @ r) for r in rows])
-    assert _row_dots(rows).tobytes() == expected.tobytes()
+    assert row_dots(rows, rows).tobytes() == expected.tobytes()
+    expected = np.array([float(r @ o) for r, o in zip(rows, others)])
+    assert row_dots(rows, others).tobytes() == expected.tobytes()
+    assert float(row_dots(rows[0], others[0])) == float(rows[0] @ others[0])
+
+
+# the certification ids at their declared modulus, plus an understated one
+# (|x^2 - 1| is 2-weakly convex, not 0.1-weakly convex)
+CERTIFICATION_CASES = [(pid, None) for pid in CERTIFICATION_IDS] + [("toy1d:absquad", 0.1)]
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        (check_weak_convexity, reference_weak_convexity),
+        (check_hypomonotonicity, reference_hypomonotonicity),
+    ],
+    ids=["weak_convexity", "hypomonotonicity"],
+)
+@pytest.mark.parametrize("pid, rho", CERTIFICATION_CASES)
+def test_certifications_equal_per_pair_reference(check, reference, pid, rho):
+    problem = problem_from_id(pid)
+    if rho is not None:
+        problem = dataclasses.replace(problem, rho=rho)
+    radius = (problem.domain_diameter or 4.0) / 2.0
+    got = check(problem, 1_000, radius, np.random.default_rng(2))
+    ref = reference(problem, 1_000, radius, np.random.default_rng(2))
+    assert got.check == ref.check and got.n_pairs == ref.n_pairs
+    assert got.violated == ref.violated
+    if rho is not None:
+        assert got.violated
+    # one stack evaluates each pair as the point calls do: equal, not close
+    assert got.max_violation == ref.max_violation
+    assert got.tolerance == ref.tolerance
+    assert got.worst_pair[0].tobytes() == ref.worst_pair[0].tobytes()
+    assert got.worst_pair[1].tobytes() == ref.worst_pair[1].tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 4, 7])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from proxsgm.boost import RegularizedProblem
 from proxsgm.core import sample_domain_points
 from proxsgm.problems import (
     SMOOTH_LS_DEFAULT_SIGMA,
@@ -225,13 +226,13 @@ ORACLE_IDS = [
 @pytest.mark.parametrize("pid", ORACLE_IDS)
 def test_draw_consumes_the_stream_like_single_draws(pid):
     oracle = problem_from_id(pid).g_oracle
-    rng_batch, rng_single = np.random.default_rng(21), np.random.default_rng(21)
-    batch = oracle.draw(rng_batch, 40)
-    singles = [oracle.draw(rng_single, 1)[0] for _ in range(40)]
+    batch_rng, single_rng = np.random.default_rng(21), np.random.default_rng(21)
+    batch = oracle.draw(batch_rng, 40)
+    singles = [oracle.draw(single_rng, 1)[0] for _ in range(40)]
     assert len(batch) == 40
     assert np.asarray(singles).tobytes() == np.asarray(batch).tobytes()
     # the generator is left in the same state: the next variate agrees
-    assert rng_batch.uniform() == rng_single.uniform()
+    assert batch_rng.uniform() == single_rng.uniform()
 
 
 @pytest.mark.parametrize("pid", ORACLE_IDS)
@@ -248,3 +249,40 @@ def test_batch_sample_rows_match_single_samples(pid):
         # the batch takes all inner products in one matrix-vector product
         np.testing.assert_allclose(rows, batch, rtol=1e-12, atol=1e-12)
 
+
+# --------------------------------------------------- batch-first g callables
+
+BATCH_IDS = ORACLE_IDS + [
+    "phase_retrieval:50:10:0",
+    "phase_retrieval:30:1:4",
+    "robust_regression:25:1:3",
+    "smooth_ls:20:1:5",
+]
+REGULARIZED_ANCHORS = {"robust_regression:9:2:4": [0.1, -0.2], "toy1d:abs": [0.3]}
+
+
+@pytest.mark.parametrize(
+    "name", BATCH_IDS + [f"regularized {pid}" for pid in REGULARIZED_ANCHORS]
+)
+def test_g_callables_on_a_stack_match_point_calls(name):
+    pid = name.removeprefix("regularized ")
+    p = problem_from_id(pid)
+    if pid != name:
+        p = RegularizedProblem(p, 0.5, np.array(REGULARIZED_ANCHORS[pid])).problem
+    # every row of a stack is computed as its point is, so the stack
+    # reproduces the point calls byte for byte (at the kinks too)
+    radius = (p.domain_diameter or 4.0) / 2.0
+    pts = np.vstack([
+        sample_domain_points(p, 200, radius, np.random.default_rng(5)),
+        np.zeros((1, p.dim)),
+        np.ones((1, p.dim)),
+    ])
+    values = [p.g_value(x) for x in pts]
+    assert all(type(v) is float for v in values)
+    stacked = p.g_value(pts)
+    assert stacked.shape == (len(pts),)
+    assert stacked.tobytes() == np.array(values).tobytes()
+    subgradients = p.g_full_subgradient(pts)
+    assert subgradients.shape == pts.shape
+    rows = np.stack([p.g_full_subgradient(x) for x in pts])
+    assert subgradients.tobytes() == rows.tobytes()

@@ -92,9 +92,9 @@ def test_indicator_values():
     assert math.isinf(box.value(np.array([0.5, 1.5])))
     ball = ball_indicator(np.zeros(2), 1.0)
     assert ball.value(np.array([2.0, 0.0])) == math.inf
-    # value_batch agrees with value pointwise
+    # value on a stack agrees with value pointwise
     pts = np.array([[0.5, 0.5], [0.5, 1.5], [-0.1, 0.0]])
-    vb = box.value_batch(pts)
+    vb = box.value(pts)
     assert list(np.isinf(vb)) == [False, True, True]
 
 
@@ -148,8 +148,9 @@ def test_batch_maps_equal_row_maps(kind, alpha):
         proj = reg.project_domain(rows)
         assert proj.tobytes() == np.stack([reg.project_domain(r) for r in rows]).tobytes()
         for pts in (rows, prox):
-            values = np.array([reg.value(r) for r in pts])
-            assert reg.value_batch(pts).tobytes() == values.tobytes()
+            values = [reg.value(r) for r in pts]
+            assert all(type(v) is float for v in values)
+            assert reg.value(pts).tobytes() == np.array(values).tobytes()
 
 
 def normal_cone_violation(reg, x, s, rng, n=200):

@@ -144,13 +144,10 @@ def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, truncate
 
 
 def test_run_result_rejects_inconsistent_x_star():
-    sched = StepSchedule.constant(1.0, 2)
     iterates = np.arange(4.0).reshape(4, 1)
     with pytest.raises(ValueError, match="x_star"):
-        RunResult(iterates, t_star=1, x_star=np.array([2.0]), oracle_calls=3, seed=0,
-                  schedule_used=sched)
-    RunResult(iterates, t_star=2, x_star=np.array([2.0]), oracle_calls=3, seed=0,
-              schedule_used=sched)
+        RunResult(iterates, t_star=1, x_star=np.array([2.0]), oracle_calls=3)
+    RunResult(iterates, t_star=2, x_star=np.array([2.0]), oracle_calls=3)
 
 
 def test_run_psgm_rejects_infeasible_start():
@@ -202,7 +199,7 @@ def test_sample_tstar_singleton():
 
 def test_sample_tstar_weight_proportions():
     rng = np.random.default_rng(1)
-    draws = np.array([sample_tstar([1.0, 3.0], rng) for _ in range(100_000)])
+    draws = sample_tstar([1.0, 3.0], rng, 100_000)
     assert abs(np.mean(draws == 1) - 0.75) <= 0.01
 
 
@@ -210,7 +207,7 @@ def test_sample_tstar_uniform_chi_square():
     from scipy import stats
 
     rng = np.random.default_rng(2)
-    draws = np.array([sample_tstar([2.0] * 10, rng) for _ in range(20_000)])
+    draws = sample_tstar([2.0] * 10, rng, 20_000)
     counts = np.bincount(draws, minlength=10)
     assert stats.chisquare(counts).pvalue >= 1e-3
 
