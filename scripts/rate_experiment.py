@@ -50,7 +50,7 @@ def main() -> int:
     for h in rep.per_horizon:
         mark = "ok" if h.bound_satisfied else "VIOLATED"
         print(f"  T {h.T:>7}  mean grad^2 {h.mean:.6f} +- {h.ci_half_width:.6f}  "
-              f"bound {h.bound_value:.4g}  {mark}")
+              f"bound {h.bound_value:.4g}  {mark}  inner missed {h.n_inner_missed}")
     print(f"slope {rep.slope:.4f}  stderr {rep.slope_stderr:.4f}  wall {wall:.1f}s")
     if rep.output_path:
         print(f"trial rows written to {rep.output_path}")

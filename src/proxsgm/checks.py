@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .moreau import moreau_prox
 from .problems import default_x0, problem_from_id
@@ -168,6 +167,8 @@ def check_oracles(seed: int = 3) -> list[CheckResult]:
 
 def check_tstar_distribution(n_draws: int = 100_000, seed: int = 4) -> list[CheckResult]:
     """Sampled return index matches the step-weight law (chi-square p >= 0.01)."""
+    from scipy import stats  # slow to import, and only this suite uses it
+
     rng = np.random.default_rng(seed)
     ramp = np.arange(1, 11, dtype=float)
     out = []

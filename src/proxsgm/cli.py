@@ -43,7 +43,8 @@ def _cmd_run(args) -> int:
     for h in report.per_horizon:
         flag = "ok" if h.bound_satisfied else "VIOLATED"
         print(f"  T={h.T:<8d} mean={h.mean:.6g}  ci95=+-{h.ci_half_width:.3g}  "
-              f"bound={h.bound_value:.6g}  [{flag}]")
+              f"bound={h.bound_value:.6g}  [{flag}]  "
+              f"inner_missed={h.n_inner_missed}")
     if report.slope is not None:
         print(f"  slope={report.slope:.4f}  stderr={report.slope_stderr:.4f}")
     if report.output_path:

@@ -201,6 +201,22 @@ def _sampled_pairs(
     return xs, ys
 
 
+def _on_stack(problem: CompositeProblem, name: str, xs: Array) -> Array:
+    """``problem.g_value(xs)`` or ``problem.g_full_subgradient(xs)`` on an
+    ``(n, d)`` stack, checked to be batch-first: a callable that fails on the
+    stack or returns another shape than ``(n,)`` or ``(n, d)`` raises
+    ``CapabilityError``."""
+    shape, want = ("(n,)", xs.shape[:1]) if name == "g_value" else ("(n, d)", xs.shape)
+    need = f"{name} must map an (n, d) stack to shape {shape}, here {want}"
+    try:
+        out = getattr(problem, name)(xs)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise CapabilityError(f"{need}; it raised {type(exc).__name__}: {exc}") from exc
+    if np.shape(out) != want:
+        raise CapabilityError(f"{need}; it returned shape {np.shape(out)}")
+    return out
+
+
 def _violation_report(
     check: str, gap: Array, g_ys: Array, xs: Array, ys: Array
 ) -> ViolationReport:
@@ -229,14 +245,16 @@ def check_weak_convexity(
     For pairs (x, y) in dom r the inequality
     g(y) >= g(x) + <v, y - x> - (rho/2)*||y - x||^2 must hold for the
     subgradient selection v at x.  The violation margin is the left-over of
-    the right side; anything above 1e-9 * (1 + |g(y)|) is flagged.
+    the right side; anything above 1e-9 * (1 + |g(y)|) is flagged.  g is
+    evaluated on ``(n_pairs, d)`` stacks: a ``g_value`` or
+    ``g_full_subgradient`` that is not batch-first raises ``CapabilityError``.
     """
     xs, ys = _sampled_pairs(problem, n_pairs, radius, rng)
     D = ys - xs
-    g_ys = problem.g_value(ys)
+    g_ys = _on_stack(problem, "g_value", ys)
     gap = (
-        problem.g_value(xs)
-        + row_dots(problem.g_full_subgradient(xs), D)
+        _on_stack(problem, "g_value", xs)
+        + row_dots(_on_stack(problem, "g_full_subgradient", xs), D)
         - 0.5 * problem.rho * row_dots(D, D)
         - g_ys
     )
@@ -249,12 +267,17 @@ def check_hypomonotonicity(
     radius: float,
     rng: np.random.Generator,
 ) -> ViolationReport:
-    """Sampled certification of <v - w, x - y> >= -rho * ||x - y||^2."""
+    """Sampled certification of <v - w, x - y> >= -rho * ||x - y||^2.
+
+    Evaluates g on stacks like ``check_weak_convexity``, with the same error.
+    """
     xs, ys = _sampled_pairs(problem, n_pairs, radius, rng)
     D = xs - ys
-    V = problem.g_full_subgradient(xs) - problem.g_full_subgradient(ys)
+    V = _on_stack(problem, "g_full_subgradient", xs)
+    V = V - _on_stack(problem, "g_full_subgradient", ys)
     gap = -(row_dots(V, D) + problem.rho * row_dots(D, D))
-    return _violation_report("hypomonotonicity", gap, problem.g_value(ys), xs, ys)
+    g_ys = _on_stack(problem, "g_value", ys)
+    return _violation_report("hypomonotonicity", gap, g_ys, xs, ys)
 
 
 @dataclass(frozen=True)

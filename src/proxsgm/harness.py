@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -261,6 +260,9 @@ class HorizonStats:
     ci_half_width: float
     bound_value: float
     bound_satisfied: bool
+    # trials whose envelope solve ended above config.inner_tol; their
+    # grad_norm_sq is still pooled into ``mean``
+    n_inner_missed: int
 
 
 @dataclass(frozen=True)
@@ -326,11 +328,13 @@ def run_sweep(
     """Execute the sweep and (when configured) write the CSV report.
 
     Each (T, seed) trial gets an independent generator keyed by (seed, T)
-    so results do not depend on execution order; trials run on a bounded
-    thread pool and are merged in sorted (T, seed) order.  Inner-solver
+    so results do not depend on execution order; trials run one after
+    another, or on a thread pool of ``config.workers`` threads when that is
+    above 1, and are merged in sorted (T, seed) order.  Inner-solver
     shortfalls are recorded in inner_tol_achieved rather than aborting the
-    sweep.  ``clock`` exists so tests can pin wall_ms; every other column
-    is bit-deterministic for a fixed config.
+    sweep, and each horizon counts them in ``n_inner_missed``.  ``clock``
+    exists so tests can pin wall_ms; every other column is bit-deterministic
+    for a fixed config.
     """
     if problem is None:
         problem = problem_from_id(config.problem_id)
@@ -365,6 +369,8 @@ def run_sweep(
 
     cells = [(T, s) for T in config.horizons for s in range(config.n_seeds)]
     if config.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(lambda c: one_trial(*c), cells))
     else:
@@ -378,7 +384,8 @@ def run_sweep(
 
     per_horizon = []
     for T in config.horizons:
-        vals = np.array([r.grad_norm_sq for r in rows if r.T == T])
+        horizon_rows = [r for r in rows if r.T == T]
+        vals = np.array([r.grad_norm_sq for r in horizon_rows])
         mean = float(vals.mean())
         sem = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
         if variant == "SmoothCor29":
@@ -411,6 +418,9 @@ def run_sweep(
                 ci_half_width=1.96 * sem,
                 bound_value=bound,
                 bound_satisfied=mean - 1.96 * sem <= bound,
+                n_inner_missed=sum(
+                    r.inner_tol_achieved > config.inner_tol for r in horizon_rows
+                ),
             )
         )
     per_horizon = tuple(per_horizon)

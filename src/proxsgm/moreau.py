@@ -31,11 +31,26 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
 
 from .core import CapabilityError, CompositeProblem
 
 Array = np.ndarray
+
+
+# Importing scipy.optimize costs more than importing the rest of the package,
+# and only the QP path and its fallback use it, so it is imported on first call.
+def lsq_linear(*args, **kwargs):
+    """``scipy.optimize.lsq_linear``, imported on first use."""
+    from scipy.optimize import lsq_linear as solve
+
+    return solve(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as solve
+
+    return solve(*args, **kwargs)
 
 
 class MoreauMethod(Enum):

@@ -23,6 +23,7 @@ from proxsgm.core import (
     CompositeProblem,
     StochasticOracle,
     check_second_moment,
+    point_value,
 )
 from proxsgm.harness import BoundInputs, fit_rate, theoretical_bound
 from proxsgm.moreau import moreau_prox
@@ -51,8 +52,8 @@ def noisy_linear_problem(c, noise, lo, hi, seed_norm=None):
         g_oracle=StochasticOracle(sample=lambda x, w: c + w, draw=draw),
         regularizer=box_indicator(lo, hi),
         rho=0.0,
-        g_value=lambda x: float(c @ x),
-        g_full_subgradient=lambda x: c.copy(),
+        g_value=lambda x: point_value(x @ c),
+        g_full_subgradient=lambda x: np.broadcast_to(c, np.shape(x)).copy(),
         lipschitz_L=L,
         domain_diameter=float(np.linalg.norm(hi - lo)),
     )

@@ -15,6 +15,7 @@ from proxsgm.core import (
     check_second_moment,
     check_weak_convexity,
     deterministic_oracle,
+    point_value,
     sample_domain_points,
 )
 from proxsgm.problems import make_phase_retrieval, make_robust_regression, make_toy1d
@@ -60,6 +61,29 @@ def test_convex_problem_passes_with_rho_zero():
     assert not rep.violated
 
 
+def test_certifications_reject_g_callables_that_are_not_batch_first():
+    grad = lambda x: x.copy()
+    scalar_value = CompositeProblem(
+        dim=2, g_oracle=deterministic_oracle(grad), regularizer=zero_regularizer(),
+        rho=0.0, g_value=lambda x: 0.5 * float(x @ x), g_full_subgradient=grad,
+    )
+    point_subgradient = dataclasses.replace(
+        scalar_value,
+        g_value=lambda x: point_value(0.5 * np.sum(x * x, axis=-1)),
+        g_full_subgradient=lambda x: np.ones(2),
+    )
+    for check in (check_weak_convexity, check_hypomonotonicity):
+        rng = np.random.default_rng(0)
+        with pytest.raises(CapabilityError, match=r"g_value .* shape \(n,\), here \(10,\)"):
+            check(scalar_value, n_pairs=10, radius=1.0, rng=rng)
+        with pytest.raises(
+            CapabilityError,
+            match=r"g_full_subgradient .* shape \(n, d\), here \(10, 2\); "
+            r"it returned shape \(2,\)",
+        ):
+            check(point_subgradient, n_pairs=10, radius=1.0, rng=rng)
+
+
 def test_oracle_unbiasedness_phase_retrieval():
     p = make_phase_retrieval(30, 4, 7)
     x = sample_domain_points(p, 1, 1.5, np.random.default_rng(3))[0]
@@ -78,7 +102,7 @@ def test_second_moment_phase_retrieval():
 def test_second_moment_needs_lipschitz_constant():
     p = CompositeProblem(
         dim=1, g_oracle=constant_oracle([1.0]), regularizer=zero_regularizer(),
-        rho=0.0, g_value=lambda x: float(x[0]),
+        rho=0.0, g_value=lambda x: point_value(x[..., 0]),
     )
     with pytest.raises(CapabilityError):
         check_second_moment(p, np.random.default_rng(0))
@@ -96,7 +120,7 @@ def test_phi_adds_regularizer_and_respects_domain():
 def test_require_bound_constants():
     p = CompositeProblem(
         dim=1, g_oracle=constant_oracle([1.0]), regularizer=zero_regularizer(),
-        rho=0.0, g_value=lambda x: float(x[0]),
+        rho=0.0, g_value=lambda x: point_value(x[..., 0]),
     )
     with pytest.raises(CapabilityError):
         p.require_bound_constants()

@@ -1,6 +1,7 @@
 """Experiment harness: bound formulas, config parsing, sweeps, rate fits."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from proxsgm.harness import (
     run_sweep,
     theoretical_bound,
 )
+from proxsgm.moreau import InnerAccuracyError
 from proxsgm.problems import problem_from_id
 from proxsgm.solver import StepSchedule
 
@@ -272,6 +274,44 @@ def test_run_sweep_workers_match_serial(tmp_path):
     serial = run_sweep(small_config(tmp_path), clock=lambda: 0.0)
     parallel = run_sweep(small_config(tmp_path, workers=3), clock=lambda: 0.0)
     assert [r.grad_norm_sq for r in serial.rows] == [r.grad_norm_sq for r in parallel.rows]
+
+
+def test_run_sweep_counts_inner_solver_misses(tmp_path, monkeypatch, capsys):
+    from proxsgm import cli, harness
+
+    assert [h.n_inner_missed for h in run_sweep(small_config()).per_horizon] == [0, 0]
+
+    real = harness.moreau_prox
+    calls = []
+
+    def miss_third_call(problem, x, lam, tol):
+        # calls: x0, then (T=30, seed 0), (T=30, seed 1), ...
+        calls.append(x)
+        pt = real(problem, x, lam, tol)
+        if len(calls) == 3:
+            raise InnerAccuracyError("forced", dataclasses.replace(pt, inner_tol=10 * tol))
+        return pt
+
+    monkeypatch.setattr(harness, "moreau_prox", miss_third_call)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "problem_id = toy1d:absquad\nhorizons = 30, 60\ngamma = 0.3\n"
+        f"n_seeds = 3\noutput = {tmp_path / 'sweep.csv'}\n"
+    )
+    report = run_sweep(parse_config_file(cfg), clock=lambda: 0.0)
+    assert [h.n_inner_missed for h in report.per_horizon] == [1, 0]
+    assert report.rows[1].inner_tol_achieved > report.config.inner_tol
+
+    calls.clear()
+    assert cli.main(["run", str(cfg)]) == 0
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    horizon_lines = [ln for ln in lines if ln[0].startswith("T=")]
+    assert [(ln[0], ln[-1]) for ln in horizon_lines] == [
+        ("T=30", "inner_missed=1"),
+        ("T=60", "inner_missed=0"),
+    ]
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert tuple(header.split(",")) == CSV_COLUMNS
 
 
 # --------------------------------------------------------------- rate fits

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from proxsgm.core import CompositeProblem, deterministic_oracle
+from proxsgm.core import CompositeProblem, deterministic_oracle, point_value, row_dots
 from proxsgm.moreau import (
     DimensionError,
     GridSpec,
@@ -29,7 +29,7 @@ def quadratic_problem(dim):
         g_oracle=deterministic_oracle(grad),
         regularizer=zero_regularizer(),
         rho=0.0,
-        g_value=lambda x: 0.5 * float(x @ x),
+        g_value=lambda x: point_value(0.5 * row_dots(x, x)),
         g_full_subgradient=grad,
         lipschitz_L=10.0,
         smooth=True,
@@ -171,7 +171,7 @@ def test_prox_gradient_mapping_box_hand_value():
         g_oracle=deterministic_oracle(grad),
         regularizer=box_indicator(np.array([-0.1]), np.array([0.1])),
         rho=0.0,
-        g_value=lambda x: 0.5 * float(x @ x),
+        g_value=lambda x: point_value(0.5 * row_dots(x, x)),
         g_full_subgradient=grad,
         lipschitz_L=1.0,
         smooth=True,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import proxsgm.solver as solver_mod
-from proxsgm.core import CompositeProblem, StochasticOracle, deterministic_oracle
+from proxsgm.core import (
+    CompositeProblem,
+    StochasticOracle,
+    deterministic_oracle,
+    point_value,
+)
 from proxsgm.moreau import moreau_grid_oracle
 from proxsgm.problems import (
     default_x0,
@@ -28,13 +33,14 @@ from proxsgm.solver import (
 
 def constant_gradient_problem(c, reg=None):
     vec = np.asarray(c, dtype=float)
+    grad = lambda x: np.broadcast_to(vec, np.shape(x)).copy()
     return CompositeProblem(
         dim=vec.size,
-        g_oracle=deterministic_oracle(lambda x: vec.copy()),
+        g_oracle=deterministic_oracle(grad),
         regularizer=reg if reg is not None else zero_regularizer(),
         rho=0.0,
-        g_value=lambda x: float(vec @ x),
-        g_full_subgradient=lambda x: vec.copy(),
+        g_value=lambda x: point_value(x @ vec),
+        g_full_subgradient=grad,
         lipschitz_L=float(np.linalg.norm(vec)) + 1.0,
     )
 
