@@ -17,11 +17,14 @@ phase followed by a subdifferential-sampling polish otherwise.
 refined grid and exists so the iterative path can be cross-checked against
 an implementation that shares none of its code.
 
-Certified accuracy is tracked as a subproblem optimality gap bound derived
-from the distance of zero to a sampled inner approximation of the
-subdifferential: gap <= dist^2 / (2 (1/lam - rho)).  The sampling radius is
-shrunk to the scale of roundoff, so the certificate is exact up to
-curvature times that radius.
+Each polish round probes g-subgradients at y and at y + delta u_j in one
+stacked call and finds the min-norm point v of their convex hull plus the
+r-subdifferential: Wolfe's min-norm-point problem, reduced exactly to one
+nonnegative least-squares problem and solved by a Lawson-Hanson active set
+in numpy.  Certified accuracy is the subproblem optimality gap bound
+(||v|| + rho delta)^2 / (2 (1/lam - rho)) plus the probe offset, sound
+for rho-weakly convex g; the probe radius shrinks to the scale of
+roundoff.  Backtracking along -v scores its 40 trial steps as one stack.
 """
 
 from __future__ import annotations
@@ -32,13 +35,17 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CapabilityError, CompositeProblem
+from .core import CapabilityError, CompositeProblem, row_dots
 
 Array = np.ndarray
 
+_EPS = float(np.finfo(float).eps)
+
 
 # Importing scipy.optimize costs more than importing the rest of the package,
-# and only the QP path and its fallback use it, so it is imported on first call.
+# so it is imported on first call.  Only the Nelder-Mead fallback calls it;
+# lsq_linear is the reference the QP tests compare against, and
+# bench/tracer.py patches both names.
 def lsq_linear(*args, **kwargs):
     """``scipy.optimize.lsq_linear``, imported on first use."""
     from scipy.optimize import lsq_linear as solve
@@ -153,6 +160,119 @@ def _finish_point(
 # certificates
 
 
+def _bvls(E: Array, b: Array, lo: Array, hi: Array) -> tuple[Array, int]:
+    """min ||E x - b|| over lo <= x <= hi (lo finite): Lawson & Hanson's
+    NNLS active set in Stark & Parker's bounded-variable form.
+
+    Each outer step frees the bound variable whose gradient most wants it
+    off its bound; ``np.linalg.lstsq`` on the free columns (not the normal
+    equations, which square the conditioning of near-parallel probe
+    columns) gives the trial point, cut back to the first bound it crosses.
+    A variable enters only if its gradient beats 1e-11 ||E_j|| ||r|| plus
+    the residual's roundoff, and the loop ends if the entering variable
+    would move the wrong way, so it cannot cycle.  Returns x and the number
+    of lstsq calls, at most 3 n + 20 for n variables.
+    """
+    n = E.shape[1]
+    max_steps = 3 * n + 20
+    x = lo.copy()
+    free = np.zeros(n, dtype=bool)
+    col_norm = np.linalg.norm(E, axis=0)
+    absE = np.abs(E)
+    b_norm = float(np.linalg.norm(b))
+    steps = 0
+    while steps < max_steps:
+        r = b - E @ x
+        w = E.T @ r
+        noise = 64.0 * _EPS * (b_norm + float(np.linalg.norm(absE @ np.abs(x))))
+        thr = col_norm * (1e-11 * float(np.linalg.norm(r)) + noise)
+        wants = ~free & (((x <= lo) & (w > thr)) | ((x >= hi) & (w < -thr)))
+        if not wants.any():
+            break
+        j = int(np.argmax(np.where(wants, np.abs(w) / col_norm, -1.0)))
+        free[j] = True
+        entering = True
+        while steps < max_steps:
+            steps += 1
+            idx = np.flatnonzero(free)
+            rhs = b - E[:, ~free] @ x[~free]
+            z = np.linalg.lstsq(E[:, idx], rhs, rcond=None)[0]
+            xf, lof, hif = x[idx], lo[idx], hi[idx]
+            below, above = z <= lof, z >= hif
+            if not (below.any() or above.any()):
+                x[idx] = z
+                break
+            pos = int(np.searchsorted(idx, j))
+            if entering and (below[pos] if x[j] <= lo[j] else above[pos]):
+                # the best gradient is roundoff: its variable moves the wrong way
+                free[j] = False
+                return x, steps
+            entering = False
+            ratio = np.full(idx.size, np.inf)
+            ratio[below] = (xf[below] - lof[below]) / (xf[below] - z[below])
+            ratio[above] = (hif[above] - xf[above]) / (z[above] - xf[above])
+            step = float(ratio.min())
+            xf = np.minimum(np.maximum(xf + step * (z - xf), lof), hif)
+            hit = ratio <= step
+            xf[hit & below] = lof[hit & below]
+            xf[hit & above] = hif[hit & above]
+            x[idx] = xf
+            free[idx[hit]] = False
+    return x, steps
+
+
+def _min_norm_qp(
+    Z: Array, t: Array, G: Array, lo: Array, hi: Array
+) -> tuple[Array, Array, Array, int]:
+    """Nearest point to zero of conv{Z_j - t} + {G^T c : lo <= c <= hi}.
+
+    ``Z`` is ``(J, d)`` with the hull points as rows, ``G`` is ``(K, d)``
+    with the generator rows; ``lo`` is 0 for a cone generator (``hi`` inf)
+    and ``-hi`` for a bounded l1 column.  With P = Z - t the point is
+    v = P^T theta + G^T c with theta in the simplex, returned as
+    ``(v, theta, c, lstsq calls)``.
+
+    Wolfe's min-norm-point problem, solved exactly by one bounded least
+    squares on E = [[P^T, G^T], [1^T, 0^T]] against e_{d+1}: with
+    (alpha, beta) = s (theta, c) the objective is s^2 N + (s - 1)^2,
+    N = ||P^T theta + G^T c||^2, whose minimum over s, N / (1 + N),
+    increases with N; so theta = alpha / sum(alpha), c = beta / sum(alpha).
+    Cone bounds are scale free.  Finite bounds on c scale with s, so then a
+    secant search finds sum(alpha(s)) = s, where (theta, c) satisfy the
+    QP's optimality conditions.
+    """
+    P = Z - t
+    J, d = P.shape
+    # the reduction holds for kappa P, kappa G at any kappa > 0; scaling the
+    # hull to unit size keeps its columns and the ones row commensurate
+    kappa = max(float(np.max(np.linalg.norm(P, axis=1))), 1e-300)
+    E = np.zeros((d + 1, J + G.shape[0]))
+    E[:d, :J] = P.T / kappa
+    E[:d, J:] = G.T / kappa
+    E[d, :J] = 1.0
+    b = np.zeros(d + 1)
+    b[d] = 1.0
+    lo_all = np.concatenate([np.zeros(J), lo])
+    hi_all = np.concatenate([np.full(J, np.inf), hi])
+    scaled = bool(np.any(lo != 0.0) or np.any(np.isfinite(hi)))
+    s, prev, calls = 1.0, None, 0
+    for _ in range(40):
+        sol, k = _bvls(E, b, s * lo_all, s * hi_all)
+        calls += k
+        h = float(sol[:J].sum()) - s
+        if not scaled or abs(h) <= 4.0 * _EPS * s:
+            break
+        if prev is None or h == prev[1]:
+            s_new = s + h
+        else:
+            s_new = s - h * (s - prev[0]) / (h - prev[1])
+        prev, s = (s, h), (s_new if s_new > 0.0 else 0.5 * s)
+    total = float(sol[:J].sum())
+    theta = sol[:J] / total
+    c = np.minimum(np.maximum(sol[J:] / total, lo), hi)
+    return theta @ P + c @ G, theta, c, calls
+
+
 def _residual_qp(
     problem: CompositeProblem,
     x: Array,
@@ -163,51 +283,40 @@ def _residual_qp(
 ) -> tuple[float, Array, float]:
     """Distance of zero to the sampled subdifferential of the subproblem at y.
 
-    Probes g-subgradients at y and at y + delta * (each probe direction),
-    takes their convex hull, adds the exact generator description of the
-    r-subdifferential and the quadratic's gradient, and solves the resulting
-    bound-constrained least-squares problem.  Returns the residual norm, the
-    residual vector, and the largest probed subgradient norm (needed to
-    account for the probe offset in the gap certificate).
+    One stacked ``g_full_subgradient`` call probes g at y and at y + delta *
+    (each unit probe direction).  With t = -(fixed part of the
+    r-subdifferential + (y - x) / lam), the residual is the min-norm point
+    v of conv{Z_j - t} + {sum_k c_k G_k : c in the generator bounds} over
+    the probed subgradients Z_j and the r-generators G_k, solved exactly
+    by :func:`_min_norm_qp`.  Returns ||v||, v, and the largest probed
+    subgradient norm (needed to account for the probe offset in the gap
+    certificate).
     """
-    grads = [problem.g_full_subgradient(y)]
-    for u in probe_dirs:
-        grads.append(problem.g_full_subgradient(y + delta * u))
-    Z = np.stack(grads, axis=1)  # d x J
+    Z = problem.g_full_subgradient(np.concatenate([y[None], y + delta * probe_dirs]))
     fixed, gen_cols, gen_lo, gen_hi = problem.regularizer.subdiff_generators(
         y, act_tol=1e-9 * (1.0 + float(np.max(np.abs(y))))
     )
-    cols = [Z] + ([np.stack(gen_cols, axis=1)] if gen_cols else [])
-    A = np.concatenate(cols, axis=1)
+    G = np.array(gen_cols, dtype=float).reshape(len(gen_cols), y.size)
     target = -(fixed + (y - x) / lam)
-    J = Z.shape[1]
-    lo = np.concatenate([np.zeros(J), np.asarray(gen_lo, float)])
-    hi = np.concatenate([np.ones(J), np.asarray(gen_hi, float)])
-    # simplex constraint on the hull weights via a heavy penalty row
-    w = 1e5 * (1.0 + float(np.max(np.abs(A))) + float(np.linalg.norm(target)))
-    pen = np.zeros(A.shape[1])
-    pen[:J] = 1.0
-    A_aug = np.vstack([A, w * pen])
-    b_aug = np.concatenate([target, [w]])
-    sol = lsq_linear(A_aug, b_aug, bounds=(lo, hi), tol=1e-14, lsmr_tol=1e-14)
-    u = sol.x
-    theta = np.maximum(u[:J], 0.0)
-    s = theta.sum()
-    theta = theta / s if s > 0 else np.full(J, 1.0 / J)
-    v = Z @ theta - target + (A[:, J:] @ u[J:] if A.shape[1] > J else 0.0)
-    grad_scale = float(np.max(np.linalg.norm(Z, axis=0)))
+    v, _, _, _ = _min_norm_qp(Z, target, G, np.array(gen_lo, float), np.array(gen_hi, float))
+    grad_scale = float(np.max(np.linalg.norm(Z, axis=1)))
     return float(np.linalg.norm(v)), v, grad_scale
 
 
 def _cert_gap(res: float, mu: float, rho: float, delta: float, grad_scale: float) -> float:
     """Optimality gap certified by a sampled-subdifferential residual.
 
-    The hull element v satisfies psi(z) >= psi(y) + <v, z-y> - err for every
-    z, with err <= 2 * grad_scale * delta + rho * delta^2 coming from the
-    probe offset; minimizing the strongly convex lower model gives the bound.
+    With y_j = y + delta u_j, ||u_j|| <= 1, and w = z - y, weak convexity at
+    the probe points gives, for every z,
+
+        psi(z) >= psi(y) + <v, w> - rho delta ||w|| + (mu / 2) ||w||^2 - err,
+
+    where rho delta <u_j, w> is the term linear in w that the probe offset
+    leaves and err <= 2 grad_scale delta + rho delta^2.  Minimizing over w
+    bounds the gap by (||v|| + rho delta)^2 / (2 mu) + err.
     """
     offset_err = 2.0 * grad_scale * delta + rho * delta * delta
-    return res * res / (2.0 * mu) + offset_err
+    return (res + rho * delta) ** 2 / (2.0 * mu) + offset_err
 
 
 def _probe_directions(d: int, n_extra: int = 4) -> Array:
@@ -370,6 +479,35 @@ def _inner_subgradient_phase(
     return best
 
 
+def _armijo_step(
+    problem: CompositeProblem,
+    x: Array,
+    lam: float,
+    y: Array,
+    v: Array,
+    val: float,
+    res: float,
+    t0: float,
+) -> tuple[Array, float] | None:
+    """Backtracking along -v, scored as one stack.
+
+    The 40 trial points project_domain(y - t_k v), t_k = 2 t0 / 2^k, are
+    evaluated with one ``g_value`` and one ``value`` call; the first that
+    lowers psi by 1e-4 t_k res^2 is returned with its value, or None.  Stack
+    rows equal point calls bit for bit, so this picks the point a loop over
+    the same t_k would pick.
+    """
+    r = problem.regularizer
+    ts = (2.0 * t0) * 0.5 ** np.arange(40)
+    cands = r.project_domain(y - ts[:, None] * v)
+    diff = cands - x
+    vals = problem.g_value(cands) + r.value(cands) + row_dots(diff, diff) / (2.0 * lam)
+    ok = np.flatnonzero(vals < val - 1e-4 * ts * res * res)
+    if ok.size == 0:
+        return None
+    return cands[ok[0]], float(vals[ok[0]])
+
+
 def _inner_polish(
     problem: CompositeProblem,
     x: Array,
@@ -383,11 +521,10 @@ def _inner_polish(
     Each round solves the min-norm-element problem over the convex hull of
     probed g-subgradients plus the exact r-subdifferential; the negative
     residual is a descent direction, and its norm certifies the gap.  The
-    probe radius shrinks whenever the direction stops producing descent, so
-    kinks of g (where a fixed subgradient selection would stall) are
-    resolved.
+    probe radius shrinks whenever the direction stops producing descent or
+    the radius terms dominate the certificate, so kinks of g (where a fixed
+    subgradient selection would stall) are resolved.
     """
-    r = problem.regularizer
     mu = 1.0 / lam - problem.rho
     dirs = _probe_directions(problem.dim)
     scale = 1.0 + float(np.max(np.abs(y)))
@@ -403,22 +540,17 @@ def _inner_polish(
         best_gap = min(best_gap, gap)
         if gap <= tol:
             return y, gap
-        moved = False
-        t = 2.0 * t0
-        for _ in range(40):
-            cand = r.project_domain(y - t * v)
-            cval = _psi(problem, x, lam, cand)
-            if cval < val - 1e-4 * t * res * res:
-                y, val, moved = cand, cval, True
-                break
-            t *= 0.5
-        if moved:
+        step = _armijo_step(problem, x, lam, y, v, val, res, t0)
+        if step is not None:
+            y, val = step
             stalls = 0
-        else:
-            if delta <= delta_min:
-                stalls += 1
-                if stalls >= 3:
-                    break
+        elif delta <= delta_min:
+            stalls += 1
+            if stalls >= 3:
+                break
+        # once the probe terms outweigh res^2 / (2 mu) in the bound, descent
+        # cannot lower it much: shrink the radius even after a step
+        if step is None or gap * mu > res * res:
             delta = max(delta / 16.0, delta_min)
     d_fin = max(delta, delta_min)
     res, _, gscale = _residual_qp(problem, x, lam, y, d_fin, dirs)

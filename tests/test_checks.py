@@ -14,6 +14,7 @@ from proxsgm.checks import (
     check_prox_nonexpansive,
     check_prox_optimality,
     check_tstar_distribution,
+    chi_square_pvalue,
     run_all_checks,
 )
 from proxsgm.core import (
@@ -215,6 +216,28 @@ def test_prox_optimality_equals_per_row_reference(d, seed):
 @pytest.mark.parametrize("seed", [4, 9])
 def test_tstar_distribution_equals_per_draw_reference(seed):
     assert check_tstar_distribution(2000, seed) == reference_tstar_distribution(2000, seed)
+
+
+def test_chi_square_pvalue_matches_scipy():
+    rng = np.random.default_rng(21)
+    pvalues = []
+    for bins in (2, 4, 10):
+        for spread in np.linspace(0.0, 4.0, 60):
+            for uniform in (True, False):
+                weights = np.ones(bins) if uniform else rng.uniform(0.5, 2.0, bins)
+                mean = 1000.0 * weights / weights.mean()
+                counts = np.maximum(
+                    np.round(mean + spread * np.sqrt(mean) * rng.standard_normal(bins)), 0
+                )
+                expected = None if uniform else weights / weights.sum() * counts.sum()
+                ref = stats.chisquare(counts, expected).pvalue
+                if ref < 1e-6:
+                    continue
+                assert abs(chi_square_pvalue(counts, expected) - ref) <= 1e-12
+                pvalues.append(ref)
+    assert len(pvalues) >= 200 and min(pvalues) < 1e-3 and max(pvalues) > 0.99
+    with pytest.raises(ValueError):
+        chi_square_pvalue(np.ones(9))
 
 
 def test_run_all_checks_in_process():

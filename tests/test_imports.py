@@ -1,10 +1,11 @@
-"""Import cost: the package and its smooth-problem path load numpy, not scipy.
+"""Import cost: the package, its sweeps, the envelope QP path and the
+invariant suites load numpy, not scipy.
 
-scipy is imported on first use by the envelope QP path, its Nelder-Mead
-fallback and the chi-square suite of ``proxsgm check``.  A serial sweep does
-not load ``concurrent.futures`` either; the thread pool is imported only when
-``workers`` is above 1.  The probe runs in a fresh interpreter so modules the
-test session already loaded do not count.
+scipy is imported on first use only by the Nelder-Mead fallback of the
+envelope solver.  A serial sweep does not load ``concurrent.futures``
+either; the thread pool is imported only when ``workers`` is above 1.  The
+probe runs in a fresh interpreter so modules the test session already
+loaded do not count.
 """
 
 import subprocess
@@ -34,6 +35,10 @@ from proxsgm.problems import default_x0, problem_from_id
 p = problem_from_id("phase_retrieval:20:4:3")
 moreau_prox(p, default_x0(p), 0.5 / p.rho, tol=1e-9)
 print("qp", "scipy.optimize" in sys.modules)
+
+from proxsgm.checks import run_all_checks
+run_all_checks()
+print("checks", scipy_modules())
 """
 
 
@@ -41,4 +46,4 @@ def test_scipy_is_loaded_on_first_use_only():
     out = subprocess.run(
         [sys.executable, "-c", PROBE], capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert out == ["import []", "sweep [] False", "qp True"]
+    assert out == ["import []", "sweep [] False", "qp False", "checks []"]

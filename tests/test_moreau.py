@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from proxsgm.core import CompositeProblem, deterministic_oracle, point_value, row_dots
+from proxsgm import moreau
+from proxsgm.checks import check_envelope_basics
+from proxsgm.core import (
+    CompositeProblem,
+    deterministic_oracle,
+    point_value,
+    row_dots,
+    sample_domain_points,
+)
 from proxsgm.moreau import (
     DimensionError,
     GridSpec,
@@ -224,3 +232,156 @@ def test_warm_start_agrees_with_cold_start():
     cold = moreau_prox(p, x, 0.3, tol=1e-11)
     warm = moreau_prox(p, x, 0.3, tol=1e-11, warm_start=cold.x_hat)
     assert abs(cold.x_hat[0] - warm.x_hat[0]) <= 1e-8
+
+
+# ------------------------------------------- exact min-norm QP of the polish
+
+
+def _lsq_linear_residual(Z, t, G, lo, hi):
+    """Residual of the penalty-row ``lsq_linear`` formulation, with its hull
+    weights renormalised onto the simplex: the reference the exact QP must
+    match or beat."""
+    J = Z.shape[0]
+    A = np.concatenate([Z.T, G.T], axis=1)
+    w = 1e5 * (1.0 + float(np.max(np.abs(A))) + float(np.linalg.norm(t)))
+    pen = np.zeros(A.shape[1])
+    pen[:J] = 1.0
+    sol = moreau.lsq_linear(
+        np.vstack([A, w * pen]),
+        np.concatenate([t, [w]]),
+        bounds=(np.concatenate([np.zeros(J), lo]), np.concatenate([np.ones(J), hi])),
+        tol=1e-14,
+        lsmr_tol=1e-14,
+    )
+    theta = np.maximum(sol.x[:J], 0.0)
+    theta /= theta.sum()
+    return float(np.linalg.norm(theta @ (Z - t) + sol.x[J:] @ G))
+
+
+def _envelope_solve_qps():
+    """Arguments of every QP that check_envelope_basics and cold and warm
+    solves on two nonsmooth families pass to the min-norm QP."""
+    captured = []
+    solve = moreau._min_norm_qp
+
+    def record(*args):
+        captured.append(tuple(np.array(a, copy=True) for a in args))
+        return solve(*args)
+
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moreau, "_min_norm_qp", record)
+        check_envelope_basics()
+        for pid in ("phase_retrieval:50:10:0", "phase_retrieval:30:5:4",
+                    "robust_regression:40:2:1"):
+            p = problem_from_id(pid)
+            lam = 1.0 / (2.0 * p.rho) if p.rho > 0 else 0.5
+            for x in sample_domain_points(p, 4, 1.0, rng):
+                for tol in (1e-6, 1e-10):
+                    cold = moreau_prox(p, x, lam, tol)
+                    xw = p.regularizer.project_domain(x + 1e-4)
+                    moreau_prox(p, xw, lam, tol, warm_start=cold.x_hat)
+    return captured
+
+
+def _hand_built_qps():
+    rng = np.random.default_rng(11)
+    qps = []
+    for d in (2, 3, 6):
+        # l1 kinks: bounded unit columns c_k in [-w, w] on some coordinates
+        for w in (0.05, 0.7, 3.0):
+            Z = rng.standard_normal((2 * d + 1, d))
+            t = rng.standard_normal(d)
+            kinks = rng.choice(d, size=max(1, d // 2), replace=False)
+            G = np.eye(d)[kinks]
+            qps.append((Z, t, G, np.full(kinks.size, -w), np.full(kinks.size, w)))
+    # duplicate probe columns 1e-13 apart around a hull that nearly holds t
+    d = 4
+    base = rng.standard_normal((3, d))
+    Z = np.concatenate([base, base, base[:1] + 1e-13 * rng.standard_normal((6, d))])
+    t = base.mean(axis=0) + 1e-12 * rng.standard_normal(d)
+    qps.append((Z, t, np.zeros((0, d)), np.zeros(0), np.zeros(0)))
+    # the same with a cone generator on a box face
+    qps.append((Z, t + 1e-9, np.eye(d)[:1], np.zeros(1), np.full(1, np.inf)))
+    return qps
+
+
+@pytest.fixture(scope="module")
+def qp_cases():
+    return _envelope_solve_qps() + _hand_built_qps()
+
+
+def test_min_norm_qp_matches_or_beats_lsq_linear(qp_cases):
+    assert len(qp_cases) >= 250
+    assert any(G.shape[0] and np.isfinite(hi).all() for _, _, G, _, hi in qp_cases)
+    for Z, t, G, lo, hi in qp_cases:
+        v, theta, c, calls = moreau._min_norm_qp(Z, t, G, lo, hi)
+        n = Z.shape[0] + G.shape[0]
+        assert np.all(theta >= 0.0)
+        assert abs(theta.sum() - 1.0) <= 1e-15 * theta.size
+        assert np.all((c >= lo) & (c <= hi))
+        np.testing.assert_array_equal(v, theta @ (Z - t) + c @ G)
+        # one active-set pass has at most 3 n + 20 lstsq calls; bounded
+        # columns add a few secant passes
+        assert calls <= (3 * n + 20) * (4 if np.isfinite(hi).any() else 1)
+        ref = _lsq_linear_residual(Z, t, G, lo, hi)
+        res = float(np.linalg.norm(v))
+        assert res <= ref * (1.0 + 1e-6) + 1e-13 * (1.0 + float(np.linalg.norm(t)))
+
+
+def _armijo_loop(problem, x, lam, y, v, val, res, t0):
+    """The per-candidate backtracking loop that the stacked search replaces."""
+    t = 2.0 * t0
+    for _ in range(40):
+        cand = problem.regularizer.project_domain(y - t * v)
+        cval = moreau._psi(problem, x, lam, cand)
+        if cval < val - 1e-4 * t * res * res:
+            return cand, cval
+        t *= 0.5
+    return None
+
+
+def test_stacked_armijo_search_equals_the_candidate_loop():
+    solves = 0
+    rng = np.random.default_rng(8)
+    for pid in ("phase_retrieval:20:4:3", "robust_regression:30:2:4"):  # ball, box
+        p = problem_from_id(pid)
+        lam = 1.0 / (2.0 * p.rho) if p.rho > 0 else 0.5
+        for x in sample_domain_points(p, 13, 1.5, rng):
+            for tol in (1e-6, 1e-10):
+                points = []
+                for search in (moreau._armijo_step, _armijo_loop):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(moreau, "_armijo_step", search)
+                        try:
+                            points.append(moreau_prox(p, x, lam, tol))
+                        except InnerAccuracyError as err:
+                            points.append(err.point)
+                stacked, loop = points
+                assert stacked.x_hat.tobytes() == loop.x_hat.tobytes()
+                assert repr(stacked.inner_tol) == repr(loop.inner_tol)
+                solves += 1
+    assert solves >= 50
+
+
+def test_certificate_covers_the_gap_at_the_planted_signal():
+    # at the planted phase-retrieval signal 0 is a subgradient, so the hull
+    # residual shrinks with the probe radius delta and the rho * delta term
+    # of weak convexity at the probe points is of the same order; with
+    # x = x_sharp the signal itself is the proximal point, psi(x_sharp) = 0
+    p = problem_from_id("phase_retrieval:30:4:3")
+    xs = p.planted_point
+    lam = 1.0 / (2.0 * p.rho)
+    mu = 1.0 / lam - p.rho
+    ref = moreau._psi(p, xs, lam, xs)
+    pt = moreau_prox(p, xs, lam, tol=1e-10)
+    assert pt.envelope_value - ref <= pt.inner_tol
+    dirs = moreau._probe_directions(p.dim)
+    rng = np.random.default_rng(6)
+    for eps in (1e-3, 1e-5, 1e-7):
+        u = rng.standard_normal(p.dim)
+        y = xs + eps * u / np.linalg.norm(u)
+        excess = moreau._psi(p, xs, lam, y) - ref
+        for delta in (1e-3, 1e-5, 1e-7):
+            res, _, gscale = moreau._residual_qp(p, xs, lam, y, delta, dirs)
+            assert moreau._cert_gap(res, mu, p.rho, delta, gscale) >= excess
