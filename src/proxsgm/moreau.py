@@ -43,9 +43,9 @@ _EPS = float(np.finfo(float).eps)
 
 
 # Importing scipy.optimize costs more than importing the rest of the package,
-# so it is imported on first call.  Only the Nelder-Mead fallback calls it;
+# so it is imported on first call.  No solve path calls either name:
 # lsq_linear is the reference the QP tests compare against, and
-# bench/tracer.py patches both names.
+# bench/tracer.py patches both.
 def lsq_linear(*args, **kwargs):
     """``scipy.optimize.lsq_linear``, imported on first use."""
     from scipy.optimize import lsq_linear as solve
@@ -557,27 +557,6 @@ def _inner_polish(
     return y, min(best_gap, _cert_gap(res, mu, problem.rho, d_fin, gscale))
 
 
-def _nelder_mead_fallback(
-    problem: CompositeProblem, x: Array, lam: float, y: Array
-) -> Array:
-    """Value-only polish; handles minimizers pinned to subdifferential kinks."""
-    r = problem.regularizer
-
-    def objective(z: Array) -> float:
-        p = r.project_domain(z)
-        out = _psi(problem, x, lam, p)
-        return out + float((z - p) @ (z - p)) / (2.0 * lam)
-
-    res = minimize(
-        objective,
-        y,
-        method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-15, "maxfev": 4000 * problem.dim},
-    )
-    cand = r.project_domain(res.x)
-    return cand if _psi(problem, x, lam, cand) < _psi(problem, x, lam, y) else y
-
-
 def moreau_prox(
     problem: CompositeProblem,
     x: Array,
@@ -608,11 +587,6 @@ def moreau_prox(
             n_sub = int(min(max(600, 120 * problem.dim), max_iter))
             y0 = _inner_subgradient_phase(problem, x, lam, n_sub)
         x_hat, gap = _inner_polish(problem, x, lam, y0, tol, max_rounds=150)
-        if gap > tol:
-            y1 = _nelder_mead_fallback(problem, x, lam, x_hat)
-            x_hat2, gap2 = _inner_polish(problem, x, lam, y1, tol, max_rounds=60)
-            if gap2 < gap:
-                x_hat, gap = x_hat2, gap2
 
     point = _finish_point(problem, x, lam, x_hat, gap, MoreauMethod.ITERATIVE_INNER)
     if gap > tol:

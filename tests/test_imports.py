@@ -1,8 +1,8 @@
 """Import cost: the package, its sweeps, the envelope QP path and the
 invariant suites load numpy, not scipy.
 
-scipy is imported on first use only by the Nelder-Mead fallback of the
-envelope solver.  A serial sweep does not load ``concurrent.futures``
+No solve path imports scipy; ``moreau.lsq_linear`` and ``moreau.minimize``
+import it on first call.  A serial sweep does not load ``concurrent.futures``
 either; the thread pool is imported only when ``workers`` is above 1.  The
 probe runs in a fresh interpreter so modules the test session already
 loaded do not count.

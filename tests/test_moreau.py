@@ -1,5 +1,7 @@
 """Moreau envelope oracle: closed forms, cross-validation, error paths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from proxsgm.moreau import (
     stationarity_report,
 )
 from proxsgm.problems import make_smooth_ls_noisy, make_toy1d, problem_from_id
-from proxsgm.prox import box_indicator, zero_regularizer
+from proxsgm.prox import box_indicator, l1_regularizer, zero_regularizer
 
 FINE_1D = GridSpec(points_per_dim=100_001, n_refine=2)
 
@@ -385,3 +387,72 @@ def test_certificate_covers_the_gap_at_the_planted_signal():
         for delta in (1e-3, 1e-5, 1e-7):
             res, _, gscale = moreau._residual_qp(p, xs, lam, y, delta, dirs)
             assert moreau._cert_gap(res, mu, p.rho, delta, gscale) >= excess
+
+
+def test_certificate_covers_the_gap_of_a_concave_quadratic():
+    # g = -(rho/2) ||y||^2 is smooth and rho-weakly convex, and psi is a
+    # quadratic with Hessian mu I, so psi(y) - min psi = ||grad psi(y)||^2
+    # / (2 mu) exactly.  With y near 0 and x far away the gradient G is
+    # large, the probe hull pulls the residual down to about G - rho delta,
+    # and res^2 / (2 mu) plus the probe offset falls short of the gap by
+    # about G rho delta / mu; the rho delta term restores it
+    rho, lam, d = 1.0, 0.5, 3
+    mu = 1.0 / lam - rho
+    grad = lambda y: -rho * y
+    p = CompositeProblem(
+        dim=d,
+        g_oracle=deterministic_oracle(grad),
+        regularizer=zero_regularizer(),
+        rho=rho,
+        g_value=lambda y: point_value(-0.5 * rho * row_dots(y, y)),
+        g_full_subgradient=grad,
+    )
+    dirs = moreau._probe_directions(d)
+    rng = np.random.default_rng(3)
+    for x in (np.array([10.0, 0.0, 0.0]), np.array([-3.0, 7.0, 1.0])):
+        z_star = x / (lam * mu)
+        for _ in range(4):
+            y = 1e-6 * rng.standard_normal(d)
+            gap = moreau._psi(p, x, lam, y) - moreau._psi(p, x, lam, z_star)
+            for delta in (1e-2, 1e-3, 1e-5):
+                res, _, gscale = moreau._residual_qp(p, x, lam, y, delta, dirs)
+                assert moreau._cert_gap(res, mu, rho, delta, gscale) >= gap
+
+
+def test_l1_regularized_nonsmooth_solves_meet_tol_and_the_grid():
+    # robust regression's g with an l1 term: the polish QPs carry bounded
+    # generator columns c in [-w, w] at the zero coordinates of y
+    bounded = []
+    solve = moreau._min_norm_qp
+
+    def record(Z, t, G, lo, hi):
+        bounded.append(bool(np.isfinite(hi).any()))
+        return solve(Z, t, G, lo, hi)
+
+    lam = 0.5
+    rng = np.random.default_rng(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moreau, "_min_norm_qp", record)
+        for d in (2, 5):
+            p = dataclasses.replace(
+                problem_from_id(f"robust_regression:30:{d}:4"),
+                regularizer=l1_regularizer(0.7),
+            )
+            mu = 1.0 / lam - p.rho
+            for x in [np.zeros(d), *sample_domain_points(p, 3, 1.0, rng)]:
+                ref = moreau_grid_oracle(p, x, lam) if d == 2 else None
+                for tol in (1e-6, 1e-10):
+                    pt = moreau_prox(p, x, lam, tol)
+                    assert pt.inner_tol <= tol
+                    if ref is None:
+                        continue
+                    # the grid point's value bounds min psi from above, so a
+                    # sound certificate puts it no lower than value - gap;
+                    # strong convexity then bounds the distance of the points
+                    excess = ref.envelope_value - pt.envelope_value
+                    assert excess >= -pt.inner_tol
+                    dist = np.sqrt(2.0 * pt.inner_tol / mu) + np.sqrt(
+                        2.0 * (excess + pt.inner_tol) / mu
+                    )
+                    assert np.linalg.norm(pt.x_hat - ref.x_hat) <= dist
+    assert sum(bounded) >= len(bounded) // 2
