@@ -11,8 +11,10 @@ the stationarity measure everything else in this package reports.
 
 Two oracles are provided.  ``moreau_prox`` solves the subproblem
 iteratively: bisection on the subgradient selection in one dimension,
-proximal gradient for smooth g, and a deterministic proximal subgradient
-phase followed by a subdifferential-sampling polish otherwise.
+proximal gradient for smooth g, and otherwise a subdifferential-sampling
+polish, started on a cold solve after a 50-step deterministic proximal
+subgradient warm-up.  The polish certifies the gap on its own; the
+warm-up only moves its start off x.
 ``moreau_grid_oracle`` brute-forces low-dimensional subproblems on a
 refined grid and exists so the iterative path can be cross-checked against
 an implementation that shares none of its code.
@@ -40,6 +42,11 @@ from .core import CapabilityError, CompositeProblem, row_dots
 Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
+
+# Subgradient steps before a cold nonsmooth polish.  Started at x itself,
+# the polish can stall far above its tolerance (gap 3e-4 against 1e-10 on
+# make_phase_retrieval(20, 2, 51) at x = (3, 3)).
+_WARMUP_STEPS = 50
 
 
 # Importing scipy.optimize costs more than importing the rest of the package,
@@ -128,7 +135,7 @@ def _psi(problem: CompositeProblem, x: Array, lam: float, y: Array) -> float:
     if math.isinf(rv):
         return math.inf
     diff = y - x
-    return problem.g_value(y) + rv + float(diff @ diff) / (2.0 * lam)
+    return problem.g_value(y) + rv + float(diff.dot(diff)) / (2.0 * lam)
 
 
 def _finish_point(
@@ -452,7 +459,8 @@ def _inner_subgradient_phase(
     """Deterministic proximal subgradient with weighted averaging.
 
     Steps 2 / ((1/lam - rho) (k + 2)); returns the best of the final
-    weighted average and the best visited iterate.
+    weighted average and the best visited iterate.  ``moreau_prox`` runs
+    only ``_WARMUP_STEPS`` steps, to start a cold polish.
     """
     r = problem.regularizer
     mu = 1.0 / lam - problem.rho
@@ -521,9 +529,11 @@ def _inner_polish(
     Each round solves the min-norm-element problem over the convex hull of
     probed g-subgradients plus the exact r-subdifferential; the negative
     residual is a descent direction, and its norm certifies the gap.  The
-    probe radius shrinks whenever the direction stops producing descent or
-    the radius terms dominate the certificate, so kinks of g (where a fixed
-    subgradient selection would stall) are resolved.
+    probe radius shrinks 16-fold whenever the direction stops producing
+    descent or the radius terms dominate the certificate, so kinks of g
+    (where a fixed subgradient selection would stall) are resolved.  If no
+    round meets ``tol``, the point of the best round is certified again at
+    1/2, 1/4 and 1/8 of its radius before giving up.
     """
     mu = 1.0 / lam - problem.rho
     dirs = _probe_directions(problem.dim)
@@ -532,12 +542,13 @@ def _inner_polish(
     delta_min = 1e-13 * scale
     t0 = 1.0 / (1.0 / lam + max(problem.rho, 1.0 / lam))
     val = _psi(problem, x, lam, y)
-    best_gap = math.inf
+    best_gap, best_y, best_delta = math.inf, y, delta
     stalls = 0
     for _ in range(max_rounds):
         res, v, gscale = _residual_qp(problem, x, lam, y, delta, dirs)
         gap = _cert_gap(res, mu, problem.rho, delta, gscale)
-        best_gap = min(best_gap, gap)
+        if gap < best_gap:
+            best_gap, best_y, best_delta = gap, y, delta
         if gap <= tol:
             return y, gap
         step = _armijo_step(problem, x, lam, y, v, val, res, t0)
@@ -554,7 +565,16 @@ def _inner_polish(
             delta = max(delta / 16.0, delta_min)
     d_fin = max(delta, delta_min)
     res, _, gscale = _residual_qp(problem, x, lam, y, d_fin, dirs)
-    return y, min(best_gap, _cert_gap(res, mu, problem.rho, d_fin, gscale))
+    best_gap = min(best_gap, _cert_gap(res, mu, problem.rho, d_fin, gscale))
+    # the best round's probes straddled the kinks near its point, and the
+    # next radius, 16 times smaller, may not have: try the radii between.
+    # Steps only lower psi, so a gap certified there also holds at y.
+    for k in (2.0, 4.0, 8.0):
+        if best_gap <= tol or best_delta / k < delta_min:
+            break
+        res, _, gscale = _residual_qp(problem, x, lam, best_y, best_delta / k, dirs)
+        best_gap = min(best_gap, _cert_gap(res, mu, problem.rho, best_delta / k, gscale))
+    return y, best_gap
 
 
 def moreau_prox(
@@ -570,7 +590,10 @@ def moreau_prox(
     Requires 0 < lam < 1/rho so the subproblem is strongly convex.  The
     returned point certifies an optimality gap ``inner_tol``; when the gap
     budget cannot be met an :class:`InnerAccuracyError` is raised carrying
-    the best point found.
+    the best point found.  For nonsmooth g in d >= 2, a cold solve (no
+    ``warm_start``) takes min(50, ``max_iter``) proximal subgradient steps
+    from x before the certified polish; a warm one starts the polish at
+    the projection of ``warm_start``.
     """
     problem.require_deterministic()
     _validate_lam(problem, lam)
@@ -584,8 +607,7 @@ def moreau_prox(
         if warm_start is not None:
             y0 = problem.regularizer.project_domain(warm_start)
         else:
-            n_sub = int(min(max(600, 120 * problem.dim), max_iter))
-            y0 = _inner_subgradient_phase(problem, x, lam, n_sub)
+            y0 = _inner_subgradient_phase(problem, x, lam, min(_WARMUP_STEPS, max_iter))
         x_hat, gap = _inner_polish(problem, x, lam, y0, tol, max_rounds=150)
 
     point = _finish_point(problem, x, lam, x_hat, gap, MoreauMethod.ITERATIVE_INNER)

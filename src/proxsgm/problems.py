@@ -44,11 +44,12 @@ SMOOTH_LS_DEFAULT_SIGMA = 0.1
 def _matvec(M: Array, x: Array) -> Array:
     """``M @ x`` for a point, ``M @ x[i]`` in row i for an ``(n, k)`` stack.
 
-    A stack is a stacked matrix-vector product, one BLAS gemv per row like
-    the point's own; a single gemm (``x @ M.T``) would sum the rows in
-    another order.
+    A point takes ``M.dot(x)``, the same BLAS gemv as ``M @ x`` without the
+    ufunc dispatch of ``matmul``, which dominates at these sizes.  A stack is
+    a stacked matrix-vector product, one gemv per row like the point's own;
+    a single gemm (``x @ M.T``) would sum the rows in another order.
     """
-    return M @ x if x.ndim == 1 else (M @ x[:, :, None])[:, :, 0]
+    return M.dot(x) if x.ndim == 1 else (M @ x[:, :, None])[:, :, 0]
 
 
 def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
@@ -105,9 +106,10 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
         return rng.integers(m, size=n)
 
     def sample(x: Array, i: Array) -> Array:
-        inner = A[i] @ x
+        rows = A[i]
+        inner = rows.dot(x)
         coef = 2.0 * np.sign(inner**2 - b[i]) * inner
-        return coef[..., None] * A[i]
+        return coef[..., None] * rows
 
     return CompositeProblem(
         dim=d,
@@ -163,7 +165,8 @@ def make_robust_regression(
         return rng.integers(m, size=n)
 
     def sample(x: Array, i: Array) -> Array:
-        return np.sign(A[i] @ x - b[i])[..., None] * A[i]
+        rows = A[i]
+        return np.sign(rows.dot(x) - b[i])[..., None] * rows
 
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(

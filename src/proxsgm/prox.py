@@ -116,15 +116,17 @@ class ProxFriendly:
     def prox(self, x: Array, alpha: float) -> Array:
         if alpha < 0:
             raise ValueError("prox step must be nonnegative")
+        # an indicator's prox is its projection at every alpha >= 0, so the
+        # two kinds of the solver's step loop dispatch first
+        if self.kind is ProxKind.BOX:
+            return proj_box(x, self.lo, self.hi)
+        if self.kind is ProxKind.BALL:
+            return proj_ball(x, self.center, self.radius)
         if alpha == 0:
             # continuous limit: prox_{0.r} is the projection onto dom r
             return self.project_domain(x)
         if self.kind is ProxKind.ZERO:
             return prox_zero(x, alpha)
-        if self.kind is ProxKind.BOX:
-            return proj_box(x, self.lo, self.hi)
-        if self.kind is ProxKind.BALL:
-            return proj_ball(x, self.center, self.radius)
         if self.kind is ProxKind.L1:
             return prox_l1(x, alpha, self.weight)
         return prox_quadratic(x, alpha, self.weight, self.center)

@@ -25,7 +25,13 @@ from proxsgm.moreau import (
     prox_gradient_mapping,
     stationarity_report,
 )
-from proxsgm.problems import make_smooth_ls_noisy, make_toy1d, problem_from_id
+from proxsgm.problems import (
+    make_phase_retrieval,
+    make_robust_regression,
+    make_smooth_ls_noisy,
+    make_toy1d,
+    problem_from_id,
+)
 from proxsgm.prox import box_indicator, l1_regularizer, zero_regularizer
 
 FINE_1D = GridSpec(points_per_dim=100_001, n_refine=2)
@@ -456,3 +462,34 @@ def test_l1_regularized_nonsmooth_solves_meet_tol_and_the_grid():
                     )
                     assert np.linalg.norm(pt.x_hat - ref.x_hat) <= dist
     assert sum(bounded) >= len(bounded) // 2
+
+
+def test_cold_nonsmooth_solves_meet_tol_after_a_short_warmup():
+    # a cold polish started at x itself stalls at gap 3e-4 against tol
+    # 1e-10 on make_phase_retrieval(20, 2, 51) at x = (3, 3), and the d = 5
+    # seed-51 solve at 3 * ones needs the polish's final radius refinement;
+    # the warm-up makes at most 50 point subgradient calls
+    cases = [(make_phase_retrieval(20, 2, 51), np.array([3.0, 3.0]))]
+    for make in (make_phase_retrieval, make_robust_regression):
+        for d in (2, 5, 10):
+            for seed in (50, 51, 52):
+                p = make(20, d, seed)
+                rng = np.random.default_rng(seed)
+                anchors = [*sample_domain_points(p, 3, 1.0, rng), np.full(d, 3.0)]
+                cases += [(p, x) for x in anchors]
+    for p, x in cases:
+        point_calls = []
+
+        def counted(y, subgradient=p.g_full_subgradient):
+            if y.ndim == 1:
+                point_calls.append(1)
+            return subgradient(y)
+
+        q = dataclasses.replace(p, g_full_subgradient=counted)
+        lam = 1.0 / (2.0 * p.rho) if p.rho > 0 else 0.5
+        for tol in (1e-6, 1e-10):
+            point_calls.clear()
+            assert moreau_prox(q, x, lam, tol).inner_tol <= tol
+            # the polish probes stacks; the one other point call is the
+            # subgradient the returned point carries at x_hat
+            assert len(point_calls) <= 50 + 1

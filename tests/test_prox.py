@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from proxsgm.checks import _prox_zoo
 from proxsgm.prox import (
+    ProxKind,
     ball_indicator,
     box_indicator,
     l1_regularizer,
@@ -151,6 +152,22 @@ def test_batch_maps_equal_row_maps(kind, alpha):
             values = [reg.value(r) for r in pts]
             assert all(type(v) is float for v in values)
             assert reg.value(pts).tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("kind", [name for name, _ in _prox_zoo(1)])
+def test_zero_step_prox_is_the_projection(kind):
+    # prox_{0 r} is the projection onto dom r, and an indicator's prox is
+    # that projection at every step, so box and ball may ignore alpha
+    for d in (1, 3):
+        reg = dict(_prox_zoo(d))[kind]
+        rows = 3.0 * np.random.default_rng(d).standard_normal((50, d))
+        for x in (rows, *rows[:5]):
+            proj = reg.project_domain(x).tobytes()
+            assert reg.prox(x, 0.0).tobytes() == proj
+            assert reg.prox(x, 0).tobytes() == proj
+            if reg.kind in (ProxKind.BOX, ProxKind.BALL):
+                for alpha in (1e-300, 1e-3, 1.0, 1e3, math.inf):
+                    assert reg.prox(x, alpha).tobytes() == proj
 
 
 def normal_cone_violation(reg, x, s, rng, n=200):
