@@ -90,18 +90,39 @@ def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOra
     return StochasticOracle(sample=sample)
 
 
+# Generator parameters a problem id leaves implicit when they take these values
+SMOOTH_LS_DEFAULT_SIGMA = 0.1
+DEFAULT_OUTLIER_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class ProblemMeta:
+    """Where a problem's data came from.
+
+    ``sigma`` (smooth_ls noise per coordinate) and ``outlier_fraction``
+    (robust_regression) are None for the families without them; ``detail``
+    names the toy1d kind.
+    """
+
     family: str
     m: int = 0
     d: int = 1
     seed: int = 0
     detail: str = ""
+    sigma: float | None = None
+    outlier_fraction: float | None = None
 
     def problem_id(self) -> str:
+        """``family:m:d:seed``, plus ``:sigma=`` or ``:outliers=`` when that
+        parameter is not its default, so the id names exactly one instance."""
         if self.family == "toy1d":
             return f"toy1d:{self.detail}"
-        return f"{self.family}:{self.m}:{self.d}:{self.seed}"
+        pid = f"{self.family}:{self.m}:{self.d}:{self.seed}"
+        if self.sigma not in (None, SMOOTH_LS_DEFAULT_SIGMA):
+            pid += f":sigma={self.sigma!r}"
+        if self.outlier_fraction not in (None, DEFAULT_OUTLIER_FRACTION):
+            pid += f":outliers={self.outlier_fraction!r}"
+        return pid
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,15 @@ regeneration from the same ``(family, m, d, seed)`` is bit-identical, which
 is what makes the string ids below ("family:m:d:seed") reproducible
 addresses.
 
+A real-valued generator parameter that differs from its default rides on
+the id as a keyed suffix: ``smooth_ls:m:d:seed:sigma=0.2``,
+``robust_regression:m:d:seed:outliers=0.3``.
+
 The g callables are batch-first (see :mod:`proxsgm.core`) and take every
-product with the data matrix through ``_matvec``, so each row of a stack
-is computed exactly as its point is: stacks match point calls bit for bit.
+matrix product through ``_matvec``: with the data matrix, or for
+``smooth_ls`` with its precomputed Gram matrix H = A^T A / m.  So each row
+of a stack is computed exactly as its point is: stacks match point calls
+bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    DEFAULT_OUTLIER_FRACTION,
+    SMOOTH_LS_DEFAULT_SIGMA,
     CompositeProblem,
     ProblemMeta,
     StochasticOracle,
@@ -36,9 +44,8 @@ from .prox import ball_indicator, box_indicator, zero_regularizer
 
 Array = np.ndarray
 
-# Fixed per-coordinate noise level for smooth_ls instances built from a
-# string id (the id schema carries no real-valued slot).
-SMOOTH_LS_DEFAULT_SIGMA = 0.1
+# The one keyed suffix each family's id may carry, by family
+_ID_KEYS = {"smooth_ls": "sigma", "robust_regression": "outliers"}
 
 
 def _matvec(M: Array, x: Array) -> Array:
@@ -139,7 +146,7 @@ def _robust_regression_data(
 
 
 def make_robust_regression(
-    m: int, d: int, rng_or_seed, outlier_fraction: float = 0.1
+    m: int, d: int, rng_or_seed, outlier_fraction: float = DEFAULT_OUTLIER_FRACTION
 ) -> CompositeProblem:
     """Least absolute deviations with sparse outliers in the responses.
 
@@ -184,7 +191,7 @@ def make_robust_regression(
             m=m,
             d=d,
             seed=seed,
-            detail=f"outliers={outlier_fraction}",
+            outlier_fraction=float(outlier_fraction),
         ),
     )
 
@@ -201,9 +208,8 @@ def exact_min_1d_robust_regression(problem: CompositeProblem) -> tuple[float, fl
         raise ValueError("exact minimum only for 1-D robust regression")
     if meta.seed < 0:
         raise ValueError("problem was built from a raw generator; seed unknown")
-    frac = float(meta.detail.split("=", 1)[1]) if "=" in meta.detail else 0.1
     A, b, _ = _robust_regression_data(
-        np.random.default_rng(meta.seed), meta.m, meta.d, frac
+        np.random.default_rng(meta.seed), meta.m, meta.d, meta.outlier_fraction
     )
     r = problem.regularizer
     lo, hi = float(r.lo[0]), float(r.hi[0])
@@ -221,24 +227,30 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
 
     g(x) = ||Ax - b||^2 / (2m); the oracle returns grad g(x) + sigma * w with
     w standard normal, so the certified variance constant is sigma * sqrt(d).
-    rho = lambda_max(A^T A) / m is the gradient Lipschitz constant.
+    rho = lambda_max(H) is the gradient Lipschitz constant, where
+    H = A^T A / m is the Hessian.  The gradient is taken in Gram form,
+    H x - A^T b / m: one d x d product per point instead of two m x d ones
+    and a division, which is what a solver step pays.  The value keeps the
+    residual form, which does not cancel near the minimum.
     """
     if m < 1 or d < 1:
         raise ValueError("need m >= 1 and d >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     rng, seed = coerce_rng(rng_or_seed)
     A = rng.standard_normal((m, d))
     x_sharp = rng.uniform(-0.5, 0.5, size=d)
     b = A @ x_sharp
-    rho = float(np.linalg.eigvalsh(A.T @ A / m)[-1])
+    H = A.T @ A / m
+    c = A.T @ b / m
+    rho = float(np.linalg.eigvalsh(H)[-1])
 
     def g_value(x: Array) -> float | Array:
         resid = _matvec(A, x) - b
         return point_value(row_dots(resid, resid) / (2.0 * m))
 
     def g_gradient(x: Array) -> Array:
-        return _matvec(A.T, _matvec(A, x) - b) / m
+        return _matvec(H, x) - c
 
     def draw(rng: np.random.Generator, n: int) -> Array:
         return sigma * rng.standard_normal((n, d))
@@ -258,7 +270,7 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
         domain_diameter=float(np.linalg.norm(hi - lo)),
         smooth=True,
         planted_point=x_sharp,
-        meta=ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed),
+        meta=ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed, sigma=float(sigma)),
     )
 
 
@@ -337,7 +349,10 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
 
     ``phase_retrieval:m:d:seed``, ``robust_regression:m:d:seed`` and
     ``smooth_ls:m:d:seed`` regenerate data deterministically from the seed;
-    ``toy1d:abs`` and ``toy1d:absquad`` take no size arguments.
+    ``toy1d:abs`` and ``toy1d:absquad`` take no size arguments.  A
+    ``:sigma=`` (smooth_ls) or ``:outliers=`` (robust_regression) suffix
+    sets that parameter; without it the default applies.  The inverse of
+    ``ProblemMeta.problem_id``.
     """
     parts = problem_id.strip().split(":")
     family = parts[0]
@@ -345,15 +360,23 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
         if len(parts) != 2:
             raise ValueError("toy1d ids look like 'toy1d:abs' or 'toy1d:absquad'")
         return make_toy1d(parts[1])
-    if len(parts) != 4:
+    if len(parts) not in (4, 5):
         raise ValueError(f"malformed problem id {problem_id!r}; expected family:m:d:seed")
-    m, d, seed = (int(p) for p in parts[1:])
+    m, d, seed = (int(p) for p in parts[1:4])
+    suffix = {}
+    if len(parts) == 5:
+        key, sep, text = parts[4].partition("=")
+        if not sep or key != _ID_KEYS.get(family):
+            raise ValueError(f"unknown suffix {parts[4]!r} in problem id {problem_id!r}")
+        suffix[key] = float(text)
     if family == "phase_retrieval":
         return make_phase_retrieval(m, d, seed)
     if family == "robust_regression":
-        return make_robust_regression(m, d, seed)
+        frac = suffix.get("outliers", DEFAULT_OUTLIER_FRACTION)
+        return make_robust_regression(m, d, seed, frac)
     if family == "smooth_ls":
-        return make_smooth_ls_noisy(m, d, SMOOTH_LS_DEFAULT_SIGMA, seed)
+        sigma = suffix.get("sigma", SMOOTH_LS_DEFAULT_SIGMA)
+        return make_smooth_ls_noisy(m, d, sigma, seed)
     raise ValueError(f"unknown problem family {family!r}")
 
 

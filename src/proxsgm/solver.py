@@ -172,21 +172,26 @@ def run_psgm(
     draw, sample = problem.g_oracle.draw, problem.g_oracle.sample
     prox = problem.regularizer.prox
     # 0 * v is 0 for finite v and NaN for an infinite or NaN one, so this
-    # dot is finite exactly when every entry of g is
+    # dot is finite exactly when every entry of g is.  inf * 0 raises the
+    # invalid flag, whose warning would pre-empt the OracleError; an invalid
+    # operation inside `sample` yields a NaN, which the check reports.
     zero = np.zeros(problem.dim)
     x = x0
-    for start in range(0, n_iter, CHUNK):
-        stop = min(start + CHUNK, n_iter)
-        steps = zip(range(start, stop), alphas[start:stop].tolist(), draw(rng, stop - start))
-        for t, a, w in steps:
-            g = sample(x, w)
-            if not math.isfinite(g.dot(zero)):
-                raise OracleError(f"non-finite subgradient at iteration {t}", t)
-            x = prox(x - a * g, a)
-            if full:
-                iterates[t + 1] = x
-            elif t + 1 == t_star:
-                x_star = x
+    with np.errstate(invalid="ignore"):
+        for start in range(0, n_iter, CHUNK):
+            stop = min(start + CHUNK, n_iter)
+            steps = zip(
+                range(start, stop), alphas[start:stop].tolist(), draw(rng, stop - start)
+            )
+            for t, a, w in steps:
+                g = sample(x, w)
+                if not math.isfinite(g.dot(zero)):
+                    raise OracleError(f"non-finite subgradient at iteration {t}", t)
+                x = prox(x - a * g, a)
+                if full:
+                    iterates[t + 1] = x
+                elif t + 1 == t_star:
+                    x_star = x
 
     if full:
         t_star = sample_tstar(alphas, rng)

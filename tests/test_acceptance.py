@@ -79,7 +79,7 @@ def rate_sweep():
         gamma="optimal",
         n_seeds=50,
         inner_tol=1e-6,
-        workers=4,
+        workers=1,
         output="",
     )
     t0 = time.perf_counter()

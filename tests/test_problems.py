@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proxsgm.boost import RegularizedProblem
 from proxsgm.core import sample_domain_points
@@ -164,6 +166,33 @@ def test_smooth_ls_rho_matches_power_iteration():
     assert abs(lam - p.rho) <= 1e-8 * (1.0 + p.rho)
 
 
+@pytest.mark.parametrize("pid", [
+    "smooth_ls:60:5:2", "smooth_ls:30:3:2", "smooth_ls:10:40:1", "smooth_ls:200:20:3",
+])
+def test_smooth_ls_gradient_matches_the_residual_formula(pid):
+    # the gradient is taken in Gram form, H x - A^T b / m; regenerate A and
+    # b from the seed and compare with A^T (A x - b) / m
+    p = problem_from_id(pid)
+    m, d, seed = p.meta.m, p.meta.d, p.meta.seed
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, d))
+    b = A @ rng.uniform(-0.5, 0.5, size=d)
+    pts = sample_domain_points(p, 50, 2.0, np.random.default_rng(6))
+    for x in [*pts[:5], np.zeros(d), np.full(d, 2.0)]:
+        ref = A.T @ (A @ x - b) / m
+        tol = 1e-13 * (1.0 + np.abs(ref).max())
+        assert np.abs(p.g_full_subgradient(x) - ref).max() <= tol
+    ref = (pts @ A.T - b) @ A / m
+    tol = 1e-13 * (1.0 + np.abs(ref).max())
+    assert np.abs(p.g_full_subgradient(pts) - ref).max() <= tol
+
+
+def test_smooth_ls_rejects_bad_sigma():
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            make_smooth_ls_noisy(10, 2, sigma, 0)
+
+
 def test_smooth_ls_flags():
     p = make_smooth_ls_noisy(20, 2, 0.1, 4)
     assert p.smooth
@@ -190,6 +219,47 @@ def test_problem_from_id_uses_default_sigma():
     assert p.sigma == pytest.approx(SMOOTH_LS_DEFAULT_SIGMA * np.sqrt(3))
 
 
+def test_non_default_parameters_ride_on_the_id():
+    p = make_smooth_ls_noisy(20, 3, 0.2, 5)
+    assert p.meta.problem_id() == "smooth_ls:20:3:5:sigma=0.2"
+    assert problem_from_id("smooth_ls:20:3:5:sigma=0.2").sigma == p.sigma
+    q = make_robust_regression(20, 1, 2, 0.7)
+    assert q.meta.problem_id() == "robust_regression:20:1:2:outliers=0.7"
+    # the exact minimum regenerates the data with the instance's own outliers;
+    # here it leaves the inliers' common breakpoint, so it depends on them
+    xm, vm = exact_min_1d_robust_regression(q)
+    assert vm <= q.g_value(np.linspace(-2.0, 2.0, 20_001)[:, None]).min() + 1e-12
+    assert (xm, vm) == exact_min_1d_robust_regression(problem_from_id(q.meta.problem_id()))
+    assert make_robust_regression(20, 1, 5).meta.problem_id() == "robust_regression:20:1:5"
+
+
+ID_FAMILIES = st.sampled_from(["phase_retrieval", "robust_regression", "smooth_ls"])
+ID_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.floats(0.0, 0.99, allow_subnormal=False),
+)
+
+
+@given(ID_FAMILIES, st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32),
+       ID_VALUES)
+def test_problem_id_round_trip(family, m, d, seed, value):
+    pid = f"{family}:{m}:{d}:{seed}"
+    if value is not None and family != "phase_retrieval":
+        key = "sigma" if family == "smooth_ls" else "outliers"
+        pid += f":{key}={value!r}"
+    p = problem_from_id(pid)
+    canonical = p.meta.problem_id()
+    q = problem_from_id(canonical)
+    # id -> problem -> id is the identity up to spelling out a default value,
+    # and the regenerated instance is the same one
+    assert q.meta.problem_id() == canonical
+    assert canonical == pid.removesuffix(":sigma=0.1").removesuffix(":outliers=0.1")
+    assert q.meta == p.meta and q.rho == p.rho and q.sigma == p.sigma
+    x = np.linspace(-1.0, 1.0, d)
+    assert q.g_value(x) == p.g_value(x)
+
+
 @pytest.mark.parametrize("bad", [
     "nope:1:2:3",
     "toy1d:cubic",
@@ -197,6 +267,12 @@ def test_problem_from_id_uses_default_sigma():
     "phase_retrieval:5",
     "robust_regression:10:-1:2",
     "phase_retrieval:a:b:c",
+    "phase_retrieval:10:2:1:sigma=0.2",
+    "smooth_ls:10:2:1:outliers=0.3",
+    "smooth_ls:10:2:1:sigma",
+    "smooth_ls:10:2:1:sigma=-1",
+    "smooth_ls:10:2:1:sigma=0.2:sigma=0.3",
+    "robust_regression:10:2:1:outliers=1.0",
 ])
 def test_problem_from_id_rejects_malformed(bad):
     with pytest.raises(ValueError):
@@ -257,6 +333,7 @@ BATCH_IDS = ORACLE_IDS + [
     "phase_retrieval:30:1:4",
     "robust_regression:25:1:3",
     "smooth_ls:20:1:5",
+    "smooth_ls:10:40:1",
 ]
 REGULARIZED_ANCHORS = {"robust_regression:9:2:4": [0.1, -0.2], "toy1d:abs": [0.3]}
 

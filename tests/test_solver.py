@@ -177,6 +177,33 @@ def test_run_psgm_flags_nonfinite_oracle():
         run_psgm(p, np.zeros(1), StepSchedule.constant(1.0, 10), 0)
 
 
+@pytest.mark.parametrize("truncated", [False, True])
+def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, truncated):
+    # the box clamps the step x - a * inf back onto its face, so the
+    # iterates stay finite and only the per-step check can catch the draw;
+    # with CHUNK = 4 step k = 8 opens the third chunk
+    k = 8
+    monkeypatch.setattr(solver_mod, "CHUNK", 4)
+    if truncated:
+        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
+    calls = {"n": 0}
+
+    def sample(x, w):
+        calls["n"] += 1
+        return np.array([np.inf, 1.0]) if calls["n"] == k + 1 else np.array([0.5, 1.0])
+
+    box = box_indicator(-np.ones(2), np.ones(2))
+    assert np.isfinite(box.prox(np.zeros(2) - 0.1 * np.array([np.inf, 1.0]), 0.1)).all()
+    p = CompositeProblem(
+        dim=2, g_oracle=StochasticOracle(sample=sample), regularizer=box,
+        rho=0.0, lipschitz_L=2.0,
+    )
+    with pytest.raises(OracleError) as err:
+        run_psgm(p, np.zeros(2), StepSchedule.constant(0.1, 20), 0)
+    assert err.value.iteration == k
+    assert calls["n"] == k + 1
+
+
 def test_truncated_mode_preserves_subgradient_stream(monkeypatch):
     # t* is drawn from a spawned substream up front in the long-horizon
     # mode, so its realization differs from the full mode; the trajectory
