@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Print the cost of one ``run_psgm`` step per problem family, untraced.
 
-    python3 scripts/step_cost.py [--steps N] [--repeats R]
+    python3 scripts/step_cost.py
 
-For each instance below, ``run_psgm`` takes N+1 steps (default 20 000) of a
-constant schedule from the family's default start; the script prints the
-process time per step in µs, the least over R runs (default 5), since on a
-shared host the least-disturbed run is the closest to the code's own cost.
+For each instance below, ``run_psgm`` takes STEPS + 1 steps of a constant
+schedule from the family's default start; the script prints the process
+time per step in µs, the least over REPEATS runs, since on a shared host
+the least-disturbed run is the closest to the code's own cost.
 No tracer wraps the oracle, so the figures carry none of the benchmark
 tracer's per-step overhead.  The instances are the shipped families plus
 one least-squares instance with more unknowns than rows (d > m).
 """
 
-import argparse
 import os
 import platform
 import sys
@@ -35,31 +34,29 @@ INSTANCES = (
     "toy1d:absquad",
 )
 GAMMA = 0.1
+STEPS = 20_000
+REPEATS = 5
 
 
-def step_us(pid: str, steps: int, repeats: int) -> float:
+def step_us(pid: str) -> float:
     problem = problem_from_id(pid)
     x0 = default_x0(problem)
-    schedule = StepSchedule.constant(GAMMA, steps)
+    schedule = StepSchedule.constant(GAMMA, STEPS)
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.process_time()
         run_psgm(problem, x0, schedule, 0)
         best = min(best, time.process_time() - t0)
-    return 1e6 * best / (steps + 1)
+    return 1e6 * best / (STEPS + 1)
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--steps", type=int, default=20_000)
-    ap.add_argument("--repeats", type=int, default=5)
-    args = ap.parse_args()
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"{len(os.sched_getaffinity(0))} cpus, {args.steps + 1} steps, "
-          f"min of {args.repeats}")
+          f"{len(os.sched_getaffinity(0))} cpus, {STEPS + 1} steps, "
+          f"min of {REPEATS}")
     print(f"{'instance':<26}{'us/step':>9}")
     for pid in INSTANCES:
-        print(f"{pid:<26}{step_us(pid, args.steps, args.repeats):>9.2f}")
+        print(f"{pid:<26}{step_us(pid):>9.2f}")
 
 
 if __name__ == "__main__":

@@ -90,9 +90,24 @@ def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOra
     return StochasticOracle(sample=sample)
 
 
-# Generator parameters a problem id leaves implicit when they take these values
-SMOOTH_LS_DEFAULT_SIGMA = 0.1
-DEFAULT_OUTLIER_FRACTION = 0.1
+@dataclass(frozen=True)
+class IdParam:
+    """A real generator parameter that rides on a family's id as ``:key=value``.
+
+    ``key`` is its spelling in the id, ``field`` the ``ProblemMeta`` field
+    that holds it, ``default`` the value a bare ``family:m:d:seed`` means.
+    """
+
+    key: str
+    field: str
+    default: float
+
+
+# The one keyed suffix each family's id may carry, by family
+ID_PARAMS = {
+    "smooth_ls": IdParam("sigma", "sigma", 0.1),
+    "robust_regression": IdParam("outliers", "outlier_fraction", 0.1),
+}
 
 
 @dataclass(frozen=True)
@@ -113,15 +128,16 @@ class ProblemMeta:
     outlier_fraction: float | None = None
 
     def problem_id(self) -> str:
-        """``family:m:d:seed``, plus ``:sigma=`` or ``:outliers=`` when that
+        """``family:m:d:seed``, plus the family's ``ID_PARAMS`` suffix when that
         parameter is not its default, so the id names exactly one instance."""
         if self.family == "toy1d":
             return f"toy1d:{self.detail}"
         pid = f"{self.family}:{self.m}:{self.d}:{self.seed}"
-        if self.sigma not in (None, SMOOTH_LS_DEFAULT_SIGMA):
-            pid += f":sigma={self.sigma!r}"
-        if self.outlier_fraction not in (None, DEFAULT_OUTLIER_FRACTION):
-            pid += f":outliers={self.outlier_fraction!r}"
+        param = ID_PARAMS.get(self.family)
+        if param is not None:
+            value = getattr(self, param.field)
+            if value not in (None, param.default):
+                pid += f":{param.key}={value!r}"
         return pid
 
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    DEFAULT_OUTLIER_FRACTION,
-    SMOOTH_LS_DEFAULT_SIGMA,
+    ID_PARAMS,
     CompositeProblem,
     ProblemMeta,
     StochasticOracle,
@@ -44,8 +43,8 @@ from .prox import ball_indicator, box_indicator, zero_regularizer
 
 Array = np.ndarray
 
-# The one keyed suffix each family's id may carry, by family
-_ID_KEYS = {"smooth_ls": "sigma", "robust_regression": "outliers"}
+SMOOTH_LS_DEFAULT_SIGMA = ID_PARAMS["smooth_ls"].default
+DEFAULT_OUTLIER_FRACTION = ID_PARAMS["robust_regression"].default
 
 
 def _matvec(M: Array, x: Array) -> Array:
@@ -349,10 +348,10 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
 
     ``phase_retrieval:m:d:seed``, ``robust_regression:m:d:seed`` and
     ``smooth_ls:m:d:seed`` regenerate data deterministically from the seed;
-    ``toy1d:abs`` and ``toy1d:absquad`` take no size arguments.  A
-    ``:sigma=`` (smooth_ls) or ``:outliers=`` (robust_regression) suffix
-    sets that parameter; without it the default applies.  The inverse of
-    ``ProblemMeta.problem_id``.
+    ``toy1d:abs`` and ``toy1d:absquad`` take no size arguments.  The
+    family's ``ID_PARAMS`` suffix (``:sigma=`` for smooth_ls, ``:outliers=``
+    for robust_regression) sets that parameter; without it the default
+    applies.  The inverse of ``ProblemMeta.problem_id``.
     """
     parts = problem_id.strip().split(":")
     family = parts[0]
@@ -363,20 +362,19 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
     if len(parts) not in (4, 5):
         raise ValueError(f"malformed problem id {problem_id!r}; expected family:m:d:seed")
     m, d, seed = (int(p) for p in parts[1:4])
-    suffix = {}
+    param = ID_PARAMS.get(family)
+    value = None if param is None else param.default
     if len(parts) == 5:
         key, sep, text = parts[4].partition("=")
-        if not sep or key != _ID_KEYS.get(family):
+        if param is None or not sep or key != param.key:
             raise ValueError(f"unknown suffix {parts[4]!r} in problem id {problem_id!r}")
-        suffix[key] = float(text)
+        value = float(text)
     if family == "phase_retrieval":
         return make_phase_retrieval(m, d, seed)
     if family == "robust_regression":
-        frac = suffix.get("outliers", DEFAULT_OUTLIER_FRACTION)
-        return make_robust_regression(m, d, seed, frac)
+        return make_robust_regression(m, d, seed, value)
     if family == "smooth_ls":
-        sigma = suffix.get("sigma", SMOOTH_LS_DEFAULT_SIGMA)
-        return make_smooth_ls_noisy(m, d, sigma, seed)
+        return make_smooth_ls_noisy(m, d, value, seed)
     raise ValueError(f"unknown problem family {family!r}")
 
 

@@ -33,7 +33,8 @@ class DomainError(ValueError):
 
 
 class OracleError(RuntimeError):
-    """Non-finite stochastic subgradient; carries the iteration index."""
+    """Non-finite stochastic subgradient, or a non-finite last iterate;
+    carries the iteration index."""
 
     def __init__(self, message: str, iteration: int):
         super().__init__(message)
@@ -144,9 +145,10 @@ def run_psgm(
     Deterministic given (seed, problem data, x0, schedule).  One loop
     serves both modes: randomness (``g_oracle.draw``) and step sizes are
     prepared CHUNK steps at a time, and each step makes one
-    ``g_oracle.sample`` call, one finite check and one prox call.  The
-    whole trajectory is kept when it fits under TRAJECTORY_CAP entries;
-    past that only x_0, x_star and x_{T+1} are.  The selection index t* is
+    ``g_oracle.sample`` call, one finite check and one prox call; the
+    last iterate gets one finite check of its own.  The whole trajectory
+    is kept when it fits under TRAJECTORY_CAP entries; past that only
+    x_0, x_star and x_{T+1} are.  The selection index t* is
     one uniform variate: drawn after the loop in the full mode, so the
     subgradient stream is identical across schedules of equal length, and
     up front from a spawned substream in the long-horizon mode, which
@@ -173,8 +175,12 @@ def run_psgm(
     prox = problem.regularizer.prox
     # 0 * v is 0 for finite v and NaN for an infinite or NaN one, so this
     # dot is finite exactly when every entry of g is.  inf * 0 raises the
-    # invalid flag, whose warning would pre-empt the OracleError; an invalid
-    # operation inside `sample` yields a NaN, which the check reports.
+    # invalid flag, whose warning would pre-empt the OracleError, so the loop
+    # ignores that flag: invalid-value warnings from `draw`, `sample` and
+    # `prox` are suppressed too.  A NaN made inside `sample` fails the check;
+    # one made by `prox` (an overflowed step fed to the ball's rescale,
+    # inf * 0) stays in the iterates, as the shipped proxes keep a NaN, and
+    # fails the one check on the final iterate.
     zero = np.zeros(problem.dim)
     x = x0
     with np.errstate(invalid="ignore"):
@@ -192,6 +198,8 @@ def run_psgm(
                     iterates[t + 1] = x
                 elif t + 1 == t_star:
                     x_star = x
+        if not math.isfinite(x.dot(zero)):
+            raise OracleError(f"non-finite iterate after iteration {n_iter - 1}", n_iter - 1)
 
     if full:
         t_star = sample_tstar(alphas, rng)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxsgm.boost import RegularizedProblem
-from proxsgm.core import sample_domain_points
+from proxsgm.core import ID_PARAMS, sample_domain_points
 from proxsgm.problems import (
     SMOOTH_LS_DEFAULT_SIGMA,
     default_x0,
@@ -246,8 +246,7 @@ ID_VALUES = st.one_of(
 def test_problem_id_round_trip(family, m, d, seed, value):
     pid = f"{family}:{m}:{d}:{seed}"
     if value is not None and family != "phase_retrieval":
-        key = "sigma" if family == "smooth_ls" else "outliers"
-        pid += f":{key}={value!r}"
+        pid += f":{ID_PARAMS[family].key}={value!r}"
     p = problem_from_id(pid)
     canonical = p.meta.problem_id()
     q = problem_from_id(canonical)

@@ -18,7 +18,7 @@ from proxsgm.problems import (
     make_toy1d,
     problem_from_id,
 )
-from proxsgm.prox import box_indicator, zero_regularizer
+from proxsgm.prox import ball_indicator, box_indicator, zero_regularizer
 from proxsgm.solver import (
     DomainError,
     OracleError,
@@ -202,6 +202,30 @@ def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, truncated):
         run_psgm(p, np.zeros(2), StepSchedule.constant(0.1, 20), 0)
     assert err.value.iteration == k
     assert calls["n"] == k + 1
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_run_psgm_flags_a_non_finite_last_iterate(monkeypatch, truncated):
+    # a finite but huge last draw overflows the step to -inf, and the ball's
+    # rescale turns that into inf * 0 = NaN; no later draw sees it, so only
+    # the check on the final iterate can
+    if truncated:
+        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
+    n = 11
+    calls = {"n": 0}
+
+    def sample(x, w):
+        calls["n"] += 1
+        return np.full(2, 1e308) if calls["n"] == n else np.array([0.5, 1.0])
+
+    p = CompositeProblem(
+        dim=2, g_oracle=StochasticOracle(sample=sample),
+        regularizer=ball_indicator(np.zeros(2), 1.0), rho=0.0, lipschitz_L=2.0,
+    )
+    with np.errstate(over="ignore"), pytest.raises(OracleError) as err:
+        run_psgm(p, np.zeros(2), StepSchedule.constant(10.0, n - 1), 0)
+    assert err.value.iteration == n - 1
+    assert calls["n"] == n
 
 
 def test_truncated_mode_preserves_subgradient_stream(monkeypatch):
