@@ -16,6 +16,9 @@ Areas (every input is fixed here, so the digests depend only on the code):
 * ``run_sweep``: every row and per-horizon statistic of small sweeps.
 * ``check_details``: the verdict and detail line of every ``proxsgm check``
   result.
+* ``oracle_checks``: every field, at full precision, of the Monte-Carlo
+  oracle reports behind ``check_oracles``, whose detail lines show the
+  worst ratios to two decimals only.
 
 Takes a few seconds on one core.
 """
@@ -29,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from proxsgm import solver  # noqa: E402
-from proxsgm.checks import run_all_checks  # noqa: E402
+from proxsgm.checks import oracle_reports, run_all_checks  # noqa: E402
 from proxsgm.core import sample_domain_points  # noqa: E402
 from proxsgm.harness import ExperimentConfig, run_sweep  # noqa: E402
 from proxsgm.moreau import GridSpec, moreau_grid_oracle, moreau_prox  # noqa: E402
@@ -148,6 +151,13 @@ def digest_checks() -> str:
     return dig.short()
 
 
+def digest_oracle_checks() -> str:
+    dig = Digest()
+    for pid, rep in oracle_reports():
+        dig.add(pid, rep.check, rep.n_repeats, rep.n_passed, rep.worst_ratio, rep.passed)
+    return dig.short()
+
+
 def main() -> int:
     areas = (
         ("run_psgm.full", lambda: digest_runs(None)),
@@ -156,6 +166,7 @@ def main() -> int:
         ("moreau_grid_oracle", digest_grid_oracle),
         ("run_sweep", digest_sweeps),
         ("check_details", digest_checks),
+        ("oracle_checks", digest_oracle_checks),
     )
     for name, fn in areas:
         print(f"{name:<20} {fn()}", flush=True)

@@ -24,6 +24,7 @@ from .prox import (
     zero_regularizer,
 )
 from .core import (
+    OracleReport,
     check_hypomonotonicity,
     check_oracle_unbiasedness,
     check_second_moment,
@@ -139,29 +140,30 @@ def check_certifications(
     return out
 
 
-def check_oracles(seed: int = 3) -> list[CheckResult]:
-    """Unbiasedness and second-moment certification per family."""
+def oracle_reports(seed: int = 3) -> list[tuple[str, OracleReport]]:
+    """The unbiasedness report of each oracle family at its default start,
+    followed by its second-moment report when it certifies L, by problem id."""
     out = []
     for pid in ("phase_retrieval:50:10:0", "robust_regression:40:2:1", "smooth_ls:60:5:2"):
         problem = problem_from_id(pid)
         x = default_x0(problem)
-        ub = check_oracle_unbiasedness(problem, x, np.random.default_rng(seed))
-        out.append(
-            CheckResult(
-                name=f"oracle_unbiased[{pid}]",
-                passed=ub.passed,
-                detail=f"{ub.n_passed}/{ub.n_repeats} repeats, worst ratio {ub.worst_ratio:.2f}",
-            )
-        )
+        out.append((pid, check_oracle_unbiasedness(problem, x, np.random.default_rng(seed))))
         if problem.lipschitz_L is not None:
-            sm = check_second_moment(problem, np.random.default_rng(seed + 1))
-            out.append(
-                CheckResult(
-                    name=f"oracle_second_moment[{pid}]",
-                    passed=sm.passed,
-                    detail=f"{sm.n_passed}/{sm.n_repeats} points, worst ratio {sm.worst_ratio:.2f}",
-                )
-            )
+            out.append((pid, check_second_moment(problem, np.random.default_rng(seed + 1))))
+    return out
+
+
+def check_oracles(seed: int = 3) -> list[CheckResult]:
+    """Unbiasedness and second-moment certification per family."""
+    labels = {
+        "unbiasedness": ("oracle_unbiased", "repeats"),
+        "second_moment": ("oracle_second_moment", "points"),
+    }
+    out = []
+    for pid, rep in oracle_reports(seed):
+        name, unit = labels[rep.check]
+        detail = f"{rep.n_passed}/{rep.n_repeats} {unit}, worst ratio {rep.worst_ratio:.2f}"
+        out.append(CheckResult(name=f"{name}[{pid}]", passed=rep.passed, detail=detail))
     return out
 
 

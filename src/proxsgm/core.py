@@ -336,20 +336,32 @@ def check_oracle_unbiasedness(
     """Empirical mean of oracle draws against the subgradient selection
     ``g_full_subgradient(x)``, which the oracle's mean must equal.
 
-    Each repeat draws ``n_samples`` subgradients and passes when the mean
-    deviates by at most five empirical standard errors.  At least 95% of the
-    repeats must pass.
+    Each repeat draws ``n_samples`` subgradients g_k and passes when the mean
+    deviates by at most five empirical standard errors, 5 s / sqrt(n), plus a
+    rounding floor.  The mean is one gemv of the weights 1/n with the
+    ``(n, d)`` stack, the spread s^2 = sum_k ||g_k - mean||^2 / n one flat dot
+    of the deviations with themselves.  The floor (n + 1) eps
+    sqrt(s^2 + ||mean||^2) bounds the rounding error of the computed mean:
+    summing n terms errs by at most gamma_n ~ n eps times the sum of their
+    magnitudes (Higham 2002, section 4.2), rounding 1/n adds one eps, and
+    ||(1/n) sum_k |g_k| || is at most the root mean square of ||g_k||, which
+    is sqrt(s^2 + ||mean||^2).  So a zero-variance oracle passes exactly
+    instead of failing on a one-ulp error divided by a spread made of that
+    same error.  At least 95% of the repeats must pass.
     """
     oracle = problem.g_oracle
     target = problem.require_deterministic().g_full_subgradient(x)
+    weights = np.full(n_samples, 1.0 / n_samples)
     n_passed = 0
     worst = 0.0
     for _ in range(n_repeats):
         draws = oracle.sample(x, oracle.draw(rng, n_samples))
-        mean = draws.mean(axis=0)
-        spread = float(np.sqrt(np.mean(np.sum((draws - mean) ** 2, axis=1))))
+        mean = weights @ draws
+        dev = draws - mean
+        spread_sq = float(np.vdot(dev, dev)) / n_samples
         err = float(np.linalg.norm(mean - target))
-        allowance = 5.0 * spread / math.sqrt(n_samples)
+        floor = (n_samples + 1) * math.ulp(1.0) * math.sqrt(spread_sq + float(mean @ mean))
+        allowance = 5.0 * math.sqrt(spread_sq / n_samples) + floor
         if allowance == 0.0:
             ok = err == 0.0
             ratio = 0.0 if ok else math.inf
@@ -375,7 +387,12 @@ def check_second_moment(
     radius: float | None = None,
     slack: float = 0.1,
 ) -> OracleReport:
-    """Empirical second moment of the oracle against lipschitz_L squared."""
+    """Empirical second moment of the oracle against lipschitz_L squared.
+
+    At each of ``n_points`` sampled points, the estimate sum_k ||g_k||^2 / n
+    over ``n_samples`` draws is one flat dot of the ``(n, d)`` stack with
+    itself; the point passes when it is at most (1 + slack) L^2.
+    """
     if problem.lipschitz_L is None:
         raise CapabilityError("problem does not certify lipschitz_L")
     if radius is None:
@@ -386,7 +403,7 @@ def check_second_moment(
     n_passed = 0
     for x in pts:
         draws = problem.g_oracle.sample(x, problem.g_oracle.draw(rng, n_samples))
-        est = float(np.mean(np.sum(draws**2, axis=1)))
+        est = float(np.vdot(draws, draws)) / n_samples
         worst = max(worst, est / bound)
         n_passed += est <= bound
     return OracleReport(

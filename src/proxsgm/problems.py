@@ -27,6 +27,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .core import (
@@ -343,6 +345,27 @@ def make_toy1d(kind: str) -> CompositeProblem:
     raise ValueError(f"unknown toy kind {kind!r}")
 
 
+# The integer fields of a seeded id, with the least value each may take
+_ID_INTS = (("m", 1), ("d", 1), ("seed", 0))
+
+
+def _id_int(problem_id: str, name: str, least: int, text: str) -> int:
+    """The integer field ``name`` of ``problem_id``; a ``ValueError`` naming the
+    id and the field when ``text`` is not a decimal integer or is below ``least``."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"problem id {problem_id!r}: {name} must be an integer, got {text!r}")
+    value = int(text)
+    if value < least:
+        why = f"{name} must be at least {least}, got {value}"
+        if name == "seed" and value == -1:
+            why += (
+                "; seed -1 marks a problem built from a live generator,"
+                " so the id names no instance"
+            )
+        raise ValueError(f"problem id {problem_id!r}: {why}")
+    return value
+
+
 def problem_from_id(problem_id: str) -> CompositeProblem:
     """Build a problem from its string address.
 
@@ -351,7 +374,10 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
     ``toy1d:abs`` and ``toy1d:absquad`` take no size arguments.  The
     family's ``ID_PARAMS`` suffix (``:sigma=`` for smooth_ls, ``:outliers=``
     for robust_regression) sets that parameter; without it the default
-    applies.  The inverse of ``ProblemMeta.problem_id``.
+    applies.  The inverse of ``ProblemMeta.problem_id``.  A ``ValueError``
+    names the id and the bad field when m, d or seed is not a decimal
+    integer, m or d is below 1, or the seed is negative (seed -1 is what a
+    problem built from a live generator reports: its id names no instance).
     """
     parts = problem_id.strip().split(":")
     family = parts[0]
@@ -361,7 +387,10 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
         return make_toy1d(parts[1])
     if len(parts) not in (4, 5):
         raise ValueError(f"malformed problem id {problem_id!r}; expected family:m:d:seed")
-    m, d, seed = (int(p) for p in parts[1:4])
+    m, d, seed = (
+        _id_int(problem_id, name, least, text)
+        for (name, least), text in zip(_ID_INTS, parts[1:4])
+    )
     param = ID_PARAMS.get(family)
     value = None if param is None else param.default
     if len(parts) == 5:

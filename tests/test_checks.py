@@ -15,23 +15,28 @@ from proxsgm.checks import (
     check_prox_optimality,
     check_tstar_distribution,
     chi_square_pvalue,
+    oracle_reports,
     run_all_checks,
 )
 from proxsgm.core import (
+    OracleReport,
     ViolationReport,
     check_hypomonotonicity,
+    check_oracle_unbiasedness,
+    check_second_moment,
     check_weak_convexity,
     row_dots,
     sample_domain_points,
 )
-from proxsgm.problems import problem_from_id
+from proxsgm.problems import default_x0, make_phase_retrieval, problem_from_id
 from proxsgm.solver import sample_tstar
 
 # ----------------------------------------------- per-row reference suites
 #
 # The suites as they were written before they evaluated whole batches: one
 # prox, projection, value and norm per row, one sample_tstar call per draw,
-# one g_value and subgradient call per point of a certification pair.
+# one g_value and subgradient call per point of a certification pair, and
+# per-row sums of squares for the oracle moments.
 
 
 def reference_prox_nonexpansive(n_pairs, d, seed):
@@ -151,6 +156,32 @@ def reference_hypomonotonicity(problem, n_pairs, radius, rng):
     return _reference_report("hypomonotonicity", problem, n_pairs, gaps, xs, ys)
 
 
+def reference_oracle_unbiasedness(problem, x, rng, n_samples=10_000, n_repeats=20):
+    target = problem.g_full_subgradient(x)
+    n_passed, worst = 0, 0.0
+    for _ in range(n_repeats):
+        draws = problem.g_oracle.sample(x, problem.g_oracle.draw(rng, n_samples))
+        mean = draws.mean(axis=0)
+        spread = float(np.sqrt(np.mean(np.sum((draws - mean) ** 2, axis=1))))
+        ratio = float(np.linalg.norm(mean - target)) / (5.0 * spread / math.sqrt(n_samples))
+        worst = max(worst, ratio)
+        n_passed += ratio <= 1.0
+    passed = n_passed >= math.ceil(0.95 * n_repeats)
+    return OracleReport("unbiasedness", n_repeats, n_passed, worst, passed)
+
+
+def reference_second_moment(problem, rng, n_points=100, n_samples=4_000):
+    pts = sample_domain_points(problem, n_points, problem.domain_diameter or 2.0, rng)
+    bound = 1.1 * problem.lipschitz_L**2
+    n_passed, worst = 0, 0.0
+    for x in pts:
+        draws = problem.g_oracle.sample(x, problem.g_oracle.draw(rng, n_samples))
+        est = float(np.mean(np.sum(draws**2, axis=1)))
+        worst = max(worst, est / bound)
+        n_passed += est <= bound
+    return OracleReport("second_moment", n_points, n_passed, worst, n_passed == n_points)
+
+
 # ------------------------------------------------------------ comparisons
 
 
@@ -216,6 +247,42 @@ def test_prox_optimality_equals_per_row_reference(d, seed):
 @pytest.mark.parametrize("seed", [4, 9])
 def test_tstar_distribution_equals_per_draw_reference(seed):
     assert check_tstar_distribution(2000, seed) == reference_tstar_distribution(2000, seed)
+
+
+def _assert_same_oracle_report(got, ref):
+    # one gemv or flat dot sums in another order than the per-row sums, and
+    # the reference has no rounding floor: on these oracles, whose spread is
+    # near their rms norm, the floor moves the ratio by under 1e-10 relative
+    assert (got.check, got.n_repeats) == (ref.check, ref.n_repeats)
+    assert got.n_passed == ref.n_passed and got.passed == ref.passed
+    assert got.worst_ratio == pytest.approx(ref.worst_ratio, rel=1e-9)
+
+
+def test_oracle_reports_equal_per_row_reference():
+    reports = oracle_reports(seed=3)
+    assert len(reports) == 5
+    for pid, got in reports:
+        problem = problem_from_id(pid)
+        if got.check == "unbiasedness":
+            ref = reference_oracle_unbiasedness(
+                problem, default_x0(problem), np.random.default_rng(3)
+            )
+        else:
+            ref = reference_second_moment(problem, np.random.default_rng(4))
+        _assert_same_oracle_report(got, ref)
+
+
+def test_oracle_moments_equal_per_row_reference_off_the_default_start():
+    p = make_phase_retrieval(30, 4, 7)
+    x = sample_domain_points(p, 1, 1.5, np.random.default_rng(3))[0]
+    _assert_same_oracle_report(
+        check_oracle_unbiasedness(p, x, np.random.default_rng(4)),
+        reference_oracle_unbiasedness(p, x, np.random.default_rng(4)),
+    )
+    _assert_same_oracle_report(
+        check_second_moment(p, np.random.default_rng(5)),
+        reference_second_moment(p, np.random.default_rng(5)),
+    )
 
 
 def test_chi_square_pvalue_matches_scipy():

@@ -10,6 +10,7 @@ from proxsgm.core import (
     CapabilityError,
     CompositeProblem,
     ProblemMeta,
+    StochasticOracle,
     check_hypomonotonicity,
     check_oracle_unbiasedness,
     check_second_moment,
@@ -18,7 +19,13 @@ from proxsgm.core import (
     point_value,
     sample_domain_points,
 )
-from proxsgm.problems import make_phase_retrieval, make_robust_regression, make_toy1d
+from proxsgm.problems import (
+    default_x0,
+    make_phase_retrieval,
+    make_robust_regression,
+    make_toy1d,
+    problem_from_id,
+)
 from proxsgm.prox import box_indicator, zero_regularizer
 
 
@@ -90,6 +97,40 @@ def test_oracle_unbiasedness_phase_retrieval():
     rep = check_oracle_unbiasedness(p, x, np.random.default_rng(4))
     assert rep.passed
     assert rep.n_passed >= math.ceil(0.95 * rep.n_repeats)
+
+
+@pytest.mark.parametrize("pid, x", [
+    ("toy1d:abs", [0.5]),
+    ("toy1d:absquad", [0.3]),
+    ("toy1d:absquad", [1.7]),
+    ("smooth_ls:30:3:4:sigma=0.0", [0.3, -0.7, 1.1]),
+])
+def test_zero_variance_oracle_passes_unbiasedness(pid, x):
+    # every draw is the same vector; the mean of 10000 copies may still be
+    # off by an ulp, and the rounding floor must absorb that
+    rep = check_oracle_unbiasedness(problem_from_id(pid), np.array(x), np.random.default_rng(0))
+    assert rep.passed and rep.n_passed == rep.n_repeats
+    assert rep.worst_ratio < 1.0
+
+
+@pytest.mark.parametrize(
+    "pid", ["phase_retrieval:50:10:0", "robust_regression:40:2:1", "smooth_ls:60:5:2"]
+)
+def test_bias_of_ten_standard_errors_fails_unbiasedness(pid):
+    problem = problem_from_id(pid)
+    x = default_x0(problem)
+    base = problem.g_oracle
+    draws = base.sample(x, base.draw(np.random.default_rng(1), 10_000))
+    spread = math.sqrt(np.mean(np.sum((draws - draws.mean(axis=0)) ** 2, axis=1)))
+    shift = np.zeros(problem.dim)
+    shift[0] = 10.0 * spread / math.sqrt(10_000)
+    biased = dataclasses.replace(
+        problem,
+        g_oracle=StochasticOracle(sample=lambda y, w: base.sample(y, w) + shift, draw=base.draw),
+    )
+    rep = check_oracle_unbiasedness(biased, x, np.random.default_rng(3))
+    assert not rep.passed and rep.n_passed == 0
+    assert rep.worst_ratio > 1.5
 
 
 def test_second_moment_phase_retrieval():

@@ -272,10 +272,35 @@ def test_problem_id_round_trip(family, m, d, seed, value):
     "smooth_ls:10:2:1:sigma=-1",
     "smooth_ls:10:2:1:sigma=0.2:sigma=0.3",
     "robust_regression:10:2:1:outliers=1.0",
+    "smooth_ls:10:2:-1",
+    "phase_retrieval:10:2:-4",
+    "smooth_ls:10:2.5:1",
+    "robust_regression:1e1:2:1",
+    "smooth_ls:10:2:x",
+    "smooth_ls:0:2:1",
+    "robust_regression:10:0:1",
 ])
 def test_problem_from_id_rejects_malformed(bad):
     with pytest.raises(ValueError):
         problem_from_id(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("smooth_ls:10:2.5:1", "d must be an integer, got '2.5'"),
+    ("robust_regression:x:2:1", "m must be an integer, got 'x'"),
+    ("phase_retrieval:10:0:1", "d must be at least 1, got 0"),
+    ("phase_retrieval:10:2:-4", "seed must be at least 0, got -4"),
+])
+def test_problem_from_id_names_the_id_and_the_bad_field(bad, message):
+    with pytest.raises(ValueError, match=f"problem id '{bad}': {message}"):
+        problem_from_id(bad)
+
+
+def test_live_generator_id_is_rejected_as_naming_no_instance():
+    pid = make_smooth_ls_noisy(10, 2, 0.1, np.random.default_rng(3)).meta.problem_id()
+    assert pid == "smooth_ls:10:2:-1"
+    with pytest.raises(ValueError, match="seed -1 marks a problem built from a live generator"):
+        problem_from_id(pid)
 
 
 def test_default_x0_feasible_everywhere():
