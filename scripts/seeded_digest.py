@@ -16,6 +16,12 @@ Areas (every input is fixed here, so the digests depend only on the code):
 * ``run_sweep``: every row and per-horizon statistic of small sweeps.
 * ``check_details``: the verdict and detail line of every ``proxsgm check``
   result.
+* ``prox_subdiff``: the generator arrays and the nearest-element
+  projection of the subdifferential of every regularizer kind at d in
+  {1, 2, 4, 7}, on box faces (one box pins a coordinate, lo == hi), l1
+  kinks and on, near and inside the ball, at activity tolerances 0 and
+  1e-8.  Generator rows are read through ``np.array(G, float)``, so a
+  list of rows hashes like a 2-D array, and ``+ 0.0`` makes zeros positive.
 * ``oracle_checks``: every field, at full precision, of the Monte-Carlo
   oracle reports behind ``check_oracles``, whose detail lines show the
   worst ratios to two decimals only.
@@ -37,6 +43,14 @@ from proxsgm.core import sample_domain_points  # noqa: E402
 from proxsgm.harness import ExperimentConfig, run_sweep  # noqa: E402
 from proxsgm.moreau import GridSpec, moreau_grid_oracle, moreau_prox  # noqa: E402
 from proxsgm.problems import default_x0, problem_from_id  # noqa: E402
+from proxsgm.prox import (  # noqa: E402
+    ProxKind,
+    ball_indicator,
+    box_indicator,
+    l1_regularizer,
+    quadratic_regularizer,
+    zero_regularizer,
+)
 
 FAMILIES = (
     "phase_retrieval:30:4:3",
@@ -151,6 +165,44 @@ def digest_checks() -> str:
     return dig.short()
 
 
+def digest_prox_subdiff() -> str:
+    dig = Digest()
+    for d in (1, 2, 4, 7):
+        rng = np.random.default_rng([d, 17])
+        pinned_lo, pinned_hi = np.full(d, -1.5), np.full(d, 2.0)
+        pinned_lo[0] = pinned_hi[0] = 0.5
+        regs = (
+            zero_regularizer(),
+            box_indicator(np.full(d, -1.5), np.full(d, 2.0)),
+            box_indicator(pinned_lo, pinned_hi),
+            ball_indicator(np.linspace(-0.5, 0.5, d), 1.3),
+            l1_regularizer(0.7),
+            quadratic_regularizer(0.4, np.full(d, 0.2)),
+        )
+        for reg in regs:
+            for _ in range(20):
+                x = reg.project_domain(2.0 * rng.standard_normal(d))
+                pick = rng.random(d) < 0.5
+                near = rng.choice([0.0, 5e-9, 1e-6], size=d)
+                if reg.kind is ProxKind.BOX:
+                    face = np.where(rng.random(d) < 0.5, reg.lo + near, reg.hi - near)
+                    x = np.where(pick, face, x)
+                elif reg.kind is ProxKind.BALL:
+                    u = rng.standard_normal(d)
+                    scale = rng.choice([1.0, 1.0 - 4e-9, 0.5]) * reg.radius
+                    x = reg.center + scale * u / np.linalg.norm(u)
+                elif reg.kind is ProxKind.L1:
+                    x = np.where(pick, near * rng.choice([-1.0, 1.0], size=d), x)
+                v = 3.0 * rng.standard_normal(d)
+                for act_tol in (0.0, 1e-8):
+                    fixed, G, lo, hi = reg.subdiff_generators(x, act_tol)
+                    dig.add(reg.kind.value, d, act_tol, fixed + 0.0,
+                            np.array(G, float).reshape(-1, d) + 0.0,
+                            np.array(lo, float) + 0.0, np.array(hi, float),
+                            reg.subdiff_project(x, v, act_tol) + 0.0)
+    return dig.short()
+
+
 def digest_oracle_checks() -> str:
     dig = Digest()
     for pid, rep in oracle_reports():
@@ -166,6 +218,7 @@ def main() -> int:
         ("moreau_grid_oracle", digest_grid_oracle),
         ("run_sweep", digest_sweeps),
         ("check_details", digest_checks),
+        ("prox_subdiff", digest_prox_subdiff),
         ("oracle_checks", digest_oracle_checks),
     )
     for name, fn in areas:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solver
 from .core import (
     CapabilityError,
     CompositeProblem,
@@ -159,6 +160,19 @@ def envelope_shift_identity_check(
 # step size selection
 
 
+def _all_iterates(run: RunResult) -> Array:
+    """x_0..x_T of a run, for an average; raises if the run kept only its
+    endpoints and x_star."""
+    if run.truncated:
+        T, d = run.oracle_calls - 1, run.x_star.size
+        raise ValueError(
+            f"averaging needs every iterate, but the run with T = {T} in d = {d} "
+            f"has (T + 2) * d = {(T + 2) * d} entries, above solver.TRAJECTORY_CAP "
+            f"= {solver.TRAJECTORY_CAP}, so it kept only its endpoints and x_star"
+        )
+    return run.iterates[:-1]
+
+
 def optimal_gamma(R: float, rho: float, L: float) -> float:
     """Argmin of gamma -> (R + rho L^2 gamma^2) / gamma, namely
     sqrt(R / (rho L^2))."""
@@ -221,7 +235,7 @@ def two_stage_convex(
         x0 = base.regularizer.project_domain(np.zeros(base.dim))
     gamma1 = D / L
     stage1 = run_psgm(base, x0, StepSchedule.constant(gamma1, T), kid1)
-    stage1_point = stage1.iterates[:-1].mean(axis=0)
+    stage1_point = _all_iterates(stage1).mean(axis=0)
     R = L * D / math.sqrt(T + 1)
 
     gamma2 = optimal_gamma(R, rho_hat / 2.0, L)
@@ -267,8 +281,7 @@ def strongly_convex_stage(
     alphas = 2.0 / (mu * (np.arange(T + 1) + 1.0))
     run = run_psgm(reg.problem, x0, StepSchedule.explicit(alphas), rng_or_seed)
     weights = np.arange(T + 1) + 1.0
-    pre_update = run.iterates[: T + 1]
-    return (weights[:, None] * pre_update).sum(axis=0) / weights.sum()
+    return (weights[:, None] * _all_iterates(run)).sum(axis=0) / weights.sum()
 
 
 def pipeline_budget(base: CompositeProblem, rho: float, eps: float) -> int:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -42,6 +41,9 @@ from .core import CapabilityError, CompositeProblem, row_dots
 Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
+
+# Proximal-gradient step budget of a smooth solve.
+_SMOOTH_MAX_ITER = 1_000_000
 
 # Subgradient steps before a cold nonsmooth polish.  Started at x itself,
 # the polish can stall far above its tolerance (gap 3e-4 against 1e-10 on
@@ -65,11 +67,6 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)
-
-
-class MoreauMethod(Enum):
-    ITERATIVE_INNER = "IterativeInner"
-    GRID_BRUTE_FORCE = "GridBruteForce"
 
 
 class ParameterError(ValueError):
@@ -109,7 +106,6 @@ class MoreauPoint:
     envelope_grad: Array
     zeta_hat: Array
     inner_tol: float
-    method: MoreauMethod
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,6 @@ def _finish_point(
     lam: float,
     x_hat: Array,
     gap: float,
-    method: MoreauMethod,
 ) -> MoreauPoint:
     grad = (x - x_hat) / lam
     act_tol = 1e-7 * (1.0 + float(np.max(np.abs(x_hat))))
@@ -159,7 +154,6 @@ def _finish_point(
         envelope_grad=grad,
         zeta_hat=grad - s_r,
         inner_tol=gap,
-        method=method,
     )
 
 
@@ -291,21 +285,20 @@ def _residual_qp(
     """Distance of zero to the sampled subdifferential of the subproblem at y.
 
     One stacked ``g_full_subgradient`` call probes g at y and at y + delta *
-    (each unit probe direction).  With t = -(fixed part of the
-    r-subdifferential + (y - x) / lam), the residual is the min-norm point
-    v of conv{Z_j - t} + {sum_k c_k G_k : c in the generator bounds} over
-    the probed subgradients Z_j and the r-generators G_k, solved exactly
-    by :func:`_min_norm_qp`.  Returns ||v||, v, and the largest probed
+    (each unit probe direction).  The r-subdifferential at y is
+    {fixed + c @ G : lo <= c <= hi}, whose arrays ``subdiff_generators``
+    returns and this passes on as they are.  With t = -(fixed + (y - x) /
+    lam), the residual is the min-norm point v of conv{Z_j - t} +
+    {c @ G : lo <= c <= hi} over the probed subgradients Z_j, solved
+    exactly by :func:`_min_norm_qp`.  Returns ||v||, v, and the largest probed
     subgradient norm (needed to account for the probe offset in the gap
     certificate).
     """
     Z = problem.g_full_subgradient(np.concatenate([y[None], y + delta * probe_dirs]))
-    fixed, gen_cols, gen_lo, gen_hi = problem.regularizer.subdiff_generators(
+    fixed, G, gen_lo, gen_hi = problem.regularizer.subdiff_generators(
         y, act_tol=1e-9 * (1.0 + float(np.max(np.abs(y))))
     )
-    G = np.array(gen_cols, dtype=float).reshape(len(gen_cols), y.size)
-    target = -(fixed + (y - x) / lam)
-    v, _, _, _ = _min_norm_qp(Z, target, G, np.array(gen_lo, float), np.array(gen_hi, float))
+    v, _, _, _ = _min_norm_qp(Z, -(fixed + (y - x) / lam), G, gen_lo, gen_hi)
     grad_scale = float(np.max(np.linalg.norm(Z, axis=1)))
     return float(np.linalg.norm(v)), v, grad_scale
 
@@ -326,10 +319,10 @@ def _cert_gap(res: float, mu: float, rho: float, delta: float, grad_scale: float
     return (res + rho * delta) ** 2 / (2.0 * mu) + offset_err
 
 
-def _probe_directions(d: int, n_extra: int = 4) -> Array:
+def _probe_directions(d: int) -> Array:
     dirs = np.concatenate([np.eye(d), -np.eye(d)], axis=0)
-    if d >= 2 and n_extra > 0:
-        extra = np.random.default_rng(12345).standard_normal((n_extra, d))
+    if d >= 2:
+        extra = np.random.default_rng(12345).standard_normal((4, d))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         dirs = np.concatenate([dirs, extra], axis=0)
     return dirs
@@ -408,7 +401,6 @@ def _inner_smooth(
     lam: float,
     tol: float,
     warm: Array | None,
-    max_iter: int,
 ) -> tuple[Array, float]:
     """Proximal gradient with a secant-estimated curvature step.
 
@@ -428,7 +420,7 @@ def _inner_smooth(
     grad = problem.g_full_subgradient(y) + (y - x) / lam
     best_y, best_gap = y, math.inf
     k = 0
-    while k < max_iter:
+    while k < _SMOOTH_MAX_ITER:
         k += 1
         step = 1.0 / (1.01 * ell)
         cand = r.prox(y - step * grad, step)
@@ -583,7 +575,6 @@ def moreau_prox(
     lam: float,
     tol: float = 1e-10,
     warm_start: Array | None = None,
-    max_iter: int = 1_000_000,
 ) -> MoreauPoint:
     """Proximal point of phi = g + r at x with envelope parameter lam.
 
@@ -591,9 +582,9 @@ def moreau_prox(
     returned point certifies an optimality gap ``inner_tol``; when the gap
     budget cannot be met an :class:`InnerAccuracyError` is raised carrying
     the best point found.  For nonsmooth g in d >= 2, a cold solve (no
-    ``warm_start``) takes min(50, ``max_iter``) proximal subgradient steps
-    from x before the certified polish; a warm one starts the polish at
-    the projection of ``warm_start``.
+    ``warm_start``) takes 50 proximal subgradient steps from x before the
+    certified polish; a warm one starts the polish at the projection of
+    ``warm_start``.
     """
     problem.require_deterministic()
     _validate_lam(problem, lam)
@@ -602,15 +593,15 @@ def moreau_prox(
     if problem.dim == 1:
         x_hat, gap = _inner_1d(problem, x, lam, tol)
     elif problem.smooth:
-        x_hat, gap = _inner_smooth(problem, x, lam, tol, warm_start, max_iter)
+        x_hat, gap = _inner_smooth(problem, x, lam, tol, warm_start)
     else:
         if warm_start is not None:
             y0 = problem.regularizer.project_domain(warm_start)
         else:
-            y0 = _inner_subgradient_phase(problem, x, lam, min(_WARMUP_STEPS, max_iter))
+            y0 = _inner_subgradient_phase(problem, x, lam, _WARMUP_STEPS)
         x_hat, gap = _inner_polish(problem, x, lam, y0, tol, max_rounds=150)
 
-    point = _finish_point(problem, x, lam, x_hat, gap, MoreauMethod.ITERATIVE_INNER)
+    point = _finish_point(problem, x, lam, x_hat, gap)
     if gap > tol:
         raise InnerAccuracyError(
             f"inner solver reached gap {gap:.3e} > tol {tol:.3e}", point
@@ -624,11 +615,10 @@ def moreau_prox(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Exhaustive-search control: points per axis, window half width, and
-    the number of refinement passes around the best cell."""
+    """Exhaustive-search control: points per axis and the number of
+    refinement passes around the best cell."""
 
     points_per_dim: int = 241
-    half_width: float | None = None
     n_refine: int = 1
 
 
@@ -641,7 +631,7 @@ def moreau_grid_oracle(
     """Brute-force proximal point for dim <= 2 problems.
 
     Minimizes the subproblem over a grid covering a dom-r window around x
-    whose radius defaults to lam * L plus the distance from x to dom r, then
+    whose radius is lam * L plus the distance from x to dom r, then
     refines around the best cell.  Shares no code with the iterative path on
     purpose; it is the cross-check oracle.
     """
@@ -654,13 +644,10 @@ def moreau_grid_oracle(
     x = np.asarray(x, dtype=float)
     r = problem.regularizer
     center = r.project_domain(x)
-    if grid.half_width is not None:
-        hw = grid.half_width
-    else:
-        L = problem.lipschitz_L
-        if L is None:
-            L = float(np.linalg.norm(problem.g_full_subgradient(center))) + 1.0
-        hw = lam * L + float(np.linalg.norm(x - center)) + 0.5
+    L = problem.lipschitz_L
+    if L is None:
+        L = float(np.linalg.norm(problem.g_full_subgradient(center))) + 1.0
+    hw = lam * L + float(np.linalg.norm(x - center)) + 0.5
 
     d = problem.dim
     n = grid.points_per_dim
@@ -687,7 +674,7 @@ def moreau_grid_oracle(
         # sqrt((1+rho lam)/(1-rho lam)) coarse steps away from the argmin
         hw = 2.5 * step
     gap = (1.0 / lam + problem.rho) * d * step**2 / 8.0
-    return _finish_point(problem, x, lam, best, gap, MoreauMethod.GRID_BRUTE_FORCE)
+    return _finish_point(problem, x, lam, best, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +712,9 @@ def stationarity_report(
         b_pt = r.project_domain(np.array([y + delta]))
 
         def r_interval(yy: Array) -> tuple[float, float]:
-            act_tol = 1e-9 * (1.0 + float(np.max(np.abs(yy))))
-            fixed, cols, clos, chis = r.subdiff_generators(yy, act_tol)
-            rlo = rhi = float(np.atleast_1d(fixed)[0])
-            for col, cl, ch in zip(cols, clos, chis):
-                c0 = float(np.atleast_1d(col)[0])
-                lo_t, hi_t = sorted((c0 * cl, c0 * ch))
-                rlo += lo_t
-                rhi += hi_t
-            return rlo, rhi
+            fixed, G, clo, chi = r.subdiff_generators(yy, 1e-9 * (1.0 + float(abs(yy[0]))))
+            ends = fixed[0] + np.sort(G[:, :1] * np.stack([clo, chi], axis=1), axis=1).sum(axis=0)
+            return float(ends[0]), float(ends[1])
 
         pad = problem.rho * max(0.0, float(b_pt[0] - a_pt[0]))
         lo_tot = problem.g_subdiff_interval(a_pt)[0] + r_interval(a_pt)[0] - pad

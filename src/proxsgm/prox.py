@@ -139,17 +139,12 @@ class ProxFriendly:
             return proj_ball(x, self.center, self.radius)
         return np.array(x, dtype=float, copy=True)
 
-    def domain_diameter(self) -> float | None:
-        if self.kind is ProxKind.BOX:
-            return float(np.linalg.norm(np.asarray(self.hi, float) - self.lo))
-        if self.kind is ProxKind.BALL:
-            return 2.0 * self.radius
-        return None
-
     # -- subdifferential structure -------------------------------------------
     #
-    # The three methods below expose just enough of the subdifferential of r
-    # to recover optimality certificates at a computed proximal point.
+    # The methods below expose just enough of the subdifferential of r to
+    # recover optimality certificates at a computed proximal point.
+    # ``subdiff_generators`` is the one description of that set per kind;
+    # ``subdiff_select`` is a cheap selection for the 1-D bisection.
 
     def subdiff_select(self, x: Array) -> Array:
         """A deterministic element of the subdifferential of r at x.
@@ -166,79 +161,48 @@ class ProxFriendly:
     def subdiff_project(self, x: Array, v: Array, act_tol: float = 1e-8) -> Array:
         """Nearest element of the subdifferential of r at x to the vector v.
 
-        ``act_tol`` decides boundary activity; points within it of a face are
-        treated as on that face.
+        Clamps the coefficients of v - fixed on the rows of
+        :meth:`subdiff_generators`.  That is the exact projection because
+        every generator row is a unit vector orthogonal to every other row
+        except its own negative: a box coordinate with lo == hi carries both
+        +e_j and -e_j, and the two clamps cover the whole line.
         """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind is ProxKind.ZERO:
-            return np.zeros_like(v)
-        if self.kind is ProxKind.BOX:
-            s = np.zeros_like(v)
-            at_hi = x >= self.hi - act_tol
-            at_lo = x <= self.lo + act_tol
-            s[at_hi] = np.maximum(v[at_hi], 0.0)
-            s[at_lo] = np.minimum(v[at_lo], 0.0)
-            s[at_hi & at_lo] = v[at_hi & at_lo]
-            return s
-        if self.kind is ProxKind.BALL:
-            diff = x - self.center
-            nrm = float(np.linalg.norm(diff))
-            if nrm >= self.radius - act_tol and nrm > 0:
-                u = diff / nrm
-                return max(float(u @ v), 0.0) * u
-            return np.zeros_like(v)
-        if self.kind is ProxKind.L1:
-            s = self.weight * np.sign(x)
-            kink = np.abs(x) <= act_tol
-            s[kink] = np.clip(v[kink], -self.weight, self.weight)
-            return s
-        return self.weight * (x - self.center)
+        fixed, G, lo, hi = self.subdiff_generators(x, act_tol)
+        return fixed + proj_box(G @ (np.asarray(v, dtype=float) - fixed), lo, hi) @ G
 
     def subdiff_generators(
         self, x: Array, act_tol: float = 1e-8
-    ) -> tuple[Array, list[Array], list[float], list[float]]:
+    ) -> tuple[Array, Array, Array, Array]:
         """Generator description of the subdifferential of r at x.
 
-        Returns ``(fixed, columns, lows, highs)`` such that the set equals
-        ``fixed + sum_i c_i * columns[i]`` with ``c_i in [lows[i], highs[i]]``.
+        Returns arrays ``(fixed (d,), G (k, d), lo (k,), hi (k,))`` such that
+        the set is ``{fixed + c @ G : lo <= c <= hi}``.  A cone row (box face,
+        ball surface) has bounds [0, inf), an l1 kink row e_j has [-w, w].
+        Points within ``act_tol`` of a face or kink count as on it.  A box
+        gives, for each coordinate j in turn, +e_j if its upper face is
+        active and then -e_j if its lower face is.
         """
         x = np.asarray(x, dtype=float)
-        d = x.shape[-1] if x.ndim else 1
-        fixed = np.zeros(d)
-        cols: list[Array] = []
-        los: list[float] = []
-        his: list[float] = []
-        if self.kind is ProxKind.ZERO:
-            return fixed, cols, los, his
+        d = x.size
+        fixed, G = np.zeros(d), np.zeros((0, d))
+        lo, hi = 0.0, np.inf
         if self.kind is ProxKind.BOX:
-            hi = np.broadcast_to(np.asarray(self.hi, float), (d,))
-            lo = np.broadcast_to(np.asarray(self.lo, float), (d,))
-            for j in range(d):
-                if x[j] >= hi[j] - act_tol:
-                    e = np.zeros(d)
-                    e[j] = 1.0
-                    cols.append(e), los.append(0.0), his.append(np.inf)
-                if x[j] <= lo[j] + act_tol:
-                    e = np.zeros(d)
-                    e[j] = -1.0
-                    cols.append(e), los.append(0.0), his.append(np.inf)
-            return fixed, cols, los, his
-        if self.kind is ProxKind.BALL:
+            # rows +e_0, -e_0, +e_1, ...; 0.0 - eye keeps its zeros positive
+            eye = np.eye(d)
+            active = np.array([x >= self.hi - act_tol, x <= self.lo + act_tol]).T.ravel()
+            G = np.hstack([eye, 0.0 - eye]).reshape(2 * d, d)[active]
+        elif self.kind is ProxKind.BALL:
             diff = x - self.center
             nrm = float(np.linalg.norm(diff))
             if nrm >= self.radius - act_tol and nrm > 0:
-                cols.append(diff / nrm), los.append(0.0), his.append(np.inf)
-            return fixed, cols, los, his
-        if self.kind is ProxKind.L1:
-            fixed = self.weight * np.sign(x) * (np.abs(x) > act_tol)
-            for j in range(d):
-                if abs(x[j]) <= act_tol:
-                    e = np.zeros(d)
-                    e[j] = 1.0
-                    cols.append(e), los.append(-self.weight), his.append(self.weight)
-            return fixed, cols, los, his
-        return self.weight * (x - self.center), cols, los, his
+                G = (diff / nrm)[None]
+        elif self.kind is ProxKind.L1:
+            kink = np.abs(x) <= act_tol
+            fixed = self.weight * np.sign(x) * ~kink
+            G, lo, hi = np.eye(d)[kink], -self.weight, self.weight
+        elif self.kind is ProxKind.QUADRATIC:
+            fixed = self.weight * (x - self.center)
+        return fixed, G, np.full(len(G), lo), np.full(len(G), hi)
 
 
 def zero_regularizer() -> ProxFriendly:

@@ -72,14 +72,6 @@ class StepSchedule:
         """T, so the run takes T+1 steps indexed 0..T."""
         return self.alphas.size - 1
 
-    @property
-    def sum_alpha(self) -> float:
-        return float(self.alphas.sum())
-
-    @property
-    def sum_alpha_sq(self) -> float:
-        return float((self.alphas**2).sum())
-
     @staticmethod
     def constant(gamma: float, T: int, rho_hat: float | None = None) -> "StepSchedule":
         if gamma <= 0:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from proxsgm import solver
 from proxsgm.boost import (
     RegularizedProblem,
     envelope_shift_identity_check,
@@ -285,6 +286,26 @@ def test_two_stage_warmup_gap_shrinks_as_promised():
         out = two_stage_convex(base, T, 1.0, np.random.default_rng([seed, 78]))
         n_ok += (base.phi(out.stage1_point) - vm) <= thresh
     assert n_ok >= 95
+
+
+def test_averaging_stages_refuse_a_truncated_run(monkeypatch):
+    # past solver.TRAJECTORY_CAP a run keeps only x_0, x_star and x_{T+1},
+    # which no average of x_0..x_T may read
+    base = problem_from_id("robust_regression:40:2:1")
+    reg = RegularizedProblem(base, 0.5, np.zeros(2))
+    stage1 = two_stage_convex(base, 10, 1.0, 3).stage1_point
+    strong = strongly_convex_stage(reg, 10, 4)
+    monkeypatch.setattr(solver, "TRAJECTORY_CAP", (10 + 2) * 2)
+    # T = 10 still fits: unchanged
+    np.testing.assert_array_equal(two_stage_convex(base, 10, 1.0, 3).stage1_point, stage1)
+    np.testing.assert_array_equal(strongly_convex_stage(reg, 10, 4), strong)
+    truncated = r"T = 11 in d = 2 has \(T \+ 2\) \* d = 26 .*TRAJECTORY_CAP = 24"
+    with pytest.raises(ValueError, match=truncated):
+        two_stage_convex(base, 11, 1.0, 3)
+    with pytest.raises(ValueError, match=truncated):
+        strongly_convex_stage(reg, 11, 4)
+    with pytest.raises(ValueError, match=truncated):
+        regularized_pipeline(base, 0.5, 0.4, 11, 5)
 
 
 # ----------------------------------------------------------- the pipeline

@@ -121,7 +121,7 @@ def test_lambda_must_stay_below_inverse_rho():
 def test_inner_accuracy_error_carries_best_point():
     p = make_toy1d("abs")
     with pytest.raises(InnerAccuracyError) as exc:
-        moreau_prox(p, np.array([0.5]), 0.9, tol=1e-30, max_iter=4)
+        moreau_prox(p, np.array([0.5]), 0.9, tol=1e-30)
     pt = exc.value.point
     assert pt is not None
     assert abs(pt.x_hat[0]) <= 0.5  # still a sensible approximation

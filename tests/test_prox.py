@@ -228,15 +228,123 @@ def test_subdiff_project_closest_among_selections():
 
 def test_subdiff_generators_consistency():
     reg = ball_indicator(np.zeros(2), 1.0)
-    base, rays, los, his = reg.subdiff_generators(np.array([1.0, 0.0]))
+    base, G, lo, hi = reg.subdiff_generators(np.array([1.0, 0.0]))
     np.testing.assert_array_equal(base, np.zeros(2))
-    assert len(rays) == 1 and rays[0] == pytest.approx([1.0, 0.0])
-    assert los[0] == 0.0 and math.isinf(his[0])
+    assert G.shape == (1, 2) and G[0] == pytest.approx([1.0, 0.0])
+    assert lo[0] == 0.0 and math.isinf(hi[0])
     # members reconstructed from the generators stay in the normal cone
     rng = np.random.default_rng(5)
     for t in (0.0, 0.5, 3.0):
-        member = base + t * rays[0]
+        member = base + t * G[0]
         assert normal_cone_violation(reg, np.array([1.0, 0.0]), member, rng) <= 1e-8
+
+
+# Reference descriptions of the subdifferential: one hand-written projection
+# per kind and a per-coordinate generator loop.  The library derives its
+# projection from the generator arrays; both must agree with these.
+
+
+def reference_subdiff_project(reg, x, v, act_tol):
+    s = np.zeros_like(v)
+    if reg.kind is ProxKind.BOX:
+        at_hi = x >= reg.hi - act_tol
+        at_lo = x <= reg.lo + act_tol
+        s[at_hi] = np.maximum(v[at_hi], 0.0)
+        s[at_lo] = np.minimum(v[at_lo], 0.0)
+        s[at_hi & at_lo] = v[at_hi & at_lo]
+    elif reg.kind is ProxKind.BALL:
+        diff = x - reg.center
+        nrm = float(np.linalg.norm(diff))
+        if nrm >= reg.radius - act_tol and nrm > 0:
+            u = diff / nrm
+            s = max(float(u @ v), 0.0) * u
+    elif reg.kind is ProxKind.L1:
+        s = reg.weight * np.sign(x)
+        kink = np.abs(x) <= act_tol
+        s[kink] = np.clip(v[kink], -reg.weight, reg.weight)
+    elif reg.kind is ProxKind.QUADRATIC:
+        s = reg.weight * (x - reg.center)
+    return s
+
+
+def reference_subdiff_generators(reg, x, act_tol):
+    d = x.size
+    fixed, rows, los, his = np.zeros(d), [], [], []
+
+    def unit(j, sign):
+        e = np.zeros(d)
+        e[j] = sign
+        return e
+
+    if reg.kind is ProxKind.BOX:
+        for j in range(d):
+            if x[j] >= reg.hi[j] - act_tol:
+                rows.append(unit(j, 1.0)), los.append(0.0), his.append(np.inf)
+            if x[j] <= reg.lo[j] + act_tol:
+                rows.append(unit(j, -1.0)), los.append(0.0), his.append(np.inf)
+    elif reg.kind is ProxKind.BALL:
+        diff = x - reg.center
+        nrm = float(np.linalg.norm(diff))
+        if nrm >= reg.radius - act_tol and nrm > 0:
+            rows.append(diff / nrm), los.append(0.0), his.append(np.inf)
+    elif reg.kind is ProxKind.L1:
+        fixed = reg.weight * np.sign(x) * (np.abs(x) > act_tol)
+        for j in range(d):
+            if abs(x[j]) <= act_tol:
+                rows.append(unit(j, 1.0)), los.append(-reg.weight), his.append(reg.weight)
+    elif reg.kind is ProxKind.QUADRATIC:
+        fixed = reg.weight * (x - reg.center)
+    return fixed, np.array(rows, float).reshape(-1, d), np.array(los), np.array(his)
+
+
+def subdiff_cases(d, rng):
+    """Points on box faces (one box pins coordinate 0 with lo == hi), at l1
+    kinks, and on, near and inside the ball, for every kind."""
+    lo, hi = np.full(d, -1.5), np.full(d, 2.0)
+    pinned_lo, pinned_hi = lo.copy(), hi.copy()
+    pinned_lo[0] = pinned_hi[0] = 0.5
+    regs = [
+        zero_regularizer(),
+        box_indicator(lo, hi),
+        box_indicator(pinned_lo, pinned_hi),
+        ball_indicator(np.linspace(-0.5, 0.5, d), 1.3),
+        l1_regularizer(0.7),
+        quadratic_regularizer(0.4, np.full(d, 0.2)),
+    ]
+    for reg in regs:
+        for _ in range(12):
+            x = reg.project_domain(rng.normal(size=d) * 2.0)
+            pick = rng.random(d) < 0.5
+            near = rng.choice([0.0, 5e-9, 1e-6], size=d)
+            if reg.kind is ProxKind.BOX:
+                face = np.where(rng.random(d) < 0.5, reg.lo + near, reg.hi - near)
+                x = np.where(pick, face, x)
+            elif reg.kind is ProxKind.L1:
+                x = np.where(pick, near * rng.choice([-1.0, 1.0], size=d), x)
+            elif reg.kind is ProxKind.BALL:
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                x = reg.center + rng.choice([1.0, 1.0 - 4e-9, 0.5]) * reg.radius * u
+            yield reg, x
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7])
+def test_subdiff_arrays_match_the_per_kind_references(d):
+    rng = np.random.default_rng(d)
+    n_rows = 0
+    for reg, x in subdiff_cases(d, rng):
+        v = rng.normal(size=d) * 3.0
+        for act_tol in (0.0, 1e-8):
+            fixed, G, lo, hi = reg.subdiff_generators(x, act_tol)
+            ref = reference_subdiff_generators(reg, x, act_tol)
+            for got, want in zip((fixed, G, lo, hi), ref):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                reg.subdiff_project(x, v, act_tol), reference_subdiff_project(reg, x, v, act_tol)
+            )
+            n_rows += len(G)
+    assert n_rows > 0
 
 
 def test_construction_validation():

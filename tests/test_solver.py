@@ -53,14 +53,12 @@ def test_constant_schedule_sums():
     # alpha_t = gamma / sqrt(T+1) = 1 for all four steps
     np.testing.assert_allclose(s.alphas, np.ones(4))
     assert s.horizon == 3
-    assert s.sum_alpha == pytest.approx(4.0)
-    assert s.sum_alpha_sq == pytest.approx(4.0)
 
 
 def test_explicit_schedule_roundtrip():
     s = StepSchedule.explicit([0.5, 0.25, 0.125])
     assert s.horizon == 2
-    assert s.sum_alpha == pytest.approx(0.875)
+    np.testing.assert_array_equal(s.alphas, [0.5, 0.25, 0.125])
 
 
 def test_schedule_validation():
