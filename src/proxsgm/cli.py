@@ -53,6 +53,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.T is not None and args.T < 0:
+        print(f"error: --T must be a nonnegative horizon, got {args.T}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         alphas = None
         if args.alphas:

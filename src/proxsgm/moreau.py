@@ -52,9 +52,9 @@ _WARMUP_STEPS = 50
 
 
 # Importing scipy.optimize costs more than importing the rest of the package,
-# so it is imported on first call.  No solve path calls either name:
-# lsq_linear is the reference the QP tests compare against, and
-# bench/tracer.py patches both.
+# so it is imported on first call.  No solve path and no test calls either
+# name; they stay only because bench/tracer.py wraps both, until the
+# benchmark's next version times the exact QP instead.
 def lsq_linear(*args, **kwargs):
     """``scipy.optimize.lsq_linear``, imported on first use."""
     from scipy.optimize import lsq_linear as solve

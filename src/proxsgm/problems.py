@@ -9,6 +9,10 @@ certified constants:
                           noise, box constraint.
 * ``toy1d``            -- one-dimensional sanity problems ("abs", "absquad").
 
+A draw of ``phase_retrieval`` or ``robust_regression`` is a row index; a
+point call (a solver step) or fewer than m draws take the row form, a
+stack of at least m draws the table form (see ``_finite_sum_oracle``).
+
 Generators accept either an integer seed or a ``numpy.random.Generator``;
 regeneration from the same ``(family, m, d, seed)`` is bit-identical, which
 is what makes the string ids below ("family:m:d:seed") reproducible
@@ -28,6 +32,7 @@ bit for bit.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +63,34 @@ def _matvec(M: Array, x: Array) -> Array:
     a single gemm (``x @ M.T``) would sum the rows in another order.
     """
     return M.dot(x) if x.ndim == 1 else (M @ x[:, :, None])[:, :, 0]
+
+
+def _finite_sum_oracle(
+    A: Array, b: Array, coef: Callable[[Array, Array], Array]
+) -> StochasticOracle:
+    """Oracle whose draw is a row index i, with subgradient ``coef(<a_i, x>, b_i) a_i``.
+
+    A point call or fewer than m draws take the row form: gather the rows,
+    then one inner product and one scaling each, as a solver step always
+    has.  A stack of at least m draws takes the table form: the m component
+    subgradients at x once, then one gather, equal to the row form up to
+    the rounding of a gemv.
+    """
+    m = len(b)
+
+    def draw(rng: np.random.Generator, n: int) -> Array:
+        return rng.integers(m, size=n)
+
+    def sample(x: Array, i: Array) -> Array:
+        if i.ndim and i.size >= m:
+            return (coef(_matvec(A, x), b)[:, None] * A).take(i, axis=0)
+        rows = A[i]
+        c = coef(rows.dot(x), b[i])
+        # a point's c is a numpy scalar, and indexing one costs more than
+        # the rest of its product
+        return (c[..., None] if i.ndim else c) * rows
+
+    return StochasticOracle(sample=sample, draw=draw)
 
 
 def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
@@ -110,18 +143,11 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
         signs = np.sign(inner**2 - b)
         return (2.0 / m) * _matvec(A.T, signs * inner)
 
-    def draw(rng: np.random.Generator, n: int) -> Array:
-        return rng.integers(m, size=n)
-
-    def sample(x: Array, i: Array) -> Array:
-        rows = A[i]
-        inner = rows.dot(x)
-        coef = 2.0 * np.sign(inner**2 - b[i]) * inner
-        return coef[..., None] * rows
-
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(sample=sample, draw=draw),
+        g_oracle=_finite_sum_oracle(
+            A, b, lambda inner, b_rows: 2.0 * np.sign(inner**2 - b_rows) * inner
+        ),
         regularizer=ball_indicator(np.zeros(d), radius),
         rho=rho,
         g_value=g_value,
@@ -169,17 +195,10 @@ def make_robust_regression(
     def g_full_subgradient(x: Array) -> Array:
         return _matvec(A.T, np.sign(_matvec(A, x) - b)) / m
 
-    def draw(rng: np.random.Generator, n: int) -> Array:
-        return rng.integers(m, size=n)
-
-    def sample(x: Array, i: Array) -> Array:
-        rows = A[i]
-        return np.sign(rows.dot(x) - b[i])[..., None] * rows
-
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(
         dim=d,
-        g_oracle=StochasticOracle(sample=sample, draw=draw),
+        g_oracle=_finite_sum_oracle(A, b, lambda inner, b_rows: np.sign(inner - b_rows)),
         regularizer=box_indicator(lo, hi),
         rho=0.0,
         g_value=g_value,

@@ -104,6 +104,21 @@ def test_bound_validation_errors():
         theoretical_bound("Thm999", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=0))
 
 
+def test_cli_bounds_rejects_a_negative_horizon(capsys):
+    from proxsgm import cli
+
+    args = ["bounds", "--variant", "Cor27", "--delta", "1", "--rho", "1", "--L", "1"]
+    args += ["--gamma", "1"]
+    for T in (-1, -2):
+        assert cli.main(args + ["--T", str(T)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --T must be a nonnegative horizon, got {T}\n"
+    assert cli.main(args + ["--T", "3"]) == cli.EXIT_OK
+    value = theoretical_bound("Cor27", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=3))
+    assert capsys.readouterr().out == f"Cor27: {value:.12g}\n"
+
+
 # -------------------------------------------------------------- config file
 
 

@@ -249,12 +249,14 @@ def _lsq_linear_residual(Z, t, G, lo, hi):
     """Residual of the penalty-row ``lsq_linear`` formulation, with its hull
     weights renormalised onto the simplex: the reference the exact QP must
     match or beat."""
+    from scipy.optimize import lsq_linear
+
     J = Z.shape[0]
     A = np.concatenate([Z.T, G.T], axis=1)
     w = 1e5 * (1.0 + float(np.max(np.abs(A))) + float(np.linalg.norm(t)))
     pen = np.zeros(A.shape[1])
     pen[:J] = 1.0
-    sol = moreau.lsq_linear(
+    sol = lsq_linear(
         np.vstack([A, w * pen]),
         np.concatenate([t, [w]]),
         bounds=(np.concatenate([np.zeros(J), lo]), np.concatenate([np.ones(J), hi])),

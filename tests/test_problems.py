@@ -9,6 +9,8 @@ from proxsgm.boost import RegularizedProblem
 from proxsgm.core import ID_PARAMS, sample_domain_points
 from proxsgm.problems import (
     SMOOTH_LS_DEFAULT_SIGMA,
+    _phase_retrieval_data,
+    _robust_regression_data,
     default_x0,
     exact_min_1d_robust_regression,
     make_phase_retrieval,
@@ -348,6 +350,59 @@ def test_batch_sample_rows_match_single_samples(pid):
     else:
         # the batch takes all inner products in one matrix-vector product
         np.testing.assert_allclose(rows, batch, rtol=1e-12, atol=1e-12)
+
+
+def _finite_sum_reference(pid):
+    """The family's data and its per-draw subgradient, spelled row by row."""
+    family, m, d, seed = pid.split(":")
+    m, d, rng = int(m), int(d), np.random.default_rng(int(seed))
+    if family == "phase_retrieval":
+        A, _, b = _phase_retrieval_data(m, d, rng)
+
+        def subgradient(x, i):
+            rows = A[i]
+            inner = rows.dot(x)
+            coef = 2.0 * np.sign(inner**2 - b[i]) * inner
+            return coef[..., None] * rows
+
+    else:
+        A, b, _ = _robust_regression_data(rng, m, d, ID_PARAMS[family].default)
+
+        def subgradient(x, i):
+            rows = A[i]
+            return np.sign(rows.dot(x) - b[i])[..., None] * rows
+
+    return m, d, subgradient
+
+
+FINITE_SUM_IDS = [
+    "phase_retrieval:7:3:2",
+    "phase_retrieval:1:4:5",
+    "robust_regression:9:2:4",
+    "robust_regression:1:3:6",
+]
+
+
+@pytest.mark.parametrize("pid", FINITE_SUM_IDS)
+def test_finite_sum_oracle_forms_match_the_row_reference(pid):
+    # fewer than m draws take the row form, at least m the table form of
+    # the m component subgradients; a point call must stay the row form's
+    # exact bytes, since it is what a solver step pays
+    p = problem_from_id(pid)
+    m, d, subgradient = _finite_sum_reference(pid)
+    rng = np.random.default_rng(17)
+    for x in sample_domain_points(p, 3, 1.5, rng):
+        for n in (1, m - 1, m, 3 * m):
+            draws = p.g_oracle.draw(rng, n)
+            stack = p.g_oracle.sample(x, draws)
+            assert stack.shape == (n, d)
+            points = [p.g_oracle.sample(x, w) for w in draws]
+            reference = [subgradient(x, w) for w in draws]
+            for got, want in zip(points, reference):
+                assert got.shape == (d,) and got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(
+                stack, np.reshape(reference, (n, d)), rtol=1e-12, atol=1e-12
+            )
 
 
 # --------------------------------------------------- batch-first g callables
