@@ -5,8 +5,13 @@
 
 For each instance below, ``run_psgm`` takes STEPS + 1 steps of a constant
 schedule from the family's default start; the script prints the process
-time per step in µs, the least over REPEATS runs, since on a shared host
-the least-disturbed run is the closest to the code's own cost.
+time per step in µs as the min, median and max over REPEATS runs.  On a
+shared host other tenants slow a core by up to about 2x for seconds at a
+time, and the spread shows how much of that a line carries; the min is
+the closest to the code's own cost but can still be a slowed run.  So a
+difference under about 2x between two trees needs the benchmark's
+contention-corrected ``wall_s`` (``bench/run.py``), or at least 10 runs
+of this script alternating between the trees.
 No tracer wraps the oracle, so the figures carry none of the benchmark
 tracer's per-step overhead.  The instances are the shipped families plus
 one least-squares instance with more unknowns than rows (d > m).
@@ -14,6 +19,7 @@ one least-squares instance with more unknowns than rows (d > m).
 
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -38,25 +44,27 @@ STEPS = 20_000
 REPEATS = 5
 
 
-def step_us(pid: str) -> float:
+def step_us(pid: str) -> list[float]:
+    """µs per step of each of REPEATS runs, in ascending order."""
     problem = problem_from_id(pid)
     x0 = default_x0(problem)
     schedule = StepSchedule.constant(GAMMA, STEPS)
-    best = float("inf")
+    runs = []
     for _ in range(REPEATS):
         t0 = time.process_time()
         run_psgm(problem, x0, schedule, 0)
-        best = min(best, time.process_time() - t0)
-    return 1e6 * best / (STEPS + 1)
+        runs.append(1e6 * (time.process_time() - t0) / (STEPS + 1))
+    return sorted(runs)
 
 
 def main() -> None:
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"{len(os.sched_getaffinity(0))} cpus, {STEPS + 1} steps, "
-          f"min of {REPEATS}")
-    print(f"{'instance':<26}{'us/step':>9}")
+          f"{REPEATS} runs")
+    print(f"{'instance':<26}{'min':>8}{'median':>8}{'max':>8}  us/step")
     for pid in INSTANCES:
-        print(f"{pid:<26}{step_us(pid):>9.2f}")
+        runs = step_us(pid)
+        print(f"{pid:<26}{runs[0]:>8.2f}{statistics.median(runs):>8.2f}{runs[-1]:>8.2f}")
 
 
 if __name__ == "__main__":

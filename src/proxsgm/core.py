@@ -68,12 +68,15 @@ class StochasticOracle:
     array with n rows (component indices, noise vectors, or empty rows
     for a deterministic oracle).  It consumes the generator exactly as n
     draws of one would, so drawing in chunks of any size gives the same
-    stream.  ``sample(x, w)`` maps randomness to subgradients: one row
-    ``w = W[k]`` gives a ``(dim,)`` vector, the whole ``W`` an
-    ``(n, dim)`` array whose rows match the single calls up to the
-    rounding of a matrix-vector product.  The mean over the randomness
-    lies in the subdifferential of g at x; ``check_oracle_unbiasedness``
-    compares it with the problem's ``g_full_subgradient``.
+    stream.  A row is the oracle's randomness, not a subgradient, and may
+    carry a constant term of the map: a ``smooth_ls`` row is sigma * z - c,
+    and its ``sample`` is the affine map H x + w.  Only ``sample(x, w)``
+    gives subgradients: one row ``w = W[k]`` gives a ``(dim,)`` vector,
+    the whole ``W`` an ``(n, dim)`` array whose rows match the single
+    calls up to the rounding of a matrix-vector product.  The mean over
+    the randomness lies in the subdifferential of g at x;
+    ``check_oracle_unbiasedness`` compares it with the problem's
+    ``g_full_subgradient``.
     """
 
     sample: Callable[[Array, Array], Array]
@@ -156,7 +159,7 @@ class CompositeProblem:
     point gives a ``float`` and a ``(d,)`` subgradient, an ``(n, d)`` stack
     gives ``(n,)`` values and ``(n, d)`` subgradients whose rows match the
     point calls (bit for bit on the shipped families).  The subgradient
-    selection is also the mean of the oracle's draws.
+    selection is also the mean of the oracle's samples over its draws.
     """
 
     dim: int

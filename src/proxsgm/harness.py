@@ -89,10 +89,20 @@ def _need(inputs: BoundInputs, *names: str) -> None:
         raise ValueError(f"bound variant needs {', '.join(missing)}")
 
 
+def _check_constants(inputs: BoundInputs) -> None:
+    """A negative or non-finite constant makes the formula's value no bound."""
+    for name in ("delta", "rho", "rho_hat", "L", "sigma"):
+        v = getattr(inputs, name)
+        if v is not None and not 0.0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+    if inputs.gamma is not None and not math.isfinite(inputs.gamma):
+        raise ValueError(f"gamma must be finite, got {inputs.gamma}")
+
+
 def _sums(inputs: BoundInputs) -> tuple[float, float]:
     a = np.asarray(inputs.alphas, dtype=float)
-    if a.size == 0 or not np.all(a > 0):
-        raise ValueError("step sequence must be nonempty and positive")
+    if a.size == 0 or not np.all((a > 0) & (a < math.inf)):
+        raise ValueError("step sequence must be nonempty, positive and finite")
     return float(a.sum()), float((a**2).sum())
 
 
@@ -104,8 +114,10 @@ def theoretical_bound(variant: str, inputs: BoundInputs) -> float:
     parent theorem needs at a fixed horizon is alpha = gamma/sqrt(T+1) <=
     1/(2 rho), and that weaker per-horizon form is what gets enforced, so
     tuned step sizes with gamma above the cap remain admissible whenever
-    every actual step is.
+    every actual step is.  A negative or non-finite delta, rho, rho_hat, L
+    or sigma, or a non-finite step, raises ``ValueError``.
     """
+    _check_constants(inputs)
     d = inputs.delta
     rho = inputs.rho
 
@@ -380,7 +392,9 @@ def run_sweep(
     phi_best = min(min(r.phi_at_star for r in rows), phi_x0)
     if problem.planted_point is not None:
         phi_best = min(phi_best, problem.phi(problem.planted_point))
-    delta = envelope_x0 - phi_best
+    # the true gap envelope(x0) - min phi is >= 0 and this surrogate lies at
+    # or below it, so the clipped value does too
+    delta = max(envelope_x0 - phi_best, 0.0)
 
     per_horizon = []
     for T in config.horizons:

@@ -12,6 +12,8 @@ certified constants:
 A draw of ``phase_retrieval`` or ``robust_regression`` is a row index; a
 point call (a solver step) or fewer than m draws take the row form, a
 stack of at least m draws the table form (see ``_finite_sum_oracle``).
+A draw of ``smooth_ls`` is its Gaussian noise with the gradient's
+constant folded in (see ``make_smooth_ls_noisy``).
 
 Generators accept either an integer seed or a ``numpy.random.Generator``;
 regeneration from the same ``(family, m, d, seed)`` is bit-identical, which
@@ -249,8 +251,12 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
     w standard normal, so the certified variance constant is sigma * sqrt(d).
     rho = lambda_max(H) is the gradient Lipschitz constant, where
     H = A^T A / m is the Hessian.  The gradient is taken in Gram form,
-    H x - A^T b / m: one d x d product per point instead of two m x d ones
-    and a division, which is what a solver step pays.  The value keeps the
+    H x - c with c = A^T b / m: one d x d product per point instead of two
+    m x d ones and a division.  The oracle is the affine map H x + xi with
+    xi = sigma * w - c ~ N(-c, sigma^2 I): ``draw`` folds the constant into
+    each chunk of noise with one vectorised subtraction, so a solver step
+    pays one gemv and one add.  At sigma = 0 a draw is exactly -c and a
+    sample equals ``g_full_subgradient`` bit for bit.  The value keeps the
     residual form, which does not cancel near the minimum.
     """
     if m < 1 or d < 1:
@@ -273,10 +279,10 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
         return _matvec(H, x) - c
 
     def draw(rng: np.random.Generator, n: int) -> Array:
-        return sigma * rng.standard_normal((n, d))
+        return sigma * rng.standard_normal((n, d)) - c
 
-    def sample(x: Array, noise: Array) -> Array:
-        return g_gradient(x) + noise
+    def sample(x: Array, xi: Array) -> Array:
+        return _matvec(H, x) + xi
 
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return CompositeProblem(

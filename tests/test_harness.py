@@ -119,6 +119,34 @@ def test_cli_bounds_rejects_a_negative_horizon(capsys):
     assert capsys.readouterr().out == f"Cor27: {value:.12g}\n"
 
 
+NON_BOUNDS = [
+    (["--delta", "-5"], "delta"),
+    (["--delta", "nan"], "delta"),
+    (["--rho", "inf"], "rho"),
+    (["--L", "nan"], "L"),
+    (["--L", "-3"], "L"),
+    (["--gamma", "inf"], "gamma"),
+    (["--variant", "SmoothCor29", "--rho-hat", "nan", "--sigma", "1"], "rho_hat"),
+    (["--variant", "SmoothCor29", "--rho-hat", "2", "--sigma", "inf"], "sigma"),
+    (["--variant", "SmoothCor29", "--rho-hat", "2", "--sigma", "1", "--alphas", "0.1,inf"],
+     "step sequence"),
+]
+
+
+@pytest.mark.parametrize("flags, field", NON_BOUNDS)
+def test_cli_bounds_rejects_a_non_bound(capsys, flags, field):
+    # a negative or non-finite constant would print a number that bounds
+    # nothing (Cor27 printed -9.5 at delta = -5, nan at L = nan)
+    from proxsgm import cli
+
+    args = ["bounds", "--variant", "Cor27", "--delta", "1", "--rho", "1", "--L", "1"]
+    args += ["--gamma", "0.5", "--T", "3"]
+    assert cli.main(args + flags) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
 # -------------------------------------------------------------- config file
 
 

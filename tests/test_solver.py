@@ -1,5 +1,7 @@
 """Solver loop: recursion exactness, t* sampling, descent lemma checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from proxsgm.problems import (
     make_toy1d,
     problem_from_id,
 )
-from proxsgm.prox import ball_indicator, box_indicator, zero_regularizer
+from proxsgm.prox import ProxFriendly, ball_indicator, box_indicator, zero_regularizer
 from proxsgm.solver import (
     DomainError,
     OracleError,
@@ -125,10 +127,12 @@ def test_run_psgm_bit_identical_reruns():
     assert a.iterates.tobytes() != c.iterates.tobytes()
 
 
-@pytest.mark.parametrize(
-    "pid", ["phase_retrieval:12:3:7", "robust_regression:9:2:4", "smooth_ls:15:2:6",
-            "toy1d:abs", "toy1d:absquad"],
-)
+# one instance of every shipped family
+FAMILY_IDS = ["phase_retrieval:12:3:7", "robust_regression:9:2:4", "smooth_ls:15:2:6",
+              "toy1d:abs", "toy1d:absquad"]
+
+
+@pytest.mark.parametrize("pid", FAMILY_IDS)
 @pytest.mark.parametrize("truncated", [False, True])
 def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, truncated):
     p = problem_from_id(pid)
@@ -145,6 +149,38 @@ def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, truncate
         assert r.iterates.tobytes() == runs[0].iterates.tobytes()
         assert r.x_star.tobytes() == runs[0].x_star.tobytes()
         assert r.t_star == runs[0].t_star
+
+
+@pytest.mark.parametrize("pid", FAMILY_IDS)
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("chunk", [7, solver_mod.CHUNK])
+def test_run_psgm_step_contract_call_counts(monkeypatch, pid, truncated, chunk):
+    # one sample and one prox call per step, one draw per chunk: the
+    # benchmark's traced step count is the number of sample calls
+    p = problem_from_id(pid)
+    n_steps = 41
+    calls = {"sample": 0, "draw": 0, "prox": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    oracle = StochasticOracle(
+        sample=counted("sample", p.g_oracle.sample), draw=counted("draw", p.g_oracle.draw)
+    )
+    monkeypatch.setattr(ProxFriendly, "prox", counted("prox", ProxFriendly.prox))
+    monkeypatch.setattr(solver_mod, "CHUNK", chunk)
+    if truncated:
+        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
+    out = run_psgm(
+        dataclasses.replace(p, g_oracle=oracle), default_x0(p),
+        StepSchedule.constant(0.05, n_steps - 1), 3,
+    )
+    assert out.truncated == truncated
+    assert calls == {"sample": n_steps, "draw": -(-n_steps // chunk), "prox": n_steps}
 
 
 def test_run_result_rejects_inconsistent_x_star():
