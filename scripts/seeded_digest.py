@@ -8,12 +8,12 @@ before and after the change and compares the printed lines:
 
 Areas (every input is fixed here, so the digests depend only on the code):
 
-* ``run_psgm.full`` / ``run_psgm.truncated``: iterates, x_star and t_star
-  of seeded runs on five families, once keeping the whole trajectory and
-  once in the long-horizon mode (forced by setting ``TRAJECTORY_CAP`` to 0).
+* ``run_psgm``: every ``RunResult`` field of seeded runs on five families.
 * ``moreau_prox`` / ``moreau_grid_oracle``: proximal point, envelope value
   and gradient, certificate and gap at sampled anchors.
 * ``run_sweep``: every row and per-horizon statistic of small sweeps.
+* ``boost``: the outputs of ``two_stage_convex``, ``strongly_convex_stage``
+  and ``regularized_pipeline`` on one small convex instance.
 * ``check_details``: the verdict and detail line of every ``proxsgm check``
   result.
 * ``prox_subdiff``: the generator arrays and the nearest-element
@@ -29,6 +29,7 @@ Areas (every input is fixed here, so the digests depend only on the code):
 Takes a few seconds on one core.
 """
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -38,6 +39,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from proxsgm import solver  # noqa: E402
+from proxsgm.boost import (  # noqa: E402
+    RegularizedProblem,
+    regularized_pipeline,
+    strongly_convex_stage,
+    two_stage_convex,
+)
 from proxsgm.checks import oracle_reports, run_all_checks  # noqa: E402
 from proxsgm.core import sample_domain_points  # noqa: E402
 from proxsgm.harness import ExperimentConfig, run_sweep  # noqa: E402
@@ -68,6 +75,7 @@ GRID_IDS = (
     "phase_retrieval:20:2:3",
     "smooth_ls:30:2:6",
 )
+BOOST_ID = "robust_regression:40:2:1"  # convex, as the boost stages need
 SWEEPS = (  # id, horizons, gamma
     ("toy1d:absquad", (50, 100), 0.2),
     ("phase_retrieval:20:4:3", (20, 200), "optimal"),
@@ -99,21 +107,27 @@ def _add_point(dig: Digest, pt) -> None:
     dig.add(pt.x_hat, pt.envelope_value, pt.envelope_grad, pt.zeta_hat, pt.inner_tol)
 
 
-def digest_runs(cap: int | None) -> str:
+def digest_runs() -> str:
     dig = Digest()
-    saved = solver.TRAJECTORY_CAP
-    if cap is not None:
-        solver.TRAJECTORY_CAP = cap
-    try:
-        for k, pid in enumerate(FAMILIES):
-            problem = problem_from_id(pid)
-            x0 = default_x0(problem)
-            for T in (0, 7, 300):
-                sched = solver.StepSchedule.constant(0.05, T)
-                run = solver.run_psgm(problem, x0, sched, np.random.default_rng([k, T]))
-                dig.add(pid, T, run.truncated, run.iterates, run.x_star, run.t_star)
-    finally:
-        solver.TRAJECTORY_CAP = saved
+    for k, pid in enumerate(FAMILIES):
+        problem = problem_from_id(pid)
+        x0 = default_x0(problem)
+        for T in (0, 7, 300):
+            sched = solver.StepSchedule.constant(0.05, T)
+            run = solver.run_psgm(problem, x0, sched, np.random.default_rng([k, T]))
+            dig.add(pid, T, *(getattr(run, f.name) for f in dataclasses.fields(run)))
+    return dig.short()
+
+
+def digest_boost() -> str:
+    dig = Digest()
+    base = problem_from_id(BOOST_ID)
+    out = two_stage_convex(base, 200, 1.0, np.random.default_rng(1))
+    dig.add(out.result.x_star, out.result.x_last, out.stage1_point, out.stage2_gamma)
+    reg = RegularizedProblem(base, 0.5, np.zeros(base.dim))
+    dig.add(strongly_convex_stage(reg, 200, np.random.default_rng(2)))
+    pipe = regularized_pipeline(base, 0.5, 0.4, 200, np.random.default_rng(3))
+    dig.add(pipe.z, pipe.x_reg_star, pipe.gamma, pipe.gap_estimate_R)
     return dig.short()
 
 
@@ -212,11 +226,11 @@ def digest_oracle_checks() -> str:
 
 def main() -> int:
     areas = (
-        ("run_psgm.full", lambda: digest_runs(None)),
-        ("run_psgm.truncated", lambda: digest_runs(0)),
+        ("run_psgm", digest_runs),
         ("moreau_prox", digest_moreau_prox),
         ("moreau_grid_oracle", digest_grid_oracle),
         ("run_sweep", digest_sweeps),
+        ("boost", digest_boost),
         ("check_details", digest_checks),
         ("prox_subdiff", digest_prox_subdiff),
         ("oracle_checks", digest_oracle_checks),

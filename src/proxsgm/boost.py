@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solver
 from .core import (
     CapabilityError,
     CompositeProblem,
@@ -160,19 +159,6 @@ def envelope_shift_identity_check(
 # step size selection
 
 
-def _all_iterates(run: RunResult) -> Array:
-    """x_0..x_T of a run, for an average; raises if the run kept only its
-    endpoints and x_star."""
-    if run.truncated:
-        T, d = run.oracle_calls - 1, run.x_star.size
-        raise ValueError(
-            f"averaging needs every iterate, but the run with T = {T} in d = {d} "
-            f"has (T + 2) * d = {(T + 2) * d} entries, above solver.TRAJECTORY_CAP "
-            f"= {solver.TRAJECTORY_CAP}, so it kept only its endpoints and x_star"
-        )
-    return run.iterates[:-1]
-
-
 def optimal_gamma(R: float, rho: float, L: float) -> float:
     """Argmin of gamma -> (R + rho L^2 gamma^2) / gamma, namely
     sqrt(R / (rho L^2))."""
@@ -216,8 +202,9 @@ def two_stage_convex(
 ) -> TwoStageResult:
     """Gap-shrinking stage followed by the tuned main run.
 
-    Stage 1 runs T+1 plain steps with gamma = D/L and averages the
-    iterates, which brings the objective gap down to R = L D / sqrt(T+1).
+    Stage 1 runs T+1 plain steps with gamma = D/L and starts stage 2 from
+    the run's ``mean``, the average of x_0..x_T, which brings the objective
+    gap down to R = L D / sqrt(T+1).
     Stage 2 restarts the method there with gamma tuned to that gap, using
     rho_hat / 2 as the declared modulus (the rho_hat = 2 rho convention
     used everywhere else).  Total budget: 2 (T+1) oracle calls.
@@ -235,7 +222,7 @@ def two_stage_convex(
         x0 = base.regularizer.project_domain(np.zeros(base.dim))
     gamma1 = D / L
     stage1 = run_psgm(base, x0, StepSchedule.constant(gamma1, T), kid1)
-    stage1_point = _all_iterates(stage1).mean(axis=0)
+    stage1_point = stage1.mean
     R = L * D / math.sqrt(T + 1)
 
     gamma2 = optimal_gamma(R, rho_hat / 2.0, L)
@@ -269,9 +256,9 @@ def strongly_convex_stage(
 ) -> Array:
     """Projected stochastic subgradient method tuned for strong convexity.
 
-    Steps 2/(mu (t+1)); returns the (t+1)-weighted average of the visited
-    iterates, whose expected objective gap on the regularized problem is at
-    most `strongly_convex_gap_bound`.
+    Steps 2/(mu (t+1)); returns the run's ``weighted_mean``, the average of
+    x_0..x_T with weight t+1 on x_t, whose expected objective gap on the
+    regularized problem is at most `strongly_convex_gap_bound`.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -280,8 +267,7 @@ def strongly_convex_stage(
         x0 = reg.x_c
     alphas = 2.0 / (mu * (np.arange(T + 1) + 1.0))
     run = run_psgm(reg.problem, x0, StepSchedule.explicit(alphas), rng_or_seed)
-    weights = np.arange(T + 1) + 1.0
-    return (weights[:, None] * _all_iterates(run)).sum(axis=0) / weights.sum()
+    return run.weighted_mean
 
 
 def pipeline_budget(base: CompositeProblem, rho: float, eps: float) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -214,7 +214,7 @@ def check_tstar_distribution(n_draws: int = 100_000, seed: int = 4) -> list[Chec
 
 
 def check_determinism() -> list[CheckResult]:
-    """Bit-identical reruns: data generation, trajectories, sweep CSV bytes."""
+    """Bit-identical reruns: data generation, every run field, sweep CSV bytes."""
     out = []
     p1 = problem_from_id("phase_retrieval:30:6:7")
     p2 = problem_from_id("phase_retrieval:30:6:7")
@@ -233,8 +233,11 @@ def check_determinism() -> list[CheckResult]:
     out.append(
         CheckResult(
             "trajectory_identical",
-            r1.iterates.tobytes() == r2.iterates.tobytes()
-            and r1.t_star == r2.t_star,
+            all(
+                np.asarray(getattr(r1, f.name)).tobytes()
+                == np.asarray(getattr(r2, f.name)).tobytes()
+                for f in fields(r1)
+            ),
         )
     )
 

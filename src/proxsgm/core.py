@@ -179,14 +179,14 @@ class CompositeProblem:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        for name in ("lipschitz_L", "sigma"):
+        # the chained comparisons are False for NaN, so NaN fails them too
+        for name in ("rho", "lipschitz_L", "sigma"):
             val = getattr(self, name)
-            if val is not None and val < 0:
-                raise ValueError(f"{name} must be nonnegative when given")
-        if self.domain_diameter is not None and self.domain_diameter <= 0:
-            raise ValueError("domain_diameter must be positive when given")
+            if val is not None and not 0 <= val < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
+        D = self.domain_diameter
+        if D is not None and not 0 < D < math.inf:
+            raise ValueError(f"domain_diameter must be finite and positive, got {D}")
 
     def phi(self, x: Array) -> float:
         """Full objective g + r; inf outside dom r."""

@@ -4,7 +4,9 @@ The method is the obvious one: draw a stochastic subgradient, take a step,
 apply the proximal map of r.  The only nonstandard piece is the returned
 point, which is sampled from the iterates with probabilities proportional
 to the step sizes; all the convergence statements in `harness` are about
-that randomly selected iterate.
+that randomly selected iterate.  A run keeps no trajectory: besides that
+iterate it returns the last one and the plain and (t+1)-weighted means of
+the iterates, which the convex stages in `boost` start from.
 
 `check_descent_lemma` and `check_prox_identity` turn the two single-step
 facts the analysis rests on into Monte-Carlo / algebraic checks that run
@@ -23,8 +25,10 @@ from .moreau import MoreauPoint, moreau_prox
 
 Array = np.ndarray
 
+# No run reads this; it stays only because bench/tracer.py reads it to label
+# its spans, until the benchmark's next version drops that split.
 TRAJECTORY_CAP = 1_000_000
-# Steps whose randomness and step sizes `run_psgm` prepares at once.
+# Steps whose randomness, step sizes and iterates `run_psgm` handles at once.
 CHUNK = 4096
 
 
@@ -58,8 +62,10 @@ class StepSchedule:
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("schedule needs a nonempty 1-D array of steps")
-        if not np.all(a > 0):
-            raise ValueError("all steps must be positive")
+        bad = np.flatnonzero(~(np.isfinite(a) & (a > 0)))
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"steps must be finite and positive, alpha_{t} = {a[t]}")
         if self.rho_hat is not None and self.rho_hat > 0:
             if float(a.max()) > 1.0 / self.rho_hat + 1e-15:
                 raise ValueError(
@@ -88,25 +94,19 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One trajectory plus the step-weighted random iterate choice.
+    """What a run keeps of its trajectory x_0..x_{T+1}.
 
-    ``iterates`` holds x_0..x_{T+1} when the trajectory fits under
-    TRAJECTORY_CAP entries; otherwise only the endpoints and x_star survive
-    (``truncated`` is set).  ``x_star`` is always iterates-consistent:
-    x_star = iterates[t_star] in the stored indexing.
+    ``x_star`` is x_{t_star}, the iterate that the step-weighted draw
+    selects, and ``x_last`` is x_{T+1}.  ``mean`` is the plain average of
+    x_0..x_T and ``weighted_mean`` their average with weight t+1 on x_t.
     """
 
-    iterates: Array
     t_star: int
     x_star: Array
+    x_last: Array
+    mean: Array
+    weighted_mean: Array
     oracle_calls: int
-    truncated: bool = False
-
-    def __post_init__(self):
-        if not self.truncated and not np.array_equal(
-            self.iterates[self.t_star], self.x_star
-        ):
-            raise ValueError("x_star must equal iterates[t_star]")
 
 
 def sample_tstar(alphas, rng: np.random.Generator, size: int | None = None) -> int | Array:
@@ -134,20 +134,18 @@ def run_psgm(
 ) -> RunResult:
     """Run the proximal stochastic subgradient method for T+1 steps.
 
-    Deterministic given (seed, problem data, x0, schedule).  One loop
-    serves both modes: randomness (``g_oracle.draw``) and step sizes are
-    prepared CHUNK steps at a time, and each step makes one
-    ``g_oracle.sample`` call, one finite check and one prox call; the
-    last iterate gets one finite check of its own.  The whole trajectory
-    is kept when it fits under TRAJECTORY_CAP entries; past that only
-    x_0, x_star and x_{T+1} are.  The selection index t* is
-    one uniform variate: drawn after the loop in the full mode, so the
-    subgradient stream is identical across schedules of equal length, and
-    up front from a spawned substream in the long-horizon mode, which
-    leaves that stream untouched.
+    Deterministic given (seed, problem data, x0, schedule).  The selection
+    index t* is drawn first, from a substream spawned off the generator, so
+    the subgradient stream does not depend on it.  Randomness
+    (``g_oracle.draw``) and step sizes are then prepared CHUNK steps at a
+    time, and each step makes one ``g_oracle.sample`` call, one finite
+    check and one prox call; the last iterate gets one finite check of its
+    own.  Each chunk's iterates are folded into the two means and dropped,
+    keeping x_star if t* falls in the chunk, so the iterates held take
+    O(CHUNK d) memory at every horizon.
     """
     rng, _ = coerce_rng(rng_or_seed)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise DomainError(f"x0 has shape {x0.shape}, problem dim {problem.dim}")
     if math.isinf(problem.regularizer.value(x0)):
@@ -155,13 +153,7 @@ def run_psgm(
 
     alphas = schedule.alphas
     n_iter = alphas.size
-    full = (n_iter + 1) * problem.dim <= TRAJECTORY_CAP
-    if full:
-        iterates = np.empty((n_iter + 1, problem.dim))
-        iterates[0] = x0
-    else:
-        t_star = sample_tstar(alphas, rng.spawn(1)[0])
-        x_star = x0
+    t_star = sample_tstar(alphas, rng.spawn(1)[0])
 
     draw, sample = problem.g_oracle.draw, problem.g_oracle.sample
     prox = problem.regularizer.prox
@@ -174,39 +166,40 @@ def run_psgm(
     # inf * 0) stays in the iterates, as the shipped proxes keep a NaN, and
     # fails the one check on the final iterate.
     zero = np.zeros(problem.dim)
+    # row 0: the plain sum of x_0..x_T, row 1: the sum with weight t+1 on x_t
+    sums = np.zeros((2, problem.dim))
     x = x0
     with np.errstate(invalid="ignore"):
         for start in range(0, n_iter, CHUNK):
             stop = min(start + CHUNK, n_iter)
-            steps = zip(
+            xs = []
+            keep = xs.append
+            for t, a, w in zip(
                 range(start, stop), alphas[start:stop].tolist(), draw(rng, stop - start)
-            )
-            for t, a, w in steps:
+            ):
+                keep(x)
                 g = sample(x, w)
                 if not math.isfinite(g.dot(zero)):
                     raise OracleError(f"non-finite subgradient at iteration {t}", t)
                 x = prox(x - a * g, a)
-                if full:
-                    iterates[t + 1] = x
-                elif t + 1 == t_star:
-                    x_star = x
+            if start <= t_star < stop:
+                x_star = xs[t_star - start]
+            # x0 and every prox output are contiguous float64 (d,) arrays, so
+            # their joined bytes are the chunk's rows (join or reshape raises
+            # if one is not); per row this costs a third of np.concatenate
+            n = stop - start
+            weights = np.stack((np.ones(n), np.arange(start + 1.0, stop + 1.0)))
+            sums += weights @ np.frombuffer(b"".join(xs)).reshape(n, problem.dim)
         if not math.isfinite(x.dot(zero)):
             raise OracleError(f"non-finite iterate after iteration {n_iter - 1}", n_iter - 1)
 
-    if full:
-        t_star = sample_tstar(alphas, rng)
-        return RunResult(
-            iterates=iterates,
-            t_star=t_star,
-            x_star=iterates[t_star].copy(),
-            oracle_calls=n_iter,
-        )
     return RunResult(
-        iterates=np.stack([x0, x_star, x]),
         t_star=t_star,
-        x_star=x_star.copy(),
+        x_star=x_star,
+        x_last=x,
+        mean=sums[0] / n_iter,
+        weighted_mean=sums[1] / (n_iter * (n_iter + 1) / 2),
         oracle_calls=n_iter,
-        truncated=True,
     )
 
 

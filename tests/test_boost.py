@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from proxsgm import solver
 from proxsgm.boost import (
     RegularizedProblem,
     envelope_shift_identity_check,
@@ -35,6 +34,7 @@ from proxsgm.problems import (
     problem_from_id,
 )
 from proxsgm.prox import box_indicator
+from proxsgm.solver import StepSchedule, run_psgm
 
 
 def noisy_linear_problem(c, noise, lo, hi, seed_norm=None):
@@ -288,24 +288,23 @@ def test_two_stage_warmup_gap_shrinks_as_promised():
     assert n_ok >= 95
 
 
-def test_averaging_stages_refuse_a_truncated_run(monkeypatch):
-    # past solver.TRAJECTORY_CAP a run keeps only x_0, x_star and x_{T+1},
-    # which no average of x_0..x_T may read
-    base = problem_from_id("robust_regression:40:2:1")
-    reg = RegularizedProblem(base, 0.5, np.zeros(2))
-    stage1 = two_stage_convex(base, 10, 1.0, 3).stage1_point
-    strong = strongly_convex_stage(reg, 10, 4)
-    monkeypatch.setattr(solver, "TRAJECTORY_CAP", (10 + 2) * 2)
-    # T = 10 still fits: unchanged
-    np.testing.assert_array_equal(two_stage_convex(base, 10, 1.0, 3).stage1_point, stage1)
-    np.testing.assert_array_equal(strongly_convex_stage(reg, 10, 4), strong)
-    truncated = r"T = 11 in d = 2 has \(T \+ 2\) \* d = 26 .*TRAJECTORY_CAP = 24"
-    with pytest.raises(ValueError, match=truncated):
-        two_stage_convex(base, 11, 1.0, 3)
-    with pytest.raises(ValueError, match=truncated):
-        strongly_convex_stage(reg, 11, 4)
-    with pytest.raises(ValueError, match=truncated):
-        regularized_pipeline(base, 0.5, 0.4, 11, 5)
+def test_averaging_stages_start_from_the_run_means():
+    # stage 1 of two_stage_convex starts stage 2 from its run's mean, and
+    # strongly_convex_stage returns its run's weighted mean; neither stores
+    # a trajectory, here (T + 2) * d = 1 000 100 entries
+    base = problem_from_id("robust_regression:120:100:1")
+    T = 9_999
+    kid1, _ = np.random.default_rng(3).spawn(2)
+    x0 = base.regularizer.project_domain(np.zeros(base.dim))
+    sched = StepSchedule.constant(base.domain_diameter / base.lipschitz_L, T)
+    stage1 = run_psgm(base, x0, sched, kid1)
+    out = two_stage_convex(base, T, 1.0, np.random.default_rng(3))
+    assert out.stage1_point.tobytes() == stage1.mean.tobytes()
+    reg = RegularizedProblem(base, 0.5, x0)
+    alphas = 2.0 / (0.5 * (np.arange(T + 1) + 1.0))
+    run = run_psgm(reg.problem, x0, StepSchedule.explicit(alphas), 4)
+    assert strongly_convex_stage(reg, T, 4).tobytes() == run.weighted_mean.tobytes()
+    assert base.regularizer.value(run.weighted_mean) == 0.0
 
 
 # ----------------------------------------------------------- the pipeline

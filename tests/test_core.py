@@ -208,6 +208,23 @@ def test_post_init_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rho", math.nan), ("rho", math.inf), ("lipschitz_L", math.inf),
+     ("lipschitz_L", math.nan), ("sigma", math.nan), ("sigma", math.inf),
+     ("domain_diameter", math.nan), ("domain_diameter", math.inf),
+     ("domain_diameter", 0.0)],
+)
+def test_post_init_rejects_non_finite_constants(field, value):
+    # NaN fails no `val < 0` test, so each constant needs a finiteness check
+    kwargs = {"rho": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        CompositeProblem(
+            dim=1, g_oracle=constant_oracle([1.0]), regularizer=zero_regularizer(),
+            **kwargs,
+        )
+
+
 def test_problem_meta_id_formats():
     assert ProblemMeta("phase_retrieval", 50, 10, 0).problem_id() == "phase_retrieval:50:10:0"
     assert ProblemMeta("toy1d", detail="abs").problem_id() == "toy1d:abs"

@@ -1,6 +1,7 @@
 """Solver loop: recursion exactness, t* sampling, descent lemma checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from proxsgm.prox import ProxFriendly, ball_indicator, box_indicator, zero_regul
 from proxsgm.solver import (
     DomainError,
     OracleError,
-    RunResult,
     StepSchedule,
     check_descent_lemma,
     check_prox_identity,
@@ -74,6 +74,23 @@ def test_schedule_validation():
         StepSchedule.explicit([0.1, -0.2])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: StepSchedule.explicit([0.1, np.inf, 0.1]),
+     lambda: StepSchedule.explicit([0.1, np.nan]),
+     lambda: StepSchedule.explicit([-np.inf]),
+     lambda: StepSchedule.constant(np.inf, 3),
+     lambda: StepSchedule.constant(np.nan, 3)],
+    ids=["explicit_inf", "explicit_nan", "explicit_minus_inf", "constant_inf",
+         "constant_nan"],
+)
+def test_schedule_rejects_non_finite_steps(build):
+    # an infinite step used to pass, and run_psgm then died inside
+    # sample_tstar with numpy's OverflowError
+    with pytest.raises(ValueError, match="finite and positive"):
+        build()
+
+
 def test_schedule_respects_rho_hat_cap():
     # steps above 1/rho_hat break the envelope argument; reject them early
     with pytest.raises(ValueError):
@@ -84,34 +101,40 @@ def test_schedule_respects_rho_hat_cap():
 # ------------------------------------------------------------ trajectories
 
 
+def run_bytes(run):
+    return [np.asarray(getattr(run, f.name)).tobytes() for f in dataclasses.fields(run)]
+
+
 def test_linear_recursion_exact():
     c = np.array([1.0, -2.0])
     p = constant_gradient_problem(c)
     alphas = [0.3] * 6
     out = run_psgm(p, np.zeros(2), StepSchedule.explicit(alphas), 7)
-    x = np.zeros(2)
-    for t, a in enumerate(alphas):
-        np.testing.assert_array_equal(out.iterates[t], x)
-        x = x - a * c
-    np.testing.assert_array_equal(out.iterates[6], x)
+    traj = [np.zeros(2)]
+    for a in alphas:
+        traj.append(traj[-1] - a * c)
+    np.testing.assert_array_equal(out.x_star, traj[out.t_star])
+    np.testing.assert_array_equal(out.x_last, traj[6])
+    np.testing.assert_allclose(out.mean, np.mean(traj[:6], axis=0), rtol=1e-15)
 
 
 def test_projection_clamp_hand_value():
     # x0 = 0.5, step 1, gradient 2, box [0, 1]: next iterate clamps to 0
     p = constant_gradient_problem([2.0], box_indicator(np.array([0.0]), np.array([1.0])))
     out = run_psgm(p, np.array([0.5]), StepSchedule.explicit([1.0]), 0)
-    assert out.iterates[1] == pytest.approx([0.0])
+    assert out.x_last == pytest.approx([0.0])
+    assert out.t_star == 0 and out.x_star == pytest.approx([0.5])
 
 
 def test_run_psgm_feasibility_and_bookkeeping():
     p = problem_from_id("robust_regression:12:2:3")
     sched = StepSchedule.constant(0.5, 40)
     out = run_psgm(p, np.zeros(2), sched, 123)
-    assert out.iterates.shape == (42, 2)
     assert out.oracle_calls == 41
-    for z in out.iterates:
+    # the box is convex, so the two means of feasible iterates are feasible
+    for z in (out.x_star, out.x_last, out.mean, out.weighted_mean):
+        assert z.shape == (2,)
         assert p.regularizer.value(z) == 0.0
-    np.testing.assert_array_equal(out.x_star, out.iterates[out.t_star])
     assert 0 <= out.t_star <= 40
 
 
@@ -121,10 +144,9 @@ def test_run_psgm_bit_identical_reruns():
     x0 = np.full(4, 0.5)  # origin is a stationary point, start off it
     a = run_psgm(p, x0, sched, np.random.default_rng([4, 9]))
     b = run_psgm(p, x0, sched, np.random.default_rng([4, 9]))
-    assert a.iterates.tobytes() == b.iterates.tobytes()
-    assert a.t_star == b.t_star
+    assert run_bytes(a) == run_bytes(b)
     c = run_psgm(p, x0, sched, np.random.default_rng([5, 9]))
-    assert a.iterates.tobytes() != c.iterates.tobytes()
+    assert a.x_last.tobytes() != c.x_last.tobytes()
 
 
 # one instance of every shipped family
@@ -132,33 +154,38 @@ FAMILY_IDS = ["phase_retrieval:12:3:7", "robust_regression:9:2:4", "smooth_ls:15
               "toy1d:abs", "toy1d:absquad"]
 
 
+DEFAULT_CHUNK = solver_mod.CHUNK
+
+
 @pytest.mark.parametrize("pid", FAMILY_IDS)
-@pytest.mark.parametrize("truncated", [False, True])
-def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, truncated):
+@pytest.mark.parametrize("past_chunk", [False, True])
+def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, past_chunk):
+    # past_chunk: the run is longer than one default chunk
     p = problem_from_id(pid)
     x0 = default_x0(p)
-    sched = StepSchedule.constant(0.05, 40)
-    if truncated:
-        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
+    sched = StepSchedule.constant(0.05, 40 + past_chunk * DEFAULT_CHUNK)
     runs = []
-    for chunk in (1, 7, solver_mod.CHUNK):
+    for chunk in (1, 7, DEFAULT_CHUNK):
         monkeypatch.setattr(solver_mod, "CHUNK", chunk)
         runs.append(run_psgm(p, x0, sched, np.random.default_rng(5)))
     for r in runs:
-        assert r.truncated == truncated
-        assert r.iterates.tobytes() == runs[0].iterates.tobytes()
+        assert r.x_last.tobytes() == runs[0].x_last.tobytes()
         assert r.x_star.tobytes() == runs[0].x_star.tobytes()
         assert r.t_star == runs[0].t_star
+        # the means sum the same iterates in other groupings
+        np.testing.assert_allclose(r.mean, runs[0].mean, rtol=1e-12)
+        np.testing.assert_allclose(r.weighted_mean, runs[0].weighted_mean, rtol=1e-12)
 
 
 @pytest.mark.parametrize("pid", FAMILY_IDS)
-@pytest.mark.parametrize("truncated", [False, True])
-@pytest.mark.parametrize("chunk", [7, solver_mod.CHUNK])
-def test_run_psgm_step_contract_call_counts(monkeypatch, pid, truncated, chunk):
+@pytest.mark.parametrize("past_chunk", [False, True])
+@pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+def test_run_psgm_step_contract_call_counts(monkeypatch, pid, past_chunk, chunk):
     # one sample and one prox call per step, one draw per chunk: the
-    # benchmark's traced step count is the number of sample calls
+    # benchmark's traced step count is the number of sample calls;
+    # past_chunk: the run is longer than one default chunk
     p = problem_from_id(pid)
-    n_steps = 41
+    n_steps = 41 + past_chunk * DEFAULT_CHUNK
     calls = {"sample": 0, "draw": 0, "prox": 0}
 
     def counted(name, fn):
@@ -173,21 +200,58 @@ def test_run_psgm_step_contract_call_counts(monkeypatch, pid, truncated, chunk):
     )
     monkeypatch.setattr(ProxFriendly, "prox", counted("prox", ProxFriendly.prox))
     monkeypatch.setattr(solver_mod, "CHUNK", chunk)
-    if truncated:
-        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
     out = run_psgm(
         dataclasses.replace(p, g_oracle=oracle), default_x0(p),
         StepSchedule.constant(0.05, n_steps - 1), 3,
     )
-    assert out.truncated == truncated
+    assert out.oracle_calls == n_steps
     assert calls == {"sample": n_steps, "draw": -(-n_steps // chunk), "prox": n_steps}
 
 
-def test_run_result_rejects_inconsistent_x_star():
-    iterates = np.arange(4.0).reshape(4, 1)
-    with pytest.raises(ValueError, match="x_star"):
-        RunResult(iterates, t_star=1, x_star=np.array([2.0]), oracle_calls=3)
-    RunResult(iterates, t_star=2, x_star=np.array([2.0]), oracle_calls=3)
+@pytest.mark.parametrize("pid", ["robust_regression:9:2:4", "smooth_ls:15:2:6"])
+@pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+def test_run_psgm_matches_a_reference_trajectory(monkeypatch, pid, chunk):
+    # rebuild x_0..x_{T+1} from the same stream: t* from the spawned
+    # substream first, then the draws, which do not depend on how they are
+    # split into chunks; T + 1 spans several chunks of either length
+    monkeypatch.setattr(solver_mod, "CHUNK", chunk)
+    p = problem_from_id(pid)
+    x0 = default_x0(p)
+    sched = StepSchedule.constant(0.05, 3 * DEFAULT_CHUNK + 4)
+    n = sched.alphas.size
+    for seed in range(3):
+        out = run_psgm(p, x0, sched, np.random.default_rng([seed, 21]))
+        rng = np.random.default_rng([seed, 21])
+        t_star = sample_tstar(sched.alphas, rng.spawn(1)[0])
+        traj = [x0]
+        for a, w in zip(sched.alphas, p.g_oracle.draw(rng, n)):
+            x = traj[-1]
+            traj.append(p.regularizer.prox(x - a * p.g_oracle.sample(x, w), a))
+        traj = np.array(traj)
+        assert out.t_star == t_star
+        assert out.x_star.tobytes() == traj[t_star].tobytes()
+        assert out.x_last.tobytes() == traj[n].tobytes()
+        weights = np.arange(1.0, n + 1.0)
+        np.testing.assert_allclose(out.mean, traj[:n].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(
+            out.weighted_mean, weights @ traj[:n] / weights.sum(), rtol=1e-12
+        )
+
+
+def test_run_psgm_memory_does_not_grow_with_the_horizon():
+    # a stored trajectory at T = 50 000 in d = 50 holds 20 MB; a run keeps
+    # one chunk of iterates and one chunk of draws at a time
+    p = problem_from_id("smooth_ls:60:50:1")
+    x0 = default_x0(p)
+    sched = StepSchedule.constant(0.05, 50_000)
+    run_psgm(p, x0, StepSchedule.constant(0.05, 10), 0)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        run_psgm(p, x0, sched, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_run_psgm_rejects_infeasible_start():
@@ -211,15 +275,13 @@ def test_run_psgm_flags_nonfinite_oracle():
         run_psgm(p, np.zeros(1), StepSchedule.constant(1.0, 10), 0)
 
 
-@pytest.mark.parametrize("truncated", [False, True])
-def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, truncated):
+@pytest.mark.parametrize("chunk_end", [False, True])
+def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, chunk_end):
     # the box clamps the step x - a * inf back onto its face, so the
     # iterates stay finite and only the per-step check can catch the draw;
-    # with CHUNK = 4 step k = 8 opens the third chunk
-    k = 8
+    # with CHUNK = 4 step k = 8 opens the third chunk and k = 11 closes it
+    k = 11 if chunk_end else 8
     monkeypatch.setattr(solver_mod, "CHUNK", 4)
-    if truncated:
-        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
     calls = {"n": 0}
 
     def sample(x, w):
@@ -238,14 +300,14 @@ def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, truncated):
     assert calls["n"] == k + 1
 
 
-@pytest.mark.parametrize("truncated", [False, True])
-def test_run_psgm_flags_a_non_finite_last_iterate(monkeypatch, truncated):
+@pytest.mark.parametrize("chunk_end", [False, True])
+def test_run_psgm_flags_a_non_finite_last_iterate(monkeypatch, chunk_end):
     # a finite but huge last draw overflows the step to -inf, and the ball's
     # rescale turns that into inf * 0 = NaN; no later draw sees it, so only
-    # the check on the final iterate can
-    if truncated:
-        monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
-    n = 11
+    # the check on the final iterate can; with CHUNK = 4 the last of 11
+    # steps is inside a chunk, the last of 12 closes one
+    monkeypatch.setattr(solver_mod, "CHUNK", 4)
+    n = 12 if chunk_end else 11
     calls = {"n": 0}
 
     def sample(x, w):
@@ -260,24 +322,6 @@ def test_run_psgm_flags_a_non_finite_last_iterate(monkeypatch, truncated):
         run_psgm(p, np.zeros(2), StepSchedule.constant(10.0, n - 1), 0)
     assert err.value.iteration == n - 1
     assert calls["n"] == n
-
-
-def test_truncated_mode_preserves_subgradient_stream(monkeypatch):
-    # t* is drawn from a spawned substream up front in the long-horizon
-    # mode, so its realization differs from the full mode; the trajectory
-    # itself must match draw for draw, and x_star must be the truncated
-    # run's own t*-th iterate of that shared trajectory
-    p = problem_from_id("robust_regression:12:2:3")
-    sched = StepSchedule.constant(0.5, 25)
-    full = run_psgm(p, np.zeros(2), sched, np.random.default_rng([8, 1]))
-    assert not full.truncated
-    monkeypatch.setattr(solver_mod, "TRAJECTORY_CAP", 4)
-    lean = run_psgm(p, np.zeros(2), sched, np.random.default_rng([8, 1]))
-    assert lean.truncated
-    assert lean.iterates.shape[0] < full.iterates.shape[0]
-    np.testing.assert_array_equal(lean.iterates[0], full.iterates[0])
-    np.testing.assert_array_equal(lean.iterates[-1], full.iterates[-1])
-    np.testing.assert_array_equal(lean.x_star, full.iterates[lean.t_star])
 
 
 # ------------------------------------------------------------- t* sampling
