@@ -131,14 +131,14 @@ def envelope_shift_identity_check(
     x_c: Array,
     lam: float,
     x: Array,
-    tol: float = 1e-10,
 ) -> float:
     """|LHS - RHS| for the regularized-envelope identity.
 
     LHS: envelope of g + (mu/2)||. - x_c||^2 + r with quadratic coefficient
     lam, at x.  RHS: envelope of the base problem with coefficient lam + mu
     at z = map_back(x), plus the completed square
-    lam mu / (2 (mu + lam)) ||x - x_c||^2.  Contract: <= 10 tol.
+    lam mu / (2 (mu + lam)) ||x - x_c||^2.  Both envelope solves use the fixed
+    inner tolerance 1e-10, so each value is off by at most 1e-10.
     """
     if lam <= 0 or mu < 0:
         raise ValueError("need lam > 0 and mu >= 0")
@@ -148,10 +148,10 @@ def envelope_shift_identity_check(
         lhs_problem = base
     else:
         lhs_problem = RegularizedProblem(base, mu, x_c).problem
-    lhs = moreau_prox(lhs_problem, x, 1.0 / lam, tol).envelope_value
+    lhs = moreau_prox(lhs_problem, x, 1.0 / lam, 1e-10).envelope_value
     z = map_back(x, mu, lam, x_c)
     shift = lam * mu / (2.0 * (mu + lam)) * float(np.sum((x - x_c) ** 2))
-    rhs = moreau_prox(base, z, 1.0 / (lam + mu), tol).envelope_value + shift
+    rhs = moreau_prox(base, z, 1.0 / (lam + mu), 1e-10).envelope_value + shift
     return abs(lhs - rhs)
 
 
@@ -181,6 +181,29 @@ def iteration_bound(rho: float, L: float, D: float, eps: float) -> int:
 # staged schemes
 
 
+def _convex_constants(base: CompositeProblem, what: str) -> tuple[float, float]:
+    """(L, D) of a convex base; ``what`` names the scheme in the errors."""
+    if base.rho != 0:
+        raise ValueError(f"{what} expects a convex base (rho = 0)")
+    L, D = base.lipschitz_L, base.domain_diameter
+    if L is None or D is None:
+        raise CapabilityError(f"{what} needs lipschitz_L and domain_diameter")
+    return L, D
+
+
+def _pipeline_constants(
+    base: CompositeProblem, rho: float, eps: float
+) -> tuple[float, float, float, float]:
+    """(L, D, mu, lam) of the pipeline: mu = eps/(2D), lam = 2 rho - mu."""
+    L, D = _convex_constants(base, "pipeline")
+    if rho <= 0 or eps <= 0:
+        raise ValueError("rho and eps must be positive")
+    if eps > 2.0 * rho * D:
+        raise ValueError(f"eps={eps} violates the eps <= 2 rho D = {2 * rho * D} guard")
+    mu = eps / (2.0 * D)
+    return L, D, mu, 2.0 * rho - mu
+
+
 @dataclass(frozen=True)
 class TwoStageResult:
     """Stage-2 run plus the stage-1 warm start metadata."""
@@ -198,28 +221,22 @@ def two_stage_convex(
     T: int,
     rho_hat: float,
     rng_or_seed,
-    x0: Array | None = None,
 ) -> TwoStageResult:
     """Gap-shrinking stage followed by the tuned main run.
 
-    Stage 1 runs T+1 plain steps with gamma = D/L and starts stage 2 from
-    the run's ``mean``, the average of x_0..x_T, which brings the objective
-    gap down to R = L D / sqrt(T+1).
+    Stage 1 starts at the projection of the origin onto dom r, runs T+1
+    plain steps with gamma = D/L and starts stage 2 from the run's
+    ``mean``, the average of x_0..x_T, which brings the objective gap down
+    to R = L D / sqrt(T+1).
     Stage 2 restarts the method there with gamma tuned to that gap, using
     rho_hat / 2 as the declared modulus (the rho_hat = 2 rho convention
     used everywhere else).  Total budget: 2 (T+1) oracle calls.
     """
-    base = base.require_bound_constants()
-    if base.rho != 0:
-        raise ValueError("two-stage scheme expects a convex base (rho = 0)")
-    L, D = base.lipschitz_L, base.domain_diameter
-    if L is None or D is None:
-        raise CapabilityError("two-stage scheme needs lipschitz_L and domain_diameter")
+    L, D = _convex_constants(base, "two-stage scheme")
     rng, _ = coerce_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
 
-    if x0 is None:
-        x0 = base.regularizer.project_domain(np.zeros(base.dim))
+    x0 = base.regularizer.project_domain(np.zeros(base.dim))
     gamma1 = D / L
     stage1 = run_psgm(base, x0, StepSchedule.constant(gamma1, T), kid1)
     stage1_point = stage1.mean
@@ -252,21 +269,18 @@ def strongly_convex_stage(
     reg: RegularizedProblem,
     T: int,
     rng_or_seed,
-    x0: Array | None = None,
 ) -> Array:
     """Projected stochastic subgradient method tuned for strong convexity.
 
-    Steps 2/(mu (t+1)); returns the run's ``weighted_mean``, the average of
+    Starts at the anchor ``reg.x_c`` and steps 2/(mu (t+1)); returns the
+    run's ``weighted_mean``, the average of
     x_0..x_T with weight t+1 on x_t, whose expected objective gap on the
     regularized problem is at most `strongly_convex_gap_bound`.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    mu = reg.mu
-    if x0 is None:
-        x0 = reg.x_c
-    alphas = 2.0 / (mu * (np.arange(T + 1) + 1.0))
-    run = run_psgm(reg.problem, x0, StepSchedule.explicit(alphas), rng_or_seed)
+    alphas = 2.0 / (reg.mu * (np.arange(T + 1) + 1.0))
+    run = run_psgm(reg.problem, reg.x_c, StepSchedule(alphas), rng_or_seed)
     return run.weighted_mean
 
 
@@ -279,17 +293,9 @@ def pipeline_budget(base: CompositeProblem, rho: float, eps: float) -> int:
     K = 4*(L+mu*D)*sqrt(2*lam*(L^2+mu^2 D^2)/mu) once the first stage has
     run T+1 steps.  Solving for the smallest admissible T gives a budget
     that grows as eps^(-5/2), which is the scale the analysis predicts.
+    The base must be convex, as for `regularized_pipeline`.
     """
-    base = base.require_bound_constants()
-    if rho <= 0 or eps <= 0:
-        raise ValueError("rho and eps must be positive")
-    L, D = base.lipschitz_L, base.domain_diameter
-    if L is None or D is None:
-        raise CapabilityError("pipeline budget needs lipschitz_L and domain_diameter")
-    if eps > 2.0 * rho * D:
-        raise ValueError(f"eps={eps} violates the eps <= 2 rho D = {2 * rho * D} guard")
-    mu = eps / (2.0 * D)
-    lam = 2.0 * rho - mu
+    L, D, mu, lam = _pipeline_constants(base, rho, eps)
     l_hat = L + mu * D
     big_k = 4.0 * l_hat * math.sqrt(2.0 * lam * (L * L + mu * mu * D * D) / mu)
     factor = (lam + mu) / lam
@@ -315,35 +321,22 @@ def regularized_pipeline(
     eps: float,
     T: int,
     rng_or_seed,
-    x_c: Array | None = None,
 ) -> PipelineResult:
     """Full convex-case pipeline targeting E||grad envelope|| <= eps.
 
     Regularizes with mu = eps/(2D) and lam = 2 rho - mu (so lam + mu =
-    2 rho), runs the strongly convex stage for T+1 calls, then the main
-    method for T+1 calls with gamma tuned to the stage-one gap, and maps
-    the result back.  The returned z targets the base problem's envelope
+    2 rho) around the anchor x_c, the projection of the origin onto dom r,
+    runs the strongly convex stage for T+1 calls, then the main method for
+    T+1 calls with gamma tuned to the stage-one gap, and maps the result
+    back.  The returned z targets the base problem's envelope
     with coefficient 2 rho.  Requires eps <= 2 rho D.
     """
-    base = base.require_bound_constants()
-    if base.rho != 0:
-        raise ValueError("pipeline expects a convex base (rho = 0)")
-    if rho <= 0 or eps <= 0:
-        raise ValueError("rho and eps must be positive")
-    L, D = base.lipschitz_L, base.domain_diameter
-    if L is None or D is None:
-        raise CapabilityError("pipeline needs lipschitz_L and domain_diameter")
-    if eps > 2.0 * rho * D:
-        raise ValueError(f"eps={eps} violates the eps <= 2 rho D = {2 * rho * D} guard")
-
-    mu = eps / (2.0 * D)
-    lam = 2.0 * rho - mu
+    L, D, mu, lam = _pipeline_constants(base, rho, eps)
     rng, _ = coerce_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
 
-    if x_c is None:
-        x_c = base.regularizer.project_domain(np.zeros(base.dim))
-    reg = RegularizedProblem(base, mu, np.asarray(x_c, dtype=float))
+    x_c = base.regularizer.project_domain(np.zeros(base.dim))
+    reg = RegularizedProblem(base, mu, x_c)
     y0 = strongly_convex_stage(reg, T, kid1)
     R = strongly_convex_gap_bound(L, mu, D, T)
 

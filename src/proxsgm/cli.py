@@ -37,7 +37,7 @@ def _cmd_run(args) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"problem {report.problem_id}  gamma={report.gamma:.6g}  "
+    print(f"problem {config.problem_id}  gamma={report.gamma:.6g}  "
           f"rho_hat={report.rho_hat:.6g}  lambda={report.lam:.6g}  "
           f"bound variant {report.variant}")
     for h in report.per_horizon:
@@ -47,8 +47,8 @@ def _cmd_run(args) -> int:
               f"inner_missed={h.n_inner_missed}")
     if report.slope is not None:
         print(f"  slope={report.slope:.4f}  stderr={report.slope_stderr:.4f}")
-    if report.output_path:
-        print(f"  wrote {report.output_path}")
+    if config.output:
+        print(f"  wrote {config.output}")
     return EXIT_OK
 
 

@@ -150,8 +150,8 @@ class CompositeProblem:
 
     ``rho`` is a certified weak-convexity modulus of g (0 means convex).
     ``lipschitz_L`` bounds the oracle's second moment, ``sigma`` bounds the
-    variance around the exact gradient when g is smooth; at least one of the
-    two must be present before the solver runs.  ``smooth`` declares that g
+    variance around the exact gradient when g is smooth; the bounds and
+    schemes that need a constant check for it.  ``smooth`` declares that g
     is continuously differentiable and ``g_full_subgradient`` returns the
     exact gradient.
 
@@ -199,11 +199,6 @@ class CompositeProblem:
     def require_deterministic(self) -> "CompositeProblem":
         if self.g_value is None or self.g_full_subgradient is None:
             raise CapabilityError("problem does not expose deterministic g oracles")
-        return self
-
-    def require_bound_constants(self) -> "CompositeProblem":
-        if self.lipschitz_L is None and self.sigma is None:
-            raise CapabilityError("need lipschitz_L or sigma before solving")
         return self
 
 
@@ -333,25 +328,24 @@ def check_oracle_unbiasedness(
     problem: CompositeProblem,
     x: Array,
     rng: np.random.Generator,
-    n_samples: int = 10_000,
-    n_repeats: int = 20,
 ) -> OracleReport:
     """Empirical mean of oracle draws against the subgradient selection
     ``g_full_subgradient(x)``, which the oracle's mean must equal.
 
-    Each repeat draws ``n_samples`` subgradients g_k and passes when the mean
-    deviates by at most five empirical standard errors, 5 s / sqrt(n), plus a
-    rounding floor.  The mean is one gemv of the weights 1/n with the
-    ``(n, d)`` stack, the spread s^2 = sum_k ||g_k - mean||^2 / n one flat dot
-    of the deviations with themselves.  The floor (n + 1) eps
-    sqrt(s^2 + ||mean||^2) bounds the rounding error of the computed mean:
-    summing n terms errs by at most gamma_n ~ n eps times the sum of their
-    magnitudes (Higham 2002, section 4.2), rounding 1/n adds one eps, and
-    ||(1/n) sum_k |g_k| || is at most the root mean square of ||g_k||, which
-    is sqrt(s^2 + ||mean||^2).  So a zero-variance oracle passes exactly
-    instead of failing on a one-ulp error divided by a spread made of that
-    same error.  At least 95% of the repeats must pass.
+    Each of 20 repeats draws n = 10 000 subgradients g_k and passes when
+    the mean deviates by at most five empirical standard errors,
+    5 s / sqrt(n), plus a rounding floor.  The mean is one gemv of the
+    weights 1/n with the ``(n, d)`` stack, the spread
+    s^2 = sum_k ||g_k - mean||^2 / n one flat dot of the deviations with
+    themselves.  The floor (n + 1) eps sqrt(s^2 + ||mean||^2) bounds the
+    rounding error of the computed mean: summing n terms errs by at most
+    gamma_n ~ n eps times the sum of their magnitudes (Higham 2002, section
+    4.2), rounding 1/n adds one eps, and ||(1/n) sum_k |g_k| || is at most
+    the root mean square of ||g_k||, which is sqrt(s^2 + ||mean||^2).  So a
+    zero-variance oracle passes exactly instead of failing on a one-ulp
+    error divided by a spread made of that same error.  At least 95% of the repeats must pass.
     """
+    n_samples, n_repeats = 10_000, 20
     oracle = problem.g_oracle
     target = problem.require_deterministic().g_full_subgradient(x)
     weights = np.full(n_samples, 1.0 / n_samples)
@@ -385,23 +379,19 @@ def check_oracle_unbiasedness(
 def check_second_moment(
     problem: CompositeProblem,
     rng: np.random.Generator,
-    n_points: int = 100,
-    n_samples: int = 4_000,
-    radius: float | None = None,
-    slack: float = 0.1,
 ) -> OracleReport:
     """Empirical second moment of the oracle against lipschitz_L squared.
 
-    At each of ``n_points`` sampled points, the estimate sum_k ||g_k||^2 / n
-    over ``n_samples`` draws is one flat dot of the ``(n, d)`` stack with
-    itself; the point passes when it is at most (1 + slack) L^2.
+    At each of 100 points sampled in the ball of radius ``domain_diameter``
+    (2 when the problem has none), the estimate sum_k ||g_k||^2 / n over
+    n = 4 000 draws is one flat dot of the ``(n, d)`` stack with itself;
+    the point passes when it is at most 1.1 L^2.
     """
     if problem.lipschitz_L is None:
         raise CapabilityError("problem does not certify lipschitz_L")
-    if radius is None:
-        radius = problem.domain_diameter or 2.0
-    pts = sample_domain_points(problem, n_points, radius, rng)
-    bound = (1.0 + slack) * problem.lipschitz_L**2
+    n_points, n_samples = 100, 4_000
+    pts = sample_domain_points(problem, n_points, problem.domain_diameter or 2.0, rng)
+    bound = 1.1 * problem.lipschitz_L**2
     worst = 0.0
     n_passed = 0
     for x in pts:

@@ -179,7 +179,6 @@ class ExperimentConfig:
     lam: float | None = None
     n_seeds: int = 50
     inner_tol: float = 1e-6
-    R: float | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -194,12 +193,15 @@ class ExperimentConfig:
         if isinstance(self.gamma, str):
             if self.gamma != "optimal":
                 raise ConfigError('gamma must be a positive real or "optimal"')
-        elif self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        elif not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
+        # named as in a .cfg file; the chained test is False for NaN too
+        for key, val in (("inner_tol", self.inner_tol), ("rho_hat", self.rho_hat),
+                         ("lambda", self.lam)):
+            if val is not None and not 0 < val < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, got {val}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be at least 1")
-        if self.inner_tol <= 0:
-            raise ConfigError("inner_tol must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
 
@@ -213,7 +215,6 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "lambda": float,
     "n_seeds": int,
     "inner_tol": float,
-    "R": float,
     "workers": int,
 }
 
@@ -280,7 +281,6 @@ class HorizonStats:
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
-    problem_id: str
     family: str
     d: int
     m: int
@@ -295,7 +295,6 @@ class ExperimentReport:
     per_horizon: tuple[HorizonStats, ...]
     slope: float | None
     slope_stderr: float | None
-    output_path: str | None
 
 
 def _resolve_parameters(
@@ -313,13 +312,11 @@ def _resolve_parameters(
         raise ConfigError(f"lambda={lam} outside (0, 1/rho)")
 
     if config.gamma == "optimal":
-        problem.require_bound_constants()
         L, D = problem.lipschitz_L, problem.domain_diameter
         if L is None or D is None:
             raise ConfigError('gamma="optimal" needs lipschitz_L and domain_diameter')
         rho_eff = rho_hat / 2.0
-        R = config.R if config.R is not None else min(rho_eff * D * D, D * L)
-        gamma = optimal_gamma(R, rho_eff, L)
+        gamma = optimal_gamma(min(rho_eff * D * D, D * L), rho_eff, L)
     else:
         gamma = float(config.gamma)
 
@@ -448,7 +445,6 @@ def run_sweep(
     meta = problem.meta
     report = ExperimentReport(
         config=config,
-        problem_id=config.problem_id,
         family=meta.family if meta is not None else config.problem_id,
         d=meta.d if meta is not None else problem.dim,
         m=meta.m if meta is not None else 0,
@@ -463,7 +459,6 @@ def run_sweep(
         per_horizon=per_horizon,
         slope=slope,
         slope_stderr=stderr,
-        output_path=config.output or None,
     )
     if config.output:
         write_csv(report, config.output)
@@ -485,7 +480,7 @@ def write_csv(report: ExperimentReport, path: str | Path) -> None:
             h = stats[r.T]
             writer.writerow(
                 [
-                    report.problem_id,
+                    report.config.problem_id,
                     report.family,
                     report.d,
                     report.m,

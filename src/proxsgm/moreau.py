@@ -446,13 +446,12 @@ def _inner_subgradient_phase(
     problem: CompositeProblem,
     x: Array,
     lam: float,
-    n_iter: int,
 ) -> Array:
-    """Deterministic proximal subgradient with weighted averaging.
+    """``_WARMUP_STEPS`` steps of deterministic proximal subgradient with
+    weighted averaging, to start a cold polish.
 
     Steps 2 / ((1/lam - rho) (k + 2)); returns the best of the final
-    weighted average and the best visited iterate.  ``moreau_prox`` runs
-    only ``_WARMUP_STEPS`` steps, to start a cold polish.
+    weighted average and the best visited iterate.
     """
     r = problem.regularizer
     mu = 1.0 / lam - problem.rho
@@ -460,7 +459,7 @@ def _inner_subgradient_phase(
     acc = np.zeros_like(y)
     acc_w = 0.0
     best, best_val = y, _psi(problem, x, lam, y)
-    for k in range(n_iter):
+    for k in range(_WARMUP_STEPS):
         step = 2.0 / (mu * (k + 2))
         v = problem.g_full_subgradient(y) + (y - x) / lam
         y = r.prox(y - step * v, step)
@@ -514,7 +513,6 @@ def _inner_polish(
     lam: float,
     y: Array,
     tol: float,
-    max_rounds: int,
 ) -> tuple[Array, float]:
     """Descent on sampled subdifferential directions with certified gaps.
 
@@ -523,9 +521,9 @@ def _inner_polish(
     residual is a descent direction, and its norm certifies the gap.  The
     probe radius shrinks 16-fold whenever the direction stops producing
     descent or the radius terms dominate the certificate, so kinks of g
-    (where a fixed subgradient selection would stall) are resolved.  If no
-    round meets ``tol``, the point of the best round is certified again at
-    1/2, 1/4 and 1/8 of its radius before giving up.
+    (where a fixed subgradient selection would stall) are resolved.  If none
+    of the 150 rounds meets ``tol``, the point of the best round is
+    certified again at 1/2, 1/4 and 1/8 of its radius before giving up.
     """
     mu = 1.0 / lam - problem.rho
     dirs = _probe_directions(problem.dim)
@@ -536,7 +534,7 @@ def _inner_polish(
     val = _psi(problem, x, lam, y)
     best_gap, best_y, best_delta = math.inf, y, delta
     stalls = 0
-    for _ in range(max_rounds):
+    for _ in range(150):
         res, v, gscale = _residual_qp(problem, x, lam, y, delta, dirs)
         gap = _cert_gap(res, mu, problem.rho, delta, gscale)
         if gap < best_gap:
@@ -578,7 +576,8 @@ def moreau_prox(
 ) -> MoreauPoint:
     """Proximal point of phi = g + r at x with envelope parameter lam.
 
-    Requires 0 < lam < 1/rho so the subproblem is strongly convex.  The
+    Requires 0 < lam < 1/rho so the subproblem is strongly convex, and
+    0 < tol < inf (``ValueError`` before any solve otherwise).  The
     returned point certifies an optimality gap ``inner_tol``; when the gap
     budget cannot be met an :class:`InnerAccuracyError` is raised carrying
     the best point found.  For nonsmooth g in d >= 2, a cold solve (no
@@ -588,6 +587,8 @@ def moreau_prox(
     """
     problem.require_deterministic()
     _validate_lam(problem, lam)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     x = np.asarray(x, dtype=float)
 
     if problem.dim == 1:
@@ -598,8 +599,8 @@ def moreau_prox(
         if warm_start is not None:
             y0 = problem.regularizer.project_domain(warm_start)
         else:
-            y0 = _inner_subgradient_phase(problem, x, lam, _WARMUP_STEPS)
-        x_hat, gap = _inner_polish(problem, x, lam, y0, tol, max_rounds=150)
+            y0 = _inner_subgradient_phase(problem, x, lam)
+        x_hat, gap = _inner_polish(problem, x, lam, y0, tol)
 
     point = _finish_point(problem, x, lam, x_hat, gap)
     if gap > tol:

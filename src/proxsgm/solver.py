@@ -49,10 +49,10 @@ class OracleError(RuntimeError):
 class StepSchedule:
     """Step sizes for one run.
 
-    ``constant`` builds the gamma / sqrt(T+1) schedule the constant-step
-    corollaries analyze; ``explicit`` takes arbitrary positive steps.  When
-    rho_hat is supplied the steps must not exceed 1/rho_hat, which the
-    descent lemma needs.
+    ``StepSchedule(alphas)`` takes any finite positive steps (a sequence or
+    array); ``constant`` builds the gamma / sqrt(T+1) schedule the
+    constant-step corollaries analyze.  When rho_hat is supplied the steps
+    must not exceed 1/rho_hat, which the descent lemma needs.
     """
 
     alphas: Array
@@ -86,10 +86,6 @@ class StepSchedule:
             raise ValueError("horizon must be nonnegative")
         alpha = gamma / math.sqrt(T + 1)
         return StepSchedule(alphas=np.full(T + 1, alpha), rho_hat=rho_hat)
-
-    @staticmethod
-    def explicit(alphas, rho_hat: float | None = None) -> "StepSchedule":
-        return StepSchedule(alphas=np.asarray(alphas, dtype=float), rho_hat=rho_hat)
 
 
 @dataclass(frozen=True)
@@ -231,21 +227,19 @@ def check_descent_lemma(
     alpha: float,
     n_samples: int,
     rng_or_seed,
-    variant: str | None = None,
     inner_tol: float = 1e-10,
 ) -> LemmaReport:
     """One-step mean-square contraction toward the proximal point.
 
     Estimates E||x_{t+1} - x_hat||^2 over n_samples independent draws and
-    compares against the closed-form right side: a (rho_hat - rho)-strength
-    contraction plus 2 alpha^2 L^2 for subgradient oracles, or the
-    alpha^2 sigma^2 variance term for smooth problems with exact gradient
-    plus noise.  Flags violation when the estimate minus its 95% confidence
-    half-width exceeds the bound.
+    compares against the closed-form right side of the variant that
+    ``problem.smooth`` picks: "weakly_convex", a (rho_hat - rho)-strength
+    contraction plus 2 alpha^2 L^2, or "smooth", the alpha^2 sigma^2 term of
+    an exact gradient plus noise.  Flags violation when the estimate minus
+    its 95% confidence half-width exceeds the bound.
     """
     rng, _ = coerce_rng(rng_or_seed)
-    if variant is None:
-        variant = "smooth" if problem.smooth else "weakly_convex"
+    variant = "smooth" if problem.smooth else "weakly_convex"
     if rho_hat <= problem.rho:
         raise ValueError("rho_hat must exceed rho")
     if variant == "weakly_convex" and problem.rho > 0 and rho_hat > 2 * problem.rho:
@@ -264,13 +258,11 @@ def check_descent_lemma(
             raise ValueError("weakly convex variant needs a certified lipschitz_L")
         noise_term = 2.0 * alpha * alpha * L * L
         contraction = 2.0 * alpha * (rho_hat - problem.rho)
-    elif variant == "smooth":
+    else:
         if problem.sigma is None:
             raise ValueError("smooth variant needs a certified sigma")
         noise_term = alpha * alpha * problem.sigma**2
         contraction = alpha * (rho_hat - problem.rho)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     bound = dist_sq + noise_term - contraction * dist_sq
 
     draws = problem.g_oracle.sample(x_t, problem.g_oracle.draw(rng, n_samples))
@@ -311,8 +303,6 @@ def check_prox_identity(
     x = np.asarray(x, dtype=float)
     if point is None:
         point = moreau_prox(problem, x, 1.0 / rho_hat, inner_tol)
-    if point.zeta_hat is None:
-        raise ValueError("Moreau point carries no certificate")
     x_hat = point.x_hat
     arg = alpha * rho_hat * x - alpha * point.zeta_hat + (1.0 - alpha * rho_hat) * x_hat
     return float(np.linalg.norm(x_hat - problem.regularizer.prox(arg, alpha)))

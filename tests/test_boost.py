@@ -302,7 +302,7 @@ def test_averaging_stages_start_from_the_run_means():
     assert out.stage1_point.tobytes() == stage1.mean.tobytes()
     reg = RegularizedProblem(base, 0.5, x0)
     alphas = 2.0 / (0.5 * (np.arange(T + 1) + 1.0))
-    run = run_psgm(reg.problem, x0, StepSchedule.explicit(alphas), 4)
+    run = run_psgm(reg.problem, x0, StepSchedule(alphas), 4)
     assert strongly_convex_stage(reg, T, 4).tobytes() == run.weighted_mean.tobytes()
     assert base.regularizer.value(run.weighted_mean) == 0.0
 
@@ -319,6 +319,9 @@ def test_pipeline_budget_guards():
     # eps beyond 2 rho D asks for less than the trivial certificate
     with pytest.raises(ValueError):
         pipeline_budget(base, 0.5, 2.0 * 0.5 * base.domain_diameter + 1.0)
+    # a weakly convex base (rho = 2), which the pipeline itself refuses too
+    with pytest.raises(ValueError, match="convex base"):
+        pipeline_budget(problem_from_id("toy1d:absquad"), 0.5, 0.1)
 
 
 def test_pipeline_budget_eps_scaling():

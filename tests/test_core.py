@@ -158,17 +158,6 @@ def test_phi_adds_regularizer_and_respects_domain():
     assert math.isinf(p.phi(outside))
 
 
-def test_require_bound_constants():
-    p = CompositeProblem(
-        dim=1, g_oracle=constant_oracle([1.0]), regularizer=zero_regularizer(),
-        rho=0.0, g_value=lambda x: point_value(x[..., 0]),
-    )
-    with pytest.raises(CapabilityError):
-        p.require_bound_constants()
-    ok = dataclasses.replace(p, lipschitz_L=2.0)
-    assert ok.require_bound_constants() is ok
-
-
 def test_require_deterministic():
     p = CompositeProblem(
         dim=1, g_oracle=constant_oracle([1.0]), regularizer=zero_regularizer(), rho=0.0,

@@ -196,6 +196,10 @@ def test_parse_config_file_error_positions(tmp_path):
     bad.write_text("problem_id = toy1d:abs\nhorizons = 10\ngamma = 1\nwat = 7\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:4: unknown key 'wat'"):
         parse_config_file(str(bad))
+    # the a-priori gap behind gamma = optimal is not a key
+    bad.write_text("problem_id = toy1d:abs\nhorizons = 10\ngamma = optimal\nR = 1.0\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:4: unknown key 'R'"):
+        parse_config_file(str(bad))
 
     dup = tmp_path / "dup.cfg"
     dup.write_text("problem_id = toy1d:abs\nhorizons = 10\ngamma = 1\ngamma = 2\n")
@@ -211,6 +215,30 @@ def test_parse_config_file_error_positions(tmp_path):
     badval.write_text("problem_id = toy1d:abs\nhorizons = 10\ngamma = fast\n")
     with pytest.raises(ConfigError, match=r"badval\.cfg:3: bad value for gamma"):
         parse_config_file(str(badval))
+
+
+NON_FINITE_CONFIG = [
+    ("rho_hat", "nan"), ("lambda", "nan"), ("lambda", "inf"), ("lambda", "-1"),
+    ("gamma", "nan"), ("gamma", "inf"), ("inner_tol", "nan"), ("inner_tol", "inf"),
+]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE_CONFIG)
+def test_config_rejects_a_non_finite_value(tmp_path, capsys, key, value):
+    # rho_hat or lambda = nan failed only after the x0 envelope solve with a
+    # message naming neither key; inner_tol = nan ran and reported no misses
+    from proxsgm import cli
+
+    fields = {"problem_id": "toy1d:absquad", "horizons": "10, 20", "gamma": "0.3",
+              "n_seeds": "2", "output": "", key: value}
+    path = tmp_path / "bad.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    with pytest.raises(ConfigError, match=f"^{key} must be finite and positive"):
+        parse_config_file(str(path))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {key} must be finite and positive")
 
 
 # ------------------------------------------------------------------ sweeps

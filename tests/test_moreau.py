@@ -127,6 +127,25 @@ def test_inner_accuracy_error_carries_best_point():
     assert abs(pt.x_hat[0]) <= 0.5  # still a sensible approximation
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("pid", ["smooth_ls:60:5:2", "phase_retrieval:20:4:3", "toy1d:abs"])
+def test_moreau_prox_rejects_an_unmeetable_tol_before_solving(pid, tol):
+    # tol = nan ran 1e6 prox-gradient steps on smooth_ls and returned, and
+    # tol <= 0 raised InnerAccuracyError only after the whole budget
+    p = problem_from_id(pid)
+    calls = []
+
+    def counted(y, subgradient=p.g_full_subgradient):
+        calls.append(1)
+        return subgradient(y)
+
+    q = dataclasses.replace(p, g_full_subgradient=counted)
+    lam = 0.5 / p.rho if p.rho > 0 else 0.5
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        moreau_prox(q, np.ones(p.dim), lam, tol)
+    assert calls == []
+
+
 def test_grid_rejects_high_dimension():
     p = quadratic_problem(3)
     with pytest.raises(DimensionError):

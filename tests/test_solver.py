@@ -58,7 +58,7 @@ def test_constant_schedule_sums():
 
 
 def test_explicit_schedule_roundtrip():
-    s = StepSchedule.explicit([0.5, 0.25, 0.125])
+    s = StepSchedule([0.5, 0.25, 0.125])
     assert s.horizon == 2
     np.testing.assert_array_equal(s.alphas, [0.5, 0.25, 0.125])
 
@@ -69,16 +69,16 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         StepSchedule.constant(1.0, -1)
     with pytest.raises(ValueError):
-        StepSchedule.explicit([])
+        StepSchedule([])
     with pytest.raises(ValueError):
-        StepSchedule.explicit([0.1, -0.2])
+        StepSchedule([0.1, -0.2])
 
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: StepSchedule.explicit([0.1, np.inf, 0.1]),
-     lambda: StepSchedule.explicit([0.1, np.nan]),
-     lambda: StepSchedule.explicit([-np.inf]),
+    [lambda: StepSchedule([0.1, np.inf, 0.1]),
+     lambda: StepSchedule([0.1, np.nan]),
+     lambda: StepSchedule([-np.inf]),
      lambda: StepSchedule.constant(np.inf, 3),
      lambda: StepSchedule.constant(np.nan, 3)],
     ids=["explicit_inf", "explicit_nan", "explicit_minus_inf", "constant_inf",
@@ -94,8 +94,8 @@ def test_schedule_rejects_non_finite_steps(build):
 def test_schedule_respects_rho_hat_cap():
     # steps above 1/rho_hat break the envelope argument; reject them early
     with pytest.raises(ValueError):
-        StepSchedule.explicit([0.6], rho_hat=2.0)
-    StepSchedule.explicit([0.5], rho_hat=2.0)  # boundary is fine
+        StepSchedule([0.6], rho_hat=2.0)
+    StepSchedule([0.5], rho_hat=2.0)  # boundary is fine
 
 
 # ------------------------------------------------------------ trajectories
@@ -109,7 +109,7 @@ def test_linear_recursion_exact():
     c = np.array([1.0, -2.0])
     p = constant_gradient_problem(c)
     alphas = [0.3] * 6
-    out = run_psgm(p, np.zeros(2), StepSchedule.explicit(alphas), 7)
+    out = run_psgm(p, np.zeros(2), StepSchedule(alphas), 7)
     traj = [np.zeros(2)]
     for a in alphas:
         traj.append(traj[-1] - a * c)
@@ -121,7 +121,7 @@ def test_linear_recursion_exact():
 def test_projection_clamp_hand_value():
     # x0 = 0.5, step 1, gradient 2, box [0, 1]: next iterate clamps to 0
     p = constant_gradient_problem([2.0], box_indicator(np.array([0.0]), np.array([1.0])))
-    out = run_psgm(p, np.array([0.5]), StepSchedule.explicit([1.0]), 0)
+    out = run_psgm(p, np.array([0.5]), StepSchedule([1.0]), 0)
     assert out.x_last == pytest.approx([0.0])
     assert out.t_star == 0 and out.x_star == pytest.approx([0.5])
 
