@@ -5,7 +5,9 @@
 
 For each instance below, ``run_psgm`` takes STEPS + 1 steps of a constant
 schedule from the family's default start; the script prints the process
-time per step in µs as the min, median and max over REPEATS runs.  On a
+time per step in µs as the min, median and max over REPEATS runs, beside
+the kind of its regularizer (a box step and a ball step differ in their
+prox).  On a
 shared host other tenants slow a core by up to about 2x for seconds at a
 time, and the spread shows how much of that a line carries; the min is
 the closest to the code's own cost but can still be a slowed run.  So a
@@ -44,9 +46,8 @@ STEPS = 20_000
 REPEATS = 5
 
 
-def step_us(pid: str) -> list[float]:
+def step_us(problem) -> list[float]:
     """µs per step of each of REPEATS runs, in ascending order."""
-    problem = problem_from_id(pid)
     x0 = default_x0(problem)
     schedule = StepSchedule.constant(GAMMA, STEPS)
     runs = []
@@ -61,10 +62,12 @@ def main() -> None:
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"{len(os.sched_getaffinity(0))} cpus, {STEPS + 1} steps, "
           f"{REPEATS} runs")
-    print(f"{'instance':<26}{'min':>8}{'median':>8}{'max':>8}  us/step")
+    print(f"{'instance':<26}{'r':<6}{'min':>8}{'median':>8}{'max':>8}  us/step")
     for pid in INSTANCES:
-        runs = step_us(pid)
-        print(f"{pid:<26}{runs[0]:>8.2f}{statistics.median(runs):>8.2f}{runs[-1]:>8.2f}")
+        problem = problem_from_id(pid)
+        runs = step_us(problem)
+        print(f"{pid:<26}{problem.regularizer.kind.value:<6}{runs[0]:>8.2f}"
+              f"{statistics.median(runs):>8.2f}{runs[-1]:>8.2f}")
 
 
 if __name__ == "__main__":

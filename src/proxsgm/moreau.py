@@ -118,8 +118,8 @@ class StationarityReport:
 
 
 def _validate_lam(problem: CompositeProblem, lam: float) -> None:
-    if lam <= 0:
-        raise ParameterError("envelope parameter lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"envelope parameter lam must be finite and positive, got {lam}")
     if problem.rho > 0 and lam >= 1.0 / problem.rho:
         raise ParameterError(
             f"lam={lam} is not below 1/rho={1.0 / problem.rho}; envelope not smooth"

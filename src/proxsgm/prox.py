@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy._core import umath as _umath
 
 Array = np.ndarray
 
@@ -27,15 +28,17 @@ def prox_zero(x: Array, alpha: float) -> Array:
     return np.array(x, dtype=float, copy=True)
 
 
-def proj_box(x: Array, lo, hi) -> Array:
-    """Coordinatewise clamp onto the box [lo, hi].
-
-    The values of ``np.clip`` without its call overhead, which dominates on
-    a single vector.  NaN propagates and a bound wins a tie, so a signed
-    zero at a zero bound takes the bound's sign (``np.clip`` does that too
-    unless it broadcasts the bound).
-    """
-    return np.minimum(np.maximum(x, lo), hi)
+# proj_box(x, lo, hi): coordinatewise clamp onto the box [lo, hi], equal
+# byte for byte to np.minimum(np.maximum(x, lo), hi): NaN propagates and a
+# bound wins a tie, so a signed zero at a zero bound takes the bound's sign.
+# The one exception is bounds constant along numpy's inner loop (scalars, or
+# a (1,) box against an (n, 1) stack): the ufunc's vectorised loop then keeps
+# x's zero on a tie with a zero bound, so only the sign of a zero can differ.
+# It is the ufunc that np.clip ends in, bound directly: one dispatch where
+# the minimum/maximum pair makes two, and without np.clip's wrapper, whose
+# overhead dominates on a single vector.  numpy exposes the bare ufunc only
+# under the private path numpy._core.umath (numpy >= 2.0).
+proj_box = _umath.clip
 
 
 def proj_ball(x: Array, center, radius: float) -> Array:

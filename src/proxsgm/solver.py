@@ -168,22 +168,25 @@ def run_psgm(
     with np.errstate(invalid="ignore"):
         for start in range(0, n_iter, CHUNK):
             stop = min(start + CHUNK, n_iter)
+            n = stop - start
+            steps = alphas[start:stop]
+            # row t holds alpha_t d times: g * row is the IEEE product a * g
+            # without numpy's Python-float scalar path.  A read-only
+            # broadcast view, so the chunk adds no (n, d) array.
+            rows = np.broadcast_to(steps[:, None], (n, problem.dim))
             xs = []
             keep = xs.append
-            for t, a, w in zip(
-                range(start, stop), alphas[start:stop].tolist(), draw(rng, stop - start)
-            ):
+            for t, a, ar, w in zip(range(start, stop), steps.tolist(), rows, draw(rng, n)):
                 keep(x)
                 g = sample(x, w)
                 if not math.isfinite(g.dot(zero)):
                     raise OracleError(f"non-finite subgradient at iteration {t}", t)
-                x = prox(x - a * g, a)
+                x = prox(x - g * ar, a)
             if start <= t_star < stop:
                 x_star = xs[t_star - start]
             # x0 and every prox output are contiguous float64 (d,) arrays, so
             # their joined bytes are the chunk's rows (join or reshape raises
             # if one is not); per row this costs a third of np.concatenate
-            n = stop - start
             weights = np.stack((np.ones(n), np.arange(start + 1.0, stop + 1.0)))
             sums += weights @ np.frombuffer(b"".join(xs)).reshape(n, problem.dim)
         if not math.isfinite(x.dot(zero)):
@@ -237,15 +240,22 @@ def check_descent_lemma(
     contraction plus 2 alpha^2 L^2, or "smooth", the alpha^2 sigma^2 term of
     an exact gradient plus noise.  Flags violation when the estimate minus
     its 95% confidence half-width exceeds the bound.
+
+    Raises ``ValueError`` before any solve unless rho_hat exceeds rho,
+    alpha lies in (0, 1/rho_hat] and n_samples >= 2, which the half-width
+    needs.  At alpha = 0 estimate and bound are equal in exact arithmetic,
+    so the verdict would be roundoff.
     """
     rng, _ = coerce_rng(rng_or_seed)
     variant = "smooth" if problem.smooth else "weakly_convex"
-    if rho_hat <= problem.rho:
-        raise ValueError("rho_hat must exceed rho")
+    if not rho_hat > problem.rho:
+        raise ValueError(f"rho_hat must exceed rho, got {rho_hat}")
     if variant == "weakly_convex" and problem.rho > 0 and rho_hat > 2 * problem.rho:
         raise ValueError("weakly convex variant needs rho_hat <= 2 rho")
-    if alpha > 1.0 / rho_hat:
-        raise ValueError("alpha must not exceed 1/rho_hat")
+    if not 0 < alpha <= 1.0 / rho_hat:
+        raise ValueError(f"alpha must lie in (0, 1/rho_hat], got {alpha}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     x_t = np.asarray(x_t, dtype=float)
 
     point = moreau_prox(problem, x_t, 1.0 / rho_hat, inner_tol)
@@ -269,7 +279,7 @@ def check_descent_lemma(
     stepped = problem.regularizer.prox(x_t - alpha * draws, alpha)
     sq = np.sum((stepped - x_hat) ** 2, axis=-1)
     est = float(sq.mean())
-    sem = float(sq.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    sem = float(sq.std(ddof=1) / math.sqrt(n_samples))
     return LemmaReport(
         estimate=est,
         ci_half_width=1.96 * sem,
@@ -298,8 +308,8 @@ def check_prox_identity(
     Pass ``point`` to reuse an already computed MoreauPoint (for example
     from the grid oracle); it must have been evaluated at (x, 1/rho_hat).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     x = np.asarray(x, dtype=float)
     if point is None:
         point = moreau_prox(problem, x, 1.0 / rho_hat, inner_tol)

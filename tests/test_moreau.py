@@ -1,6 +1,7 @@
 """Moreau envelope oracle: closed forms, cross-validation, error paths."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ def test_lambda_must_stay_below_inverse_rho():
             moreau_prox(p, np.array([0.3]), lam)
     with pytest.raises(ParameterError):
         moreau_prox(p, np.array([0.3]), 0.0)
+
+
+@pytest.mark.parametrize("family", ["abs", "absquad"])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_lambda_is_rejected_before_any_solve(family, lam):
+    # toy1d:abs is convex (rho = 0), so no 1/rho cap catches an infinite lam
+    p = make_toy1d(family)
+
+    def no_solve(y):
+        raise AssertionError("g evaluated before lam was validated")
+
+    p = dataclasses.replace(p, g_value=no_solve, g_full_subgradient=no_solve)
+    with pytest.raises(ParameterError):
+        moreau_prox(p, np.array([0.8]), lam, tol=1e-8)
+    with pytest.raises(ParameterError):
+        moreau_grid_oracle(p, np.array([0.8]), lam, GridSpec(points_per_dim=101))
 
 
 def test_inner_accuracy_error_carries_best_point():

@@ -13,6 +13,7 @@ from proxsgm.prox import (
     ball_indicator,
     box_indicator,
     l1_regularizer,
+    proj_box,
     quadratic_regularizer,
     zero_regularizer,
 )
@@ -63,6 +64,82 @@ def test_box_clamp_hand_values():
     assert r.prox(np.array([2.0, -2.0]), 1.0) == pytest.approx([1.0, -1.0])
     y = np.array([0.2, -0.9])
     np.testing.assert_array_equal(r.prox(y, 7.0), y)
+
+
+def _clamp_reference(x, lo, hi):
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _assert_clamp_bytes(x, lo, hi):
+    got = proj_box(x, lo, hi)
+    want = _clamp_reference(x, lo, hi)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got is not x and not np.shares_memory(got, x)
+
+
+def test_proj_box_matches_the_minimum_maximum_pair_byte_for_byte():
+    rng = np.random.default_rng(5)
+    lo, hi = np.array([-1.0, 0.0, -0.5, 2.0]), np.array([1.0, 0.0, 3.0, 2.0])
+    # a point, a stack with per-coordinate bounds, and a stack with bounds
+    # broadcast from scalars and from a (n, 1) column
+    _assert_clamp_bytes(rng.normal(size=4) * 3, lo, hi)
+    _assert_clamp_bytes(rng.normal(size=(50, 4)) * 3, lo, hi)
+    _assert_clamp_bytes(rng.normal(size=(50, 4)), -0.3, 0.4)
+    _assert_clamp_bytes(rng.normal(size=(50, 4)), -rng.random((50, 1)), rng.random((50, 1)))
+    # a pinned coordinate (lo == hi, second and fourth) takes the bound
+    got = proj_box(np.array([5.0, -5.0, 1.0, -7.0]), lo, hi)
+    assert got[1] == 0.0 and got[3] == 2.0
+
+
+def test_proj_box_special_values_match_the_reference():
+    # every pairing of ±0.0, NaN, ±inf and finite entries with per-coordinate
+    # bounds, so signed zeros at zero bounds and NaN propagation are pinned
+    vals = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 0.5]
+    x, lo, hi = (a.ravel() for a in np.meshgrid(vals, vals, vals, indexing="ij"))
+    with np.errstate(invalid="ignore"):
+        _assert_clamp_bytes(x, lo, hi)
+        _assert_clamp_bytes(x.reshape(-1, 8), lo.reshape(-1, 8), hi.reshape(-1, 8))
+    # a point's zero at a zero bound of the other sign takes the bound's sign
+    got = proj_box(np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.array([1.0, 1.0]))
+    assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0]
+
+
+def test_proj_box_with_constant_bounds_differs_only_in_the_sign_of_a_zero():
+    # Bounds that stay constant along numpy's inner loop (scalars, or a (1,)
+    # box against a (n, 1) stack) take the ufunc's vectorised loop, which
+    # keeps x's zero on a tie with a zero bound of the other sign.  The values
+    # still equal the reference's, NaN included; only a zero's sign can differ.
+    vals = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 0.5]
+    x = np.array(vals * 3)
+    with np.errstate(invalid="ignore"):
+        for lo in vals:
+            for hi in vals:
+                for got, want in (
+                    (proj_box(x, lo, hi), _clamp_reference(x, lo, hi)),
+                    (
+                        proj_box(x[:, None], np.array([lo]), np.array([hi])),
+                        _clamp_reference(x[:, None], np.array([lo]), np.array([hi])),
+                    ),
+                ):
+                    np.testing.assert_array_equal(got, want)
+                    moved = got.view(np.int64) != want.view(np.int64)
+                    assert np.all(got[moved] == 0.0)
+    # so with nonzero bounds, such as every shipped box's, the bytes agree
+    _assert_clamp_bytes(x[:, None], np.array([-1.5]), np.array([2.0]))
+    _assert_clamp_bytes(x, -2.0, 2.0)
+
+
+def test_proj_box_with_infinite_bounds_and_integer_input():
+    # subdiff_project clamps cone coefficients onto [0, inf) and l1 ones
+    # onto [-w, w]
+    c = np.array([-2.0, -0.0, 0.0, 3.5, math.inf])
+    _assert_clamp_bytes(c, np.zeros(5), np.full(5, math.inf))
+    _assert_clamp_bytes(c, -math.inf, math.inf)
+    _assert_clamp_bytes(c, np.full(5, -0.7), np.full(5, 0.7))
+    ints = np.array([[-3, 0, 4], [7, -1, 2]])
+    _assert_clamp_bytes(ints, 0, 2)
+    _assert_clamp_bytes(ints, np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.5, 3.0]))
 
 
 def test_quadratic_prox_hand_value():

@@ -361,13 +361,6 @@ def test_sample_tstar_size_equals_scalar_calls():
 # ------------------------------------------------------------ lemma checks
 
 
-def test_descent_lemma_alpha_zero_degenerates_to_equality():
-    p = make_toy1d("absquad")
-    rep = check_descent_lemma(p, np.array([0.8]), 4.0, 0.0, 500, 3)
-    assert not rep.violated
-    assert rep.estimate == pytest.approx(rep.bound, rel=1e-12)
-
-
 def test_descent_lemma_weakly_convex_no_violation():
     p = make_phase_retrieval(20, 5, 6)
     x = np.array([0.4, -0.2, 0.1, 0.6, -0.5])
@@ -391,6 +384,37 @@ def test_descent_lemma_validation():
         check_descent_lemma(p, np.array([0.5]), p.rho, 0.1, 100, 0)  # rho_hat <= rho
     with pytest.raises(ValueError):
         check_descent_lemma(p, np.array([0.5]), 4.0, 0.3, 100, 0)  # alpha > 1/rho_hat
+
+
+@pytest.mark.parametrize(
+    "rho_hat, alpha, n_samples",
+    [
+        (4.0, 0.0, 500),  # alpha = 0: estimate == bound, verdict by roundoff
+        (4.0, -0.1, 500),
+        (4.0, float("nan"), 500),
+        (4.0, 0.1, 0),
+        (4.0, 0.1, 1),  # no half-width from one sample
+        (float("nan"), 0.1, 500),
+    ],
+)
+def test_descent_lemma_rejects_inputs_outside_its_range(monkeypatch, rho_hat, alpha, n_samples):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("envelope solved before the inputs were validated")
+
+    monkeypatch.setattr(solver_mod, "moreau_prox", no_solve)
+    p = make_toy1d("absquad")
+    with pytest.raises(ValueError):
+        check_descent_lemma(p, np.array([0.8]), rho_hat, alpha, n_samples, 3)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan")])
+def test_prox_identity_rejects_a_non_positive_alpha(monkeypatch, alpha):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("envelope solved before alpha was validated")
+
+    monkeypatch.setattr(solver_mod, "moreau_prox", no_solve)
+    with pytest.raises(ValueError):
+        check_prox_identity(make_toy1d("absquad"), np.array([0.7]), 4.0, alpha)
 
 
 # ------------------------------------------------------- prox fixed point
