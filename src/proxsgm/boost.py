@@ -26,6 +26,8 @@ from .core import (
     CapabilityError,
     CompositeProblem,
     StochasticOracle,
+    _formula,
+    _in_range,
     coerce_rng,
     point_value,
 )
@@ -53,8 +55,7 @@ class RegularizedProblem:
     def __post_init__(self):
         if self.base.rho != 0:
             raise ValueError("regularization transform expects a convex base (rho = 0)")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        _in_range("mu", self.mu)
         x_c = np.asarray(self.x_c, dtype=float)
         if x_c.shape != (self.base.dim,):
             raise ValueError("anchor shape mismatch")
@@ -116,8 +117,8 @@ def map_back(x: Array, mu: float, lam: float, x_c: Array) -> Array:
     for coefficient lam + mu at z is bounded by ((lam + mu)/lam) times the
     regularized problem's envelope gradient at x, plus mu D.
     """
-    if lam <= 0 or mu < 0:
-        raise ValueError("need lam > 0 and mu >= 0")
+    _in_range("lam", lam)
+    _in_range("mu", mu, ends="[)")
     x = np.asarray(x, dtype=float)
     if mu == 0:
         return x.copy()
@@ -140,18 +141,17 @@ def envelope_shift_identity_check(
     lam mu / (2 (mu + lam)) ||x - x_c||^2.  Both envelope solves use the fixed
     inner tolerance 1e-10, so each value is off by at most 1e-10.
     """
-    if lam <= 0 or mu < 0:
-        raise ValueError("need lam > 0 and mu >= 0")
+    z = map_back(x, mu, lam, x_c)
     x = np.asarray(x, dtype=float)
     x_c = np.asarray(x_c, dtype=float)
     if mu == 0:
         lhs_problem = base
     else:
         lhs_problem = RegularizedProblem(base, mu, x_c).problem
-    lhs = moreau_prox(lhs_problem, x, 1.0 / lam, 1e-10).envelope_value
-    z = map_back(x, mu, lam, x_c)
     shift = lam * mu / (2.0 * (mu + lam)) * float(np.sum((x - x_c) ** 2))
+    # right side first: its smaller parameter 1/(lam + mu) fails before any solve
     rhs = moreau_prox(base, z, 1.0 / (lam + mu), 1e-10).envelope_value + shift
+    lhs = moreau_prox(lhs_problem, x, 1.0 / lam, 1e-10).envelope_value
     return abs(lhs - rhs)
 
 
@@ -162,8 +162,7 @@ def envelope_shift_identity_check(
 def optimal_gamma(R: float, rho: float, L: float) -> float:
     """Argmin of gamma -> (R + rho L^2 gamma^2) / gamma, namely
     sqrt(R / (rho L^2))."""
-    if R <= 0 or rho <= 0 or L <= 0:
-        raise ValueError("R, rho, L must all be positive")
+    _in_range("(R, rho, L)", (R, rho, L))
     return math.sqrt(R / (rho * L * L))
 
 
@@ -172,9 +171,9 @@ def iteration_bound(rho: float, L: float, D: float, eps: float) -> int:
     E||grad envelope|| <= eps, using the a-priori gap R = min(rho D^2, D L):
     ceil(16 (rho L D)^2 min(1, L / (rho D)) / eps^4).
     """
-    if min(rho, L, D, eps) <= 0:
-        raise ValueError("all inputs must be positive")
-    return math.ceil(16.0 * (rho * L * D) ** 2 * min(1.0, L / (rho * D)) / eps**4)
+    _in_range("(rho, L, D, eps)", (rho, L, D, eps))
+    bound = lambda: 16.0 * (rho * L * D) ** 2 * min(1.0, L / (rho * D)) / eps**4
+    return math.ceil(_formula("iteration bound", bound))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +195,11 @@ def _pipeline_constants(
 ) -> tuple[float, float, float, float]:
     """(L, D, mu, lam) of the pipeline: mu = eps/(2D), lam = 2 rho - mu."""
     L, D = _convex_constants(base, "pipeline")
-    if rho <= 0 or eps <= 0:
-        raise ValueError("rho and eps must be positive")
+    _in_range("(rho, eps)", (rho, eps))
     if eps > 2.0 * rho * D:
         raise ValueError(f"eps={eps} violates the eps <= 2 rho D = {2 * rho * D} guard")
     mu = eps / (2.0 * D)
-    return L, D, mu, 2.0 * rho - mu
+    return L, D, mu, _in_range("lam = 2 rho - mu", 2.0 * rho - mu)
 
 
 @dataclass(frozen=True)
@@ -233,22 +231,23 @@ def two_stage_convex(
     used everywhere else).  Total budget: 2 (T+1) oracle calls.
     """
     L, D = _convex_constants(base, "two-stage scheme")
-    rng, _ = coerce_rng(rng_or_seed)
-    kid1, kid2 = rng.spawn(2)
-
-    x0 = base.regularizer.project_domain(np.zeros(base.dim))
+    _in_range("rho_hat", rho_hat)
+    # both schedules are built, and so checked, before either stage runs
     gamma1 = D / L
-    stage1 = run_psgm(base, x0, StepSchedule.constant(gamma1, T), kid1)
-    stage1_point = stage1.mean
+    schedule1 = StepSchedule.constant(gamma1, T)
     R = L * D / math.sqrt(T + 1)
-
     gamma2 = optimal_gamma(R, rho_hat / 2.0, L)
     # the envelope argument needs steps <= 1/rho_hat; binding only for
     # tiny T with rho_hat D >> L
     gamma2 = min(gamma2, math.sqrt(T + 1) / rho_hat)
-    stage2 = run_psgm(
-        base, stage1_point, StepSchedule.constant(gamma2, T, rho_hat=rho_hat), kid2
-    )
+    schedule2 = StepSchedule.constant(gamma2, T, rho_hat=rho_hat)
+
+    rng, _ = coerce_rng(rng_or_seed)
+    kid1, kid2 = rng.spawn(2)
+    x0 = base.regularizer.project_domain(np.zeros(base.dim))
+    stage1 = run_psgm(base, x0, schedule1, kid1)
+    stage1_point = stage1.mean
+    stage2 = run_psgm(base, stage1_point, schedule2, kid2)
     return TwoStageResult(
         result=stage2,
         stage1_point=stage1_point,
@@ -277,8 +276,6 @@ def strongly_convex_stage(
     x_0..x_T with weight t+1 on x_t, whose expected objective gap on the
     regularized problem is at most `strongly_convex_gap_bound`.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
     alphas = 2.0 / (reg.mu * (np.arange(T + 1) + 1.0))
     run = run_psgm(reg.problem, reg.x_c, StepSchedule(alphas), rng_or_seed)
     return run.weighted_mean
@@ -299,7 +296,8 @@ def pipeline_budget(base: CompositeProblem, rho: float, eps: float) -> int:
     l_hat = L + mu * D
     big_k = 4.0 * l_hat * math.sqrt(2.0 * lam * (L * L + mu * mu * D * D) / mu)
     factor = (lam + mu) / lam
-    return max(0, math.ceil(4.0 * big_k * factor * factor / (eps * eps)) - 1)
+    budget = lambda: 4.0 * big_k * factor * factor / (eps * eps)
+    return max(0, math.ceil(_formula("pipeline budget", budget)) - 1)
 
 
 @dataclass(frozen=True)
@@ -332,20 +330,22 @@ def regularized_pipeline(
     with coefficient 2 rho.  Requires eps <= 2 rho D.
     """
     L, D, mu, lam = _pipeline_constants(base, rho, eps)
-    rng, _ = coerce_rng(rng_or_seed)
-    kid1, kid2 = rng.spawn(2)
-
+    _in_range("T", T, 0, ends="[)")
     x_c = base.regularizer.project_domain(np.zeros(base.dim))
     reg = RegularizedProblem(base, mu, x_c)
-    y0 = strongly_convex_stage(reg, T, kid1)
+    # the main run's schedule is built, and so checked, before either stage runs
     R = strongly_convex_gap_bound(L, mu, D, T)
-
     # the regularized problem is treated as (lam/2)-weakly convex so the
     # measured envelope has coefficient lam, matching map_back
     L_hat = L + mu * D
     gamma = optimal_gamma(R, lam / 2.0, L_hat)
     gamma = min(gamma, math.sqrt(T + 1) / lam)
-    run = run_psgm(reg.problem, y0, StepSchedule.constant(gamma, T, rho_hat=lam), kid2)
+    schedule = StepSchedule.constant(gamma, T, rho_hat=lam)
+
+    rng, _ = coerce_rng(rng_or_seed)
+    kid1, kid2 = rng.spawn(2)
+    y0 = strongly_convex_stage(reg, T, kid1)
+    run = run_psgm(reg.problem, y0, schedule, kid2)
     z = map_back(run.x_star, mu, lam, reg.x_c)
     return PipelineResult(
         z=z,

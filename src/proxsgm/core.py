@@ -21,17 +21,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .prox import ProxFriendly
+if TYPE_CHECKING:
+    from .prox import ProxFriendly
 
 Array = np.ndarray
+
+# The largest length or coordinate the maps may square: squared norms such as
+# ||x - center||^2 stay finite below it in any dimension under 1e8.
+_LENGTH_MAX = 1e150
 
 
 class CapabilityError(RuntimeError):
     """An operation needs an oracle this problem does not expose."""
+
+
+def _in_range(name: str, v, lo=0.0, hi=math.inf, ends: str = "()", error=ValueError):
+    """``v`` as a float (a list or array as a float array) once lo < v < hi,
+    with <= at an end that ``ends`` closes ("[" or "]"); else ``error`` names
+    ``name``, the range and the value, or an array's first bad entry.  The one
+    range check of every public entry: its comparison is False for NaN, and
+    an infinite end is open.  None, an optional parameter left unset, passes."""
+    if v is None:
+        return None
+    ends = ("(" if lo == -math.inf else ends[0]) + (")" if hi == math.inf else ends[1])
+    arr = isinstance(v, (np.ndarray, list, tuple))
+    a = np.asarray(v, dtype=float) if arr else float(v)
+    ok = (lo < a if ends[0] == "(" else lo <= a) & (a < hi if ends[1] == ")" else a <= hi)
+    if ok.all() if arr else ok:
+        return a
+    got = f"{a.flat[np.argmin(ok)]} at index {np.argmin(ok)}" if arr else v
+    must = {(0, math.inf, "()"): "be finite and positive", (-math.inf, math.inf, "()"): "be finite",
+            (0, math.inf, "[)"): "be finite and nonnegative"}
+    must = must.get((lo, hi, ends), f"lie in {ends[0]}{lo}, {hi}{ends[1]}")
+    raise error(f"{name} must {must}, got {got}")
+
+
+def _formula(name: str, formula: Callable[[], float]) -> float:
+    """``formula()`` once finite, else ``ValueError`` naming ``name``: numpy's
+    overflow gives inf, Python's float ``**`` raises ``OverflowError``, and a
+    power that underflows to 0 can raise ``ZeroDivisionError``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _in_range(name, formula(), -math.inf)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{name} leaves the range of floats at these inputs") from None
 
 
 def coerce_rng(rng_or_seed) -> tuple[np.random.Generator, int]:
@@ -130,6 +167,10 @@ class ProblemMeta:
     sigma: float | None = None
     outlier_fraction: float | None = None
 
+    def __post_init__(self) -> None:
+        _in_range("sigma", self.sigma, ends="[)")
+        _in_range("outlier_fraction", self.outlier_fraction, 0.0, 1.0, "[)")
+
     def problem_id(self) -> str:
         """``family:m:d:seed``, plus the family's ``ID_PARAMS`` suffix when that
         parameter is not its default, so the id names exactly one instance."""
@@ -177,16 +218,10 @@ class CompositeProblem:
     meta: ProblemMeta | None = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        # the chained comparisons are False for NaN, so NaN fails them too
+        _in_range("dim", self.dim, 1, ends="[)")
         for name in ("rho", "lipschitz_L", "sigma"):
-            val = getattr(self, name)
-            if val is not None and not 0 <= val < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-        D = self.domain_diameter
-        if D is not None and not 0 < D < math.inf:
-            raise ValueError(f"domain_diameter must be finite and positive, got {D}")
+            _in_range(name, getattr(self, name), ends="[)")
+        _in_range("domain_diameter", self.domain_diameter)
 
     def phi(self, x: Array) -> float:
         """Full objective g + r; inf outside dom r."""
@@ -229,8 +264,8 @@ def _sampled_pairs(
     problem: CompositeProblem, n_pairs: int, radius: float, rng: np.random.Generator
 ) -> tuple[Array, Array]:
     problem.require_deterministic()
-    if n_pairs < 1 or radius <= 0:
-        raise ValueError("need n_pairs >= 1 and radius > 0")
+    _in_range("n_pairs", n_pairs, 1, ends="[)")
+    _in_range("radius", radius, 0.0, _LENGTH_MAX)
     xs = sample_domain_points(problem, n_pairs, radius, rng)
     ys = sample_domain_points(problem, n_pairs, radius, rng)
     return xs, ys

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .boost import optimal_gamma
-from .core import CompositeProblem
+from .core import _LENGTH_MAX, CompositeProblem, _formula, _in_range
 from .moreau import InnerAccuracyError, moreau_prox
 from .problems import default_x0, problem_from_id
 from .solver import StepSchedule, run_psgm
@@ -71,6 +71,9 @@ class BoundInputs:
 
     ``delta`` upper-bounds envelope(x0) - min phi.  Constant-step variants
     need gamma and T; the general variants need the explicit step sequence.
+    A negative or non-finite delta, rho, rho_hat, L or sigma, a gamma or
+    step that is not finite and positive, or a negative T raises
+    ``ValueError``.
     """
 
     delta: float
@@ -82,6 +85,14 @@ class BoundInputs:
     T: int | None = None
     alphas: Array | None = None
 
+    def __post_init__(self) -> None:
+        # a negative or non-finite constant makes a formula's value no bound
+        for name in ("delta", "rho", "rho_hat", "L", "sigma"):
+            _in_range(name, getattr(self, name), ends="[)")
+        _in_range("gamma", self.gamma)
+        _in_range("T", self.T, 0, ends="[)")
+        _in_range("step sequence", self.alphas)
+
 
 def _need(inputs: BoundInputs, *names: str) -> None:
     missing = [n for n in names if getattr(inputs, n) is None]
@@ -89,20 +100,10 @@ def _need(inputs: BoundInputs, *names: str) -> None:
         raise ValueError(f"bound variant needs {', '.join(missing)}")
 
 
-def _check_constants(inputs: BoundInputs) -> None:
-    """A negative or non-finite constant makes the formula's value no bound."""
-    for name in ("delta", "rho", "rho_hat", "L", "sigma"):
-        v = getattr(inputs, name)
-        if v is not None and not 0.0 <= v < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-    if inputs.gamma is not None and not math.isfinite(inputs.gamma):
-        raise ValueError(f"gamma must be finite, got {inputs.gamma}")
-
-
-def _sums(inputs: BoundInputs) -> tuple[float, float]:
-    a = np.asarray(inputs.alphas, dtype=float)
-    if a.size == 0 or not np.all((a > 0) & (a < math.inf)):
-        raise ValueError("step sequence must be nonempty, positive and finite")
+def _sums(inputs: BoundInputs, cap: float = math.inf) -> tuple[float, float]:
+    """Sums of the steps and of their squares, each step at most ``cap``."""
+    a = _in_range("step sequence", np.asarray(inputs.alphas, dtype=float), 0.0, cap, "(]")
+    _in_range("number of steps", a.size, 1, ends="[)")
     return float(a.sum()), float((a**2).sum())
 
 
@@ -114,52 +115,41 @@ def theoretical_bound(variant: str, inputs: BoundInputs) -> float:
     parent theorem needs at a fixed horizon is alpha = gamma/sqrt(T+1) <=
     1/(2 rho), and that weaker per-horizon form is what gets enforced, so
     tuned step sizes with gamma above the cap remain admissible whenever
-    every actual step is.  A negative or non-finite delta, rho, rho_hat, L
-    or sigma, or a non-finite step, raises ``ValueError``.
+    every actual step is.  A value beyond the floats raises ``ValueError``,
+    as ``BoundInputs`` does for a constant out of range.
     """
-    _check_constants(inputs)
+    return _formula(f"{variant} bound", lambda: _bound(variant, inputs))
+
+
+def _bound(variant: str, inputs: BoundInputs) -> float:
     d = inputs.delta
     rho = inputs.rho
 
     if variant == "ProjectedThm21":
         _need(inputs, "rho_hat", "L", "alphas")
-        rh = inputs.rho_hat
-        if rh <= rho:
-            raise ValueError("ProjectedThm21 needs rho_hat > rho")
+        rh = _in_range("rho_hat", inputs.rho_hat, rho)
         s1, s2 = _sums(inputs)
         return (rh / (rh - rho)) * (d + 0.5 * rh * inputs.L**2 * s2) / s1
 
     if variant == "ProximalThm26":
         _need(inputs, "rho_hat", "L", "alphas")
-        rh = inputs.rho_hat
-        if rho <= 0:
-            raise ValueError("ProximalThm26 needs rho > 0")
-        if not (rho < rh <= 2.0 * rho + 1e-12):
-            raise ValueError("ProximalThm26 needs rho_hat in (rho, 2 rho]")
-        s1, s2 = _sums(inputs)
-        if float(np.max(inputs.alphas)) > 1.0 / rh + 1e-15:
-            raise ValueError("ProximalThm26 needs steps <= 1/rho_hat")
+        _in_range("rho", rho)
+        rh = _in_range("rho_hat", inputs.rho_hat, rho, 2.0 * rho + 1e-12, "(]")
+        s1, s2 = _sums(inputs, 1.0 / rh + 1e-15)
         return (rh / (rh - rho)) * (d + rh * inputs.L**2 * s2) / s1
 
     if variant in ("Cor22", "Cor27"):
         _need(inputs, "L", "gamma", "T")
-        if rho <= 0:
-            raise ValueError(f"{variant} needs rho > 0")
+        _in_range("rho", rho)
         g, T = inputs.gamma, inputs.T
-        if g <= 0 or T < 0:
-            raise ValueError("need gamma > 0 and T >= 0")
-        if variant == "Cor27" and g / math.sqrt(T + 1) > 0.5 / rho + 1e-15:
-            raise ValueError("Cor27 needs the step gamma/sqrt(T+1) <= 1/(2 rho)")
+        if variant == "Cor27":
+            _in_range("step gamma/sqrt(T+1)", g / math.sqrt(T + 1), 0.0, 0.5 / rho + 1e-15, "(]")
         return 2.0 * (d + rho * inputs.L**2 * g * g) / (g * math.sqrt(T + 1))
 
     if variant == "SmoothCor29":
         _need(inputs, "rho_hat", "sigma", "alphas")
-        rh = inputs.rho_hat
-        if rh <= rho:
-            raise ValueError("SmoothCor29 needs rho_hat > rho")
-        s1, s2 = _sums(inputs)
-        if float(np.max(inputs.alphas)) > 1.0 / rh + 1e-15:
-            raise ValueError("SmoothCor29 needs steps <= 1/rho_hat")
+        rh = _in_range("rho_hat", inputs.rho_hat, rho)
+        s1, s2 = _sums(inputs, 1.0 / rh + 1e-15)
         return (2.0 * rh / (rh - rho)) * (d + 0.5 * rh * inputs.sigma**2 * s2) / s1
 
     raise ValueError(f"unknown bound variant {variant!r}; expected one of {BOUND_VARIANTS}")
@@ -183,27 +173,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         hs = tuple(int(t) for t in self.horizons)
-        if len(hs) == 0:
-            raise ConfigError("horizons must be nonempty")
-        if any(t < 0 for t in hs):
-            raise ConfigError("horizons must be nonnegative")
-        if any(b <= a for a, b in zip(hs, hs[1:])):
-            raise ConfigError("horizons must be strictly increasing")
+        _in_range("number of horizons", len(hs), 1, ends="[)", error=ConfigError)
+        _in_range("horizons", hs, 0, ends="[)", error=ConfigError)
+        _in_range("horizon increments", np.diff(hs), 0, error=ConfigError)
         object.__setattr__(self, "horizons", hs)
-        if isinstance(self.gamma, str):
-            if self.gamma != "optimal":
-                raise ConfigError('gamma must be a positive real or "optimal"')
-        elif not 0 < self.gamma < math.inf:
-            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
-        # named as in a .cfg file; the chained test is False for NaN too
-        for key, val in (("inner_tol", self.inner_tol), ("rho_hat", self.rho_hat),
+        if isinstance(self.gamma, str) and self.gamma != "optimal":
+            raise ConfigError('gamma must be a positive real or "optimal"')
+        # named as in a .cfg file
+        for key, val in (("gamma", None if self.gamma == "optimal" else self.gamma),
+                         ("inner_tol", self.inner_tol), ("rho_hat", self.rho_hat),
                          ("lambda", self.lam)):
-            if val is not None and not 0 < val < math.inf:
-                raise ConfigError(f"{key} must be finite and positive, got {val}")
-        if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+            _in_range(key, val, error=ConfigError)
+        _in_range("(n_seeds, workers)", (self.n_seeds, self.workers), 1, ends="[)",
+                  error=ConfigError)
 
 
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
@@ -305,11 +287,10 @@ def _resolve_parameters(
     rho_hat = config.rho_hat
     if rho_hat is None:
         rho_hat = 2.0 * rho if rho > 0 else 1.0
-    if rho_hat <= rho:
-        raise ConfigError(f"rho_hat={rho_hat} must exceed the problem modulus {rho}")
+    _in_range("rho_hat", rho_hat, rho, error=ConfigError)
     lam = config.lam if config.lam is not None else 1.0 / rho_hat
-    if lam <= 0 or (rho > 0 and lam >= 1.0 / rho):
-        raise ConfigError(f"lambda={lam} outside (0, 1/rho)")
+    _in_range("lambda", lam, 1.0 / _LENGTH_MAX, 1.0 / rho if rho > 0 else math.inf,
+              error=ConfigError)
 
     if config.gamma == "optimal":
         L, D = problem.lipschitz_L, problem.domain_diameter
@@ -320,12 +301,9 @@ def _resolve_parameters(
     else:
         gamma = float(config.gamma)
 
-    for T in config.horizons:
-        alpha = gamma / math.sqrt(T + 1)
-        if alpha > 1.0 / rho_hat + 1e-15:
-            raise ConfigError(
-                f"step gamma/sqrt(T+1) = {alpha} exceeds 1/rho_hat at T={T}"
-            )
+    T = config.horizons[0]  # the first horizon takes the largest step
+    _in_range(f"step gamma/sqrt(T+1) at T={T}", gamma / math.sqrt(T + 1), 0.0,
+              1.0 / rho_hat + 1e-15, "(]", ConfigError)
     return gamma, rho_hat, lam
 
 
@@ -514,10 +492,10 @@ def fit_rate(horizons, means) -> tuple[float, float]:
     """
     T = np.asarray(horizons, dtype=float)
     y = np.asarray(means, dtype=float)
-    if T.size < 3:
-        raise ValueError("rate fit needs at least 3 horizons")
-    if np.any(T <= 0) or np.any(y <= 0):
-        raise ValueError("horizons and means must be positive for a log-log fit")
+    _in_range("number of horizons", T.size, 3, ends="[)")
+    # positive for a log-log fit
+    _in_range("horizons", T)
+    _in_range("means", y)
     lx, ly = np.log(T), np.log(y)
     lx_c = lx - lx.mean()
     sxx = float(lx_c @ lx_c)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapabilityError, CompositeProblem, row_dots
+from .core import _LENGTH_MAX, CapabilityError, CompositeProblem, _in_range, row_dots
 
 Array = np.ndarray
 
@@ -70,7 +70,7 @@ def minimize(*args, **kwargs):
 
 
 class ParameterError(ValueError):
-    """Envelope parameter outside (0, 1/rho)."""
+    """Envelope parameter outside (1e-150, 1/rho)."""
 
 
 class DimensionError(ValueError):
@@ -112,18 +112,14 @@ class MoreauPoint:
 class StationarityReport:
     grad_norm: float
     grad_norm_sq: float
-    dist_to_xhat: float
-    subdiff_dist_bound: float
     exact_subdiff_dist: float | None = None
 
 
 def _validate_lam(problem: CompositeProblem, lam: float) -> None:
-    if not 0 < lam < math.inf:
-        raise ParameterError(f"envelope parameter lam must be finite and positive, got {lam}")
-    if problem.rho > 0 and lam >= 1.0 / problem.rho:
-        raise ParameterError(
-            f"lam={lam} is not below 1/rho={1.0 / problem.rho}; envelope not smooth"
-        )
+    """lam below 1/rho, where the envelope is smooth, and above 1/_LENGTH_MAX,
+    below which the weight 1/(2 lam) of ||y - x||^2 overflows."""
+    hi = 1.0 / problem.rho if problem.rho > 0 else math.inf
+    _in_range("lam", lam, 1.0 / _LENGTH_MAX, hi, error=ParameterError)
 
 
 def _psi(problem: CompositeProblem, x: Array, lam: float, y: Array) -> float:
@@ -382,10 +378,12 @@ def _inner_1d(
         return np.array([b]), 0.0
 
     width_floor = 1e-15 * (1.0 + abs(x0))
-    for _ in range(200):
-        if b - a <= width_floor:
-            break
+    # halve down to the floor, or until no float lies strictly between a
+    # and b; 2100 halvings close any finite bracket
+    for _ in range(2100):
         mid = 0.5 * (a + b)
+        if b - a <= width_floor or not a < mid < b:
+            break
         if slope(mid) < 0:
             a = mid
         else:
@@ -576,8 +574,8 @@ def moreau_prox(
 ) -> MoreauPoint:
     """Proximal point of phi = g + r at x with envelope parameter lam.
 
-    Requires 0 < lam < 1/rho so the subproblem is strongly convex, and
-    0 < tol < inf (``ValueError`` before any solve otherwise).  The
+    Requires 1e-150 < lam < 1/rho (``ParameterError``), so the subproblem is
+    strongly convex, and 0 < tol < inf (``ValueError``), before any solve.  The
     returned point certifies an optimality gap ``inner_tol``; when the gap
     budget cannot be met an :class:`InnerAccuracyError` is raised carrying
     the best point found.  For nonsmooth g in d >= 2, a cold solve (no
@@ -587,8 +585,7 @@ def moreau_prox(
     """
     problem.require_deterministic()
     _validate_lam(problem, lam)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _in_range("tol", tol)
     x = np.asarray(x, dtype=float)
 
     if problem.dim == 1:
@@ -638,10 +635,10 @@ def moreau_grid_oracle(
     """
     problem.require_deterministic()
     _validate_lam(problem, lam)
-    if problem.dim > 2:
-        raise DimensionError("grid oracle supports dim <= 2 only")
-    if grid.points_per_dim < 3:
-        raise ValueError("points_per_dim must be at least 3")
+    _in_range("dim", problem.dim, 1, 2, "[]", DimensionError)
+    _in_range("points_per_dim", grid.points_per_dim, 3, ends="[)")
+    # a negative count searches no grid, yet the gap below would be reported
+    _in_range("n_refine", grid.n_refine, 0, ends="[)")
     x = np.asarray(x, dtype=float)
     r = problem.regularizer
     center = r.project_domain(x)
@@ -687,8 +684,8 @@ def stationarity_report(
 ) -> StationarityReport:
     """Near-stationarity summary of a proximal point.
 
-    ``subdiff_dist_bound`` is the envelope gradient norm, which upper-bounds
-    the distance of zero to the subdifferential of phi at x_hat.  When the
+    ``grad_norm`` is the envelope gradient norm, which upper-bounds the
+    distance of zero to the subdifferential of phi at x_hat.  When the
     problem exposes a one-dimensional subdifferential interval the exact
     distance is reported too, taken over the inner certificate's uncertainty
     interval around x_hat: a certified objective gap eps localizes the true
@@ -729,8 +726,6 @@ def stationarity_report(
     return StationarityReport(
         grad_norm=gn,
         grad_norm_sq=gn * gn,
-        dist_to_xhat=point.lam * gn,
-        subdiff_dist_bound=gn,
         exact_subdiff_dist=exact,
     )
 
@@ -745,8 +740,7 @@ def envelope_grad_fd_check(
     """Max relative error between central differences of the envelope value
     and the closed-form envelope gradient.  Inner solves run at a tolerance
     far below h^2 so the differencing error dominates."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _in_range("h", h, 0.0, _LENGTH_MAX)
     if inner_tol is None:
         inner_tol = min(1e-10, h * h * 1e-2)
     x = np.asarray(x, dtype=float)
@@ -769,12 +763,11 @@ def envelope_grad_fd_check(
 def prox_gradient_mapping(problem: CompositeProblem, x: Array, lam: float) -> Array:
     """Prox-gradient mapping (x - prox_{lam r}(x - lam grad g(x))) / lam.
 
-    Only defined when g is smooth; its norm sandwiches the envelope
-    gradient norm within factors (1 -+ rho lam)."""
+    Only defined when g is smooth, and for 0 < lam < 1/rho; its norm
+    sandwiches the envelope gradient norm within factors (1 -+ rho lam)."""
     if not problem.smooth:
         raise CapabilityError("prox-gradient mapping needs a smooth g")
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
+    _validate_lam(problem, lam)
     x = np.asarray(x, dtype=float)
     step_point = problem.regularizer.prox(x - lam * problem.g_full_subgradient(x), lam)
     return (x - step_point) / lam

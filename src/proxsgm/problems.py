@@ -43,6 +43,7 @@ from .core import (
     CompositeProblem,
     ProblemMeta,
     StochasticOracle,
+    _in_range,
     coerce_rng,
     deterministic_oracle,
     point_value,
@@ -128,8 +129,7 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
     rho = 2 * max_i ||a_i||^2 and the oracle norm bound
     L = 2 * radius * max_i ||a_i||^2.
     """
-    if m < 1 or d < 1:
-        raise ValueError("need m >= 1 and d >= 1")
+    _in_range("(m, d)", (m, d), 1, ends="[)")
     rng, seed = coerce_rng(rng_or_seed)
     A, x_sharp, b = _phase_retrieval_data(m, d, rng)
     radius = 2.0
@@ -183,11 +183,10 @@ def make_robust_regression(
     large noise on a ceil(outlier_fraction * m) subset.  Convex (rho = 0),
     L = max_i ||a_i||, box constraint [-2, 2]^d with the signal interior.
     """
-    if m < 1 or d < 1:
-        raise ValueError("need m >= 1 and d >= 1")
-    if not 0.0 <= outlier_fraction < 1.0:
-        raise ValueError("outlier_fraction must lie in [0, 1)")
+    _in_range("(m, d)", (m, d), 1, ends="[)")
     rng, seed = coerce_rng(rng_or_seed)
+    # built first: it checks the fraction before any data is drawn
+    meta = ProblemMeta("robust_regression", m, d, seed, outlier_fraction=float(outlier_fraction))
     A, b, x_sharp = _robust_regression_data(rng, m, d, outlier_fraction)
     L = float(np.max(np.linalg.norm(A, axis=1)))
 
@@ -208,13 +207,7 @@ def make_robust_regression(
         lipschitz_L=L,
         domain_diameter=float(np.linalg.norm(hi - lo)),
         planted_point=x_sharp,
-        meta=ProblemMeta(
-            family="robust_regression",
-            m=m,
-            d=d,
-            seed=seed,
-            outlier_fraction=float(outlier_fraction),
-        ),
+        meta=meta,
     )
 
 
@@ -259,11 +252,10 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
     sample equals ``g_full_subgradient`` bit for bit.  The value keeps the
     residual form, which does not cancel near the minimum.
     """
-    if m < 1 or d < 1:
-        raise ValueError("need m >= 1 and d >= 1")
-    if not 0.0 <= sigma < np.inf:
-        raise ValueError("sigma must be finite and nonnegative")
+    _in_range("(m, d)", (m, d), 1, ends="[)")
     rng, seed = coerce_rng(rng_or_seed)
+    # built first: it checks sigma before any data is drawn
+    meta = ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed, sigma=float(sigma))
     A = rng.standard_normal((m, d))
     x_sharp = rng.uniform(-0.5, 0.5, size=d)
     b = A @ x_sharp
@@ -296,7 +288,7 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
         domain_diameter=float(np.linalg.norm(hi - lo)),
         smooth=True,
         planted_point=x_sharp,
-        meta=ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed, sigma=float(sigma)),
+        meta=meta,
     )
 
 

@@ -16,6 +16,8 @@ from enum import Enum
 import numpy as np
 from numpy._core import umath as _umath
 
+from .core import _LENGTH_MAX, _formula, _in_range
+
 Array = np.ndarray
 
 # Feasibility slack for indicator values: prox outputs sit on the boundary up
@@ -97,6 +99,18 @@ class ProxFriendly:
     radius: float | None = None
     weight: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind is ProxKind.BOX:
+            # finite only when both bounds are; an infinite width would also
+            # make the feasibility slack of ``value`` infinite
+            width = _formula("box width hi - lo", lambda: self.hi - self.lo)
+            _in_range("box width hi - lo", width, ends="[)")
+        elif self.kind is ProxKind.BALL:
+            _in_range("radius", self.radius)
+        elif self.kind is not ProxKind.ZERO:
+            _in_range("weight", self.weight, ends="[)" if self.kind is ProxKind.L1 else "()")
+        _in_range("center", self.center, -_LENGTH_MAX, _LENGTH_MAX)
+
     def value(self, x: Array) -> float | Array:
         """r at a point, or per row of a stack; inf marks infeasibility."""
         x = np.asarray(x, dtype=float)
@@ -117,8 +131,9 @@ class ProxFriendly:
         return v if v.ndim else float(v)
 
     def prox(self, x: Array, alpha: float) -> Array:
-        if alpha < 0:
-            raise ValueError("prox step must be nonnegative")
+        # inline, not the range helper: this runs once per solver step
+        if not alpha >= 0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
         # an indicator's prox is its projection at every alpha >= 0, so the
         # two kinds of the solver's step loop dispatch first
         if self.kind is ProxKind.BOX:
@@ -130,6 +145,9 @@ class ProxFriendly:
             return self.project_domain(x)
         if self.kind is ProxKind.ZERO:
             return prox_zero(x, alpha)
+        # the l1 and quadratic formulas give NaN once this product is not finite
+        if not alpha * self.weight < math.inf:
+            raise ValueError(f"alpha * weight must be finite, got {alpha} * {self.weight}")
         if self.kind is ProxKind.L1:
             return prox_l1(x, alpha, self.weight)
         return prox_quadratic(x, alpha, self.weight, self.center)
@@ -216,28 +234,20 @@ def zero_regularizer() -> ProxFriendly:
 def box_indicator(lo, hi) -> ProxFriendly:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if np.any(hi < lo):
-        raise ValueError("box upper bounds must dominate lower bounds")
     return ProxFriendly(kind=ProxKind.BOX, lo=lo, hi=hi)
 
 
 def ball_indicator(center, radius: float) -> ProxFriendly:
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
     return ProxFriendly(
         kind=ProxKind.BALL, center=np.atleast_1d(np.asarray(center, float)), radius=float(radius)
     )
 
 
 def l1_regularizer(weight: float) -> ProxFriendly:
-    if weight < 0:
-        raise ValueError("l1 weight must be nonnegative")
     return ProxFriendly(kind=ProxKind.L1, weight=float(weight))
 
 
 def quadratic_regularizer(weight: float, center) -> ProxFriendly:
-    if weight <= 0:
-        raise ValueError("quadratic weight must be positive")
     return ProxFriendly(
         kind=ProxKind.QUADRATIC, weight=float(weight), center=np.atleast_1d(np.asarray(center, float))
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompositeProblem, coerce_rng
+from .core import CompositeProblem, _in_range, coerce_rng
 from .moreau import MoreauPoint, moreau_prox
 
 Array = np.ndarray
@@ -51,8 +51,9 @@ class StepSchedule:
 
     ``StepSchedule(alphas)`` takes any finite positive steps (a sequence or
     array); ``constant`` builds the gamma / sqrt(T+1) schedule the
-    constant-step corollaries analyze.  When rho_hat is supplied the steps
-    must not exceed 1/rho_hat, which the descent lemma needs.
+    constant-step corollaries analyze.  When rho_hat is supplied, finite and
+    positive, the steps must not exceed 1/rho_hat, which the descent lemma
+    needs.
     """
 
     alphas: Array
@@ -62,15 +63,8 @@ class StepSchedule:
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("schedule needs a nonempty 1-D array of steps")
-        bad = np.flatnonzero(~(np.isfinite(a) & (a > 0)))
-        if bad.size:
-            t = bad[0]
-            raise ValueError(f"steps must be finite and positive, alpha_{t} = {a[t]}")
-        if self.rho_hat is not None and self.rho_hat > 0:
-            if float(a.max()) > 1.0 / self.rho_hat + 1e-15:
-                raise ValueError(
-                    f"max step {a.max()} exceeds 1/rho_hat = {1.0 / self.rho_hat}"
-                )
+        cap = math.inf if self.rho_hat is None else 1.0 / _in_range("rho_hat", self.rho_hat)
+        _in_range("steps", a, 0.0, cap + 1e-15, "(]")
         object.__setattr__(self, "alphas", a)
 
     @property
@@ -80,10 +74,8 @@ class StepSchedule:
 
     @staticmethod
     def constant(gamma: float, T: int, rho_hat: float | None = None) -> "StepSchedule":
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if T < 0:
-            raise ValueError("horizon must be nonnegative")
+        _in_range("gamma", gamma)
+        _in_range("T", T, 0, ends="[)")
         alpha = gamma / math.sqrt(T + 1)
         return StepSchedule(alphas=np.full(T + 1, alpha), rho_hat=rho_hat)
 
@@ -110,13 +102,12 @@ def sample_tstar(alphas, rng: np.random.Generator, size: int | None = None) -> i
 
     Consumes one uniform variate per index drawn: ``size=None`` gives one
     ``int``, an integer ``size`` an array equal to that many such calls.
+    The steps must be finite and positive, and so must their sum.
     """
-    a = np.asarray(alphas, dtype=float)
-    if a.size == 0:
-        raise ValueError("empty step list")
-    if not np.all(a > 0):
-        raise ValueError("steps must be positive")
+    a = _in_range("steps", np.asarray(alphas, dtype=float))
+    _in_range("number of steps", a.size, 1, ends="[)")
     cdf = np.cumsum(a)
+    _in_range("sum of steps", cdf[-1])
     t = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size), side="right")
     t = t.clip(0, a.size - 1)
     return int(t) if size is None else t
@@ -248,19 +239,12 @@ def check_descent_lemma(
     """
     rng, _ = coerce_rng(rng_or_seed)
     variant = "smooth" if problem.smooth else "weakly_convex"
-    if not rho_hat > problem.rho:
-        raise ValueError(f"rho_hat must exceed rho, got {rho_hat}")
-    if variant == "weakly_convex" and problem.rho > 0 and rho_hat > 2 * problem.rho:
-        raise ValueError("weakly convex variant needs rho_hat <= 2 rho")
-    if not 0 < alpha <= 1.0 / rho_hat:
-        raise ValueError(f"alpha must lie in (0, 1/rho_hat], got {alpha}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    # the weakly convex variant's contraction needs rho_hat <= 2 rho
+    cap = 2 * problem.rho if variant == "weakly_convex" and problem.rho > 0 else math.inf
+    _in_range("rho_hat", rho_hat, problem.rho, cap, "(]")
+    _in_range("alpha", alpha, 0.0, 1.0 / rho_hat, "(]")
+    _in_range("n_samples", n_samples, 2, ends="[)")
     x_t = np.asarray(x_t, dtype=float)
-
-    point = moreau_prox(problem, x_t, 1.0 / rho_hat, inner_tol)
-    x_hat = point.x_hat
-    dist_sq = float(np.sum((x_t - x_hat) ** 2))
 
     if variant == "weakly_convex":
         L = problem.lipschitz_L
@@ -273,6 +257,10 @@ def check_descent_lemma(
             raise ValueError("smooth variant needs a certified sigma")
         noise_term = alpha * alpha * problem.sigma**2
         contraction = alpha * (rho_hat - problem.rho)
+
+    point = moreau_prox(problem, x_t, 1.0 / rho_hat, inner_tol)
+    x_hat = point.x_hat
+    dist_sq = float(np.sum((x_t - x_hat) ** 2))
     bound = dist_sq + noise_term - contraction * dist_sq
 
     draws = problem.g_oracle.sample(x_t, problem.g_oracle.draw(rng, n_samples))
@@ -307,9 +295,11 @@ def check_prox_identity(
 
     Pass ``point`` to reuse an already computed MoreauPoint (for example
     from the grid oracle); it must have been evaluated at (x, 1/rho_hat).
+    Raises ``ValueError`` before any solve unless rho_hat exceeds rho and
+    alpha lies in (0, 1/rho_hat].
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _in_range("rho_hat", rho_hat, problem.rho)
+    _in_range("alpha", alpha, 0.0, 1.0 / rho_hat, "(]")
     x = np.asarray(x, dtype=float)
     if point is None:
         point = moreau_prox(problem, x, 1.0 / rho_hat, inner_tol)

@@ -184,6 +184,18 @@ def test_sample_domain_points_feasible():
         assert p.regularizer.value(z) == 0.0
 
 
+@pytest.mark.parametrize("check", [check_weak_convexity, check_hypomonotonicity])
+@pytest.mark.parametrize(
+    "n_pairs, radius",
+    [(10, math.nan), (10, math.inf), (10, 1e308), (10, 0.0), (math.nan, 1.0), (0, 1.0)],
+)
+def test_certifications_reject_a_sample_that_measures_nothing(check, n_pairs, radius):
+    # at radius nan or inf every sampled point was nan and the verdict read
+    # violated=False; at 1e308 the squared norms of the projection overflowed
+    with pytest.raises(ValueError, match="n_pairs|radius"):
+        check(make_toy1d("absquad"), n_pairs, radius, np.random.default_rng(0))
+
+
 def test_post_init_validation():
     ora = constant_oracle([1.0])
     with pytest.raises(ValueError):

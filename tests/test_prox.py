@@ -433,3 +433,14 @@ def test_construction_validation():
         l1_regularizer(-0.5)
     with pytest.raises(ValueError):
         quadratic_regularizer(-1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (-1e308, 1e308), (np.nan, 1.0)]
+)
+def test_box_bounds_must_be_finite(lo, hi):
+    # with an infinite width hi - lo the feasibility slack of value was
+    # infinite: box_indicator(0.0, inf).value([-5.0]) read 0.0, so every
+    # point was feasible; a NaN bound gave a prox of [nan]
+    with pytest.raises(ValueError, match="box width hi - lo must be finite"):
+        box_indicator(lo, hi)
