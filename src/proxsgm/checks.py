@@ -254,7 +254,6 @@ def check_determinism() -> list[CheckResult]:
                 n_seeds=2,
                 inner_tol=1e-8,
                 output=path,
-                workers=2,
             )
             run_sweep(cfg, clock=lambda: 0.0)
             blobs.append(Path(path).read_bytes())

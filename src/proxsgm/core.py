@@ -50,9 +50,13 @@ def _in_range(name: str, v, lo=0.0, hi=math.inf, ends: str = "()", error=ValueEr
     ends = ("(" if lo == -math.inf else ends[0]) + (")" if hi == math.inf else ends[1])
     arr = isinstance(v, (np.ndarray, list, tuple))
     a = np.asarray(v, dtype=float) if arr else float(v)
-    ok = (lo < a if ends[0] == "(" else lo <= a) & (a < hi if ends[1] == ")" else a <= hi)
-    if ok.all() if arr else ok:
+    def within(b):
+        return (lo < b if ends[0] == "(" else lo <= b) & (b < hi if ends[1] == ")" else b <= hi)
+    # an array lies in range when its least and largest entries do, and a NaN
+    # makes both NaN: no array-long temporary unless an entry is bad
+    if (a.size == 0 or within(a.min()) and within(a.max())) if arr else within(a):
         return a
+    ok = within(a)
     got = f"{a.flat[np.argmin(ok)]} at index {np.argmin(ok)}" if arr else v
     must = {(0, math.inf, "()"): "be finite and positive", (-math.inf, math.inf, "()"): "be finite",
             (0, math.inf, "[)"): "be finite and nonnegative"}
@@ -369,28 +373,31 @@ def check_oracle_unbiasedness(
 
     Each of 20 repeats draws n = 10 000 subgradients g_k and passes when
     the mean deviates by at most five empirical standard errors,
-    5 s / sqrt(n), plus a rounding floor.  The mean is one gemv of the
-    weights 1/n with the ``(n, d)`` stack, the spread
-    s^2 = sum_k ||g_k - mean||^2 / n one flat dot of the deviations with
-    themselves.  The floor (n + 1) eps sqrt(s^2 + ||mean||^2) bounds the
-    rounding error of the computed mean: summing n terms errs by at most
-    gamma_n ~ n eps times the sum of their magnitudes (Higham 2002, section
-    4.2), rounding 1/n adds one eps, and ||(1/n) sum_k |g_k| || is at most
-    the root mean square of ||g_k||, which is sqrt(s^2 + ||mean||^2).  So a
-    zero-variance oracle passes exactly instead of failing on a one-ulp
-    error divided by a spread made of that same error.  At least 95% of the repeats must pass.
+    5 s / sqrt(n), plus a rounding floor.  The ``(n, d)`` stack is reduced
+    on the calling thread by numpy's own loops, never by BLAS, whose pool
+    would take the larger reductions onto other threads: the mean is the
+    column sums divided by n, the spread s^2 = sum_k ||g_k - mean||^2 / n
+    one flat sum of squares of the deviations, written into one ``(n, d)``
+    buffer per call.  The floor (n + 1) eps sqrt(s^2 + ||mean||^2) bounds
+    the rounding error of the computed mean: a sum of n terms, in any
+    order, errs by at most gamma_n ~ n eps times the sum of their
+    magnitudes (Higham 2002, section 4.2), the one division by n adds one
+    eps, and ||(1/n) sum_k |g_k| || is at most the root mean square of
+    ||g_k||, which is sqrt(s^2 + ||mean||^2).  So a zero-variance oracle
+    passes exactly instead of failing on a one-ulp error divided by a
+    spread made of that same error.  At least 95% of the repeats must pass.
     """
     n_samples, n_repeats = 10_000, 20
     oracle = problem.g_oracle
     target = problem.require_deterministic().g_full_subgradient(x)
-    weights = np.full(n_samples, 1.0 / n_samples)
+    dev = np.empty((n_samples, problem.dim))
     n_passed = 0
     worst = 0.0
     for _ in range(n_repeats):
         draws = oracle.sample(x, oracle.draw(rng, n_samples))
-        mean = weights @ draws
-        dev = draws - mean
-        spread_sq = float(np.vdot(dev, dev)) / n_samples
+        mean = np.einsum("ij->j", draws) / n_samples
+        np.subtract(draws, mean, out=dev)
+        spread_sq = float(np.einsum("ij,ij->", dev, dev)) / n_samples
         err = float(np.linalg.norm(mean - target))
         floor = (n_samples + 1) * math.ulp(1.0) * math.sqrt(spread_sq + float(mean @ mean))
         allowance = 5.0 * math.sqrt(spread_sq / n_samples) + floor
@@ -419,8 +426,9 @@ def check_second_moment(
 
     At each of 100 points sampled in the ball of radius ``domain_diameter``
     (2 when the problem has none), the estimate sum_k ||g_k||^2 / n over
-    n = 4 000 draws is one flat dot of the ``(n, d)`` stack with itself;
-    the point passes when it is at most 1.1 L^2.
+    n = 4 000 draws is one flat sum of squares of the ``(n, d)`` stack, by
+    numpy's own loop on the calling thread rather than a BLAS dot; the
+    point passes when it is at most 1.1 L^2.
     """
     if problem.lipschitz_L is None:
         raise CapabilityError("problem does not certify lipschitz_L")
@@ -431,7 +439,7 @@ def check_second_moment(
     n_passed = 0
     for x in pts:
         draws = problem.g_oracle.sample(x, problem.g_oracle.draw(rng, n_samples))
-        est = float(np.vdot(draws, draws)) / n_samples
+        est = float(np.einsum("ij,ij->", draws, draws)) / n_samples
         worst = max(worst, est / bound)
         n_passed += est <= bound
     return OracleReport(

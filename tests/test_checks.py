@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from proxsgm.checks import (
     CERTIFICATION_IDS,
     CheckResult,
     _prox_zoo,
+    check_determinism,
+    check_oracles,
     check_prox_nonexpansive,
     check_prox_optimality,
     check_tstar_distribution,
@@ -250,9 +255,10 @@ def test_tstar_distribution_equals_per_draw_reference(seed):
 
 
 def _assert_same_oracle_report(got, ref):
-    # one gemv or flat dot sums in another order than the per-row sums, and
-    # the reference has no rounding floor: on these oracles, whose spread is
-    # near their rms norm, the floor moves the ratio by under 1e-10 relative
+    # the column sums and flat sums of squares add in another order than the
+    # per-row sums, and the reference has no rounding floor: on these oracles,
+    # whose spread is near their rms norm, the floor moves the ratio by under
+    # 1e-10 relative
     assert (got.check, got.n_repeats) == (ref.check, ref.n_repeats)
     assert got.n_passed == ref.n_passed and got.passed == ref.passed
     assert got.worst_ratio == pytest.approx(ref.worst_ratio, rel=1e-9)
@@ -314,3 +320,47 @@ def test_run_all_checks_in_process():
     assert len(results) == 32
     assert all(isinstance(r.passed, bool) for r in results)
     assert [r.name for r in results if not r.passed] == []
+
+
+# ------------------------------------------------------- one thread only
+
+
+def test_determinism_suite_starts_no_thread(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    results = check_determinism()
+    assert all(r.passed for r in results)
+    assert started == []
+
+
+def _other_thread_ticks() -> int:
+    """utime + stime in clock ticks of every live thread but the caller."""
+    me = str(threading.get_native_id())
+    ticks = 0
+    for task in Path("/proc/self/task").iterdir():
+        if task.name == me:
+            continue
+        try:
+            fields = (task / "stat").read_text().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread exited meanwhile
+            continue
+        ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_oracle_suite_hands_no_work_to_other_threads():
+    # a BLAS worker still spinning after earlier calls goes idle in the pause;
+    # a threaded reduction of the (n, d) stacks would bill it again
+    check_oracles()
+    time.sleep(0.3)
+    before = _other_thread_ticks()
+    for _ in range(3):
+        assert all(r.passed for r in check_oracles())
+    assert _other_thread_ticks() - before <= 2
