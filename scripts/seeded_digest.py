@@ -25,6 +25,9 @@ Areas (every input is fixed here, so the digests depend only on the code):
 * ``oracle_checks``: every field, at full precision, of the Monte-Carlo
   oracle reports behind ``check_oracles``, whose detail lines show the
   worst ratios to two decimals only.
+* ``stationarity``: every ``stationarity_report`` field, the exact distance
+  of zero to the subdifferential included, at sampled anchors of every
+  one-dimensional family.
 
 Takes a few seconds on one core.
 """
@@ -48,7 +51,12 @@ from proxsgm.boost import (  # noqa: E402
 from proxsgm.checks import oracle_reports, run_all_checks  # noqa: E402
 from proxsgm.core import sample_domain_points  # noqa: E402
 from proxsgm.harness import ExperimentConfig, run_sweep  # noqa: E402
-from proxsgm.moreau import GridSpec, moreau_grid_oracle, moreau_prox  # noqa: E402
+from proxsgm.moreau import (  # noqa: E402
+    GridSpec,
+    moreau_grid_oracle,
+    moreau_prox,
+    stationarity_report,
+)
 from proxsgm.problems import default_x0, problem_from_id  # noqa: E402
 from proxsgm.prox import (  # noqa: E402
     ProxKind,
@@ -74,6 +82,14 @@ GRID_IDS = (
     "robust_regression:40:2:1",
     "phase_retrieval:20:2:3",
     "smooth_ls:30:2:6",
+)
+# one-dimensional instances, where the report gives the exact distance
+STATIONARITY_IDS = (
+    "toy1d:abs",
+    "toy1d:absquad",
+    "robust_regression:20:1:3",
+    "phase_retrieval:20:1:2",
+    "smooth_ls:20:1:4",
 )
 BOOST_ID = "robust_regression:40:2:1"  # convex, as the boost stages need
 SWEEPS = (  # id, horizons, gamma
@@ -224,6 +240,18 @@ def digest_oracle_checks() -> str:
     return dig.short()
 
 
+def digest_stationarity() -> str:
+    dig = Digest()
+    for pid in STATIONARITY_IDS:
+        problem = problem_from_id(pid)
+        lam = _envelope_lam(problem)
+        for x in np.linspace(-2.5, 2.5, 21):
+            for tol in (1e-6, 1e-10):
+                rep = stationarity_report(moreau_prox(problem, np.array([x]), lam, tol), problem)
+                dig.add(pid, rep.grad_norm, rep.grad_norm_sq, rep.exact_subdiff_dist)
+    return dig.short()
+
+
 def main() -> int:
     areas = (
         ("run_psgm", digest_runs),
@@ -234,6 +262,7 @@ def main() -> int:
         ("check_details", digest_checks),
         ("prox_subdiff", digest_prox_subdiff),
         ("oracle_checks", digest_oracle_checks),
+        ("stationarity", digest_stationarity),
     )
     for name, fn in areas:
         print(f"{name:<20} {fn()}", flush=True)

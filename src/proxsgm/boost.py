@@ -28,7 +28,6 @@ from .core import (
     StochasticOracle,
     _formula,
     _in_range,
-    coerce_rng,
     point_value,
 )
 from .moreau import moreau_prox
@@ -76,15 +75,6 @@ def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> Composi
     )
     g_sub = lambda x: base.g_full_subgradient(x) + mu * (x - x_c)
 
-    interval = None
-    if base.g_subdiff_interval is not None:
-        base_iv = base.g_subdiff_interval
-
-        def interval(x):
-            lo, hi = base_iv(x)
-            shift = mu * (float(np.atleast_1d(x)[0]) - float(x_c[0]))
-            return lo + shift, hi + shift
-
     L_hat = None
     if base.lipschitz_L is not None and base.domain_diameter is not None:
         L_hat = base.lipschitz_L + mu * base.domain_diameter
@@ -100,7 +90,6 @@ def _build_regularized(base: CompositeProblem, mu: float, x_c: Array) -> Composi
         sigma=base.sigma,
         domain_diameter=base.domain_diameter,
         smooth=base.smooth,
-        g_subdiff_interval=interval,
         planted_point=None,
         meta=None,
     )
@@ -242,7 +231,7 @@ def two_stage_convex(
     gamma2 = min(gamma2, math.sqrt(T + 1) / rho_hat)
     schedule2 = StepSchedule.constant(gamma2, T, rho_hat=rho_hat)
 
-    rng, _ = coerce_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
     x0 = base.regularizer.project_domain(np.zeros(base.dim))
     stage1 = run_psgm(base, x0, schedule1, kid1)
@@ -342,7 +331,7 @@ def regularized_pipeline(
     gamma = min(gamma, math.sqrt(T + 1) / lam)
     schedule = StepSchedule.constant(gamma, T, rho_hat=lam)
 
-    rng, _ = coerce_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
     y0 = strongly_convex_stage(reg, T, kid1)
     run = run_psgm(reg.problem, y0, schedule, kid2)

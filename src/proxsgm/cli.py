@@ -58,9 +58,11 @@ def _cmd_bounds(args) -> int:
         return EXIT_CONFIG
     try:
         alphas = None
+        # Cor22 and Cor27 read gamma and T, never the (T+1,) steps
+        reads_steps = args.variant not in ("Cor22", "Cor27")
         if args.alphas:
             alphas = np.array([float(v) for v in args.alphas.split(",") if v.strip()])
-        elif args.gamma is not None and args.T is not None:
+        elif reads_steps and args.gamma is not None and args.T is not None:
             alphas = np.full(args.T + 1, args.gamma / math.sqrt(args.T + 1))
         inputs = BoundInputs(
             delta=args.delta,

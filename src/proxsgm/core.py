@@ -2,8 +2,9 @@
 
 A problem is min phi(x) = g(x) + r(x) where g is rho-weakly convex (adding
 (rho/2)*||.||^2 makes it convex), accessed through a stochastic subgradient
-oracle, and r is prox-friendly convex.  All randomness flows through an
-explicitly seeded ``numpy.random.Generator``; identical seeds give
+oracle, and r is prox-friendly convex.  A problem's data comes from a
+nonnegative integer seed, recorded in its id; every run draws from a
+``numpy.random.Generator`` its caller passes or seeds.  Identical seeds give
 bit-identical results.  Problem objects are immutable after construction and
 safe to share across worker threads.
 
@@ -73,15 +74,6 @@ def _formula(name: str, formula: Callable[[], float]) -> float:
             return _in_range(name, formula(), -math.inf)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"{name} leaves the range of floats at these inputs") from None
-
-
-def coerce_rng(rng_or_seed) -> tuple[np.random.Generator, int]:
-    """A generator and the integer seed it came from (-1 for a live generator,
-    whose seed cannot be read back)."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed, -1
-    seed = int(rng_or_seed)
-    return np.random.default_rng(seed), seed
 
 
 def point_value(v) -> float | Array:
@@ -158,6 +150,8 @@ ID_PARAMS = {
 class ProblemMeta:
     """Where a problem's data came from.
 
+    ``seed`` is a nonnegative integer: a ``TypeError`` refuses any other
+    type (a live generator, whose seed cannot be read back, a float or a bool).
     ``sigma`` (smooth_ls noise per coordinate) and ``outlier_fraction``
     (robust_regression) are None for the families without them; ``detail``
     names the toy1d kind.
@@ -172,6 +166,9 @@ class ProblemMeta:
     outlier_fraction: float | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {type(self.seed).__name__}")
+        _in_range("seed", self.seed, 0, ends="[)")
         _in_range("sigma", self.sigma, ends="[)")
         _in_range("outlier_fraction", self.outlier_fraction, 0.0, 1.0, "[)")
 
@@ -217,7 +214,6 @@ class CompositeProblem:
     sigma: float | None = None
     domain_diameter: float | None = None
     smooth: bool = False
-    g_subdiff_interval: Callable[[Array], tuple[float, float]] | None = None
     planted_point: Array | None = None
     meta: ProblemMeta | None = None
 

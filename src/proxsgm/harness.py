@@ -315,7 +315,8 @@ def run_sweep(
     """Execute the sweep and (when configured) write the CSV report.
 
     Each (T, seed) trial gets an independent generator keyed by (seed, T)
-    so results do not depend on execution order; trials run one after
+    and the instance's data seed (0 without ``meta``), so results do not
+    depend on execution order; trials run one after
     another, or on a thread pool of ``config.workers`` threads when that is
     above 1, and are merged in sorted (T, seed) order.  Inner-solver
     shortfalls are recorded in inner_tol_achieved rather than aborting the
@@ -334,9 +335,11 @@ def run_sweep(
     envelope_x0 = x0_point.envelope_value
     phi_x0 = problem.phi(x0)
 
+    problem_key = problem.meta.seed if problem.meta is not None else 0
+
     def one_trial(T: int, seed: int) -> TrialRow:
         t_start = clock()
-        rng = np.random.default_rng([seed, T, _problem_key(problem)])
+        rng = np.random.default_rng([seed, T, problem_key])
         schedule = StepSchedule.constant(gamma, T, rho_hat=rho_hat)
         run = run_psgm(problem, x0, schedule, rng)
         try:
@@ -443,12 +446,6 @@ def run_sweep(
     return report
 
 
-def _problem_key(problem: CompositeProblem) -> int:
-    if problem.meta is not None and problem.meta.seed >= 0:
-        return problem.meta.seed
-    return 0
-
-
 def write_csv(report: ExperimentReport, path: str | Path) -> None:
     stats = {h.T: h for h in report.per_horizon}
     with open(path, "w", newline="") as fh:
@@ -501,8 +498,7 @@ def fit_rate(horizons, means) -> tuple[float, float]:
     sxx = float(lx_c @ lx_c)
     slope = float(lx_c @ (ly - ly.mean()) / sxx)
     resid = ly - (ly.mean() + slope * lx_c)
-    dof = T.size - 2
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
+    stderr = math.sqrt(float(resid @ resid) / (T.size - 2) / sxx)
     return slope, stderr
 
 

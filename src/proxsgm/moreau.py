@@ -328,9 +328,7 @@ def _probe_directions(d: int) -> Array:
 # inner solvers
 
 
-def _inner_1d(
-    problem: CompositeProblem, x: Array, lam: float, tol: float
-) -> tuple[Array, float]:
+def _inner_1d(problem: CompositeProblem, x: Array, lam: float) -> tuple[Array, float]:
     """Bisection on the (strictly increasing) subgradient selection of psi."""
     r = problem.regularizer
     x0 = float(np.atleast_1d(x)[0])
@@ -468,7 +466,7 @@ def _inner_subgradient_phase(
             val = _psi(problem, x, lam, y)
             if val < best_val:
                 best, best_val = y, val
-    avg = acc / acc_w if acc_w > 0 else y
+    avg = acc / acc_w
     for cand in (avg, y):
         val = _psi(problem, x, lam, cand)
         if val < best_val:
@@ -589,7 +587,7 @@ def moreau_prox(
     x = np.asarray(x, dtype=float)
 
     if problem.dim == 1:
-        x_hat, gap = _inner_1d(problem, x, lam, tol)
+        x_hat, gap = _inner_1d(problem, x, lam)
     elif problem.smooth:
         x_hat, gap = _inner_smooth(problem, x, lam, tol, warm_start)
     else:
@@ -685,22 +683,20 @@ def stationarity_report(
     """Near-stationarity summary of a proximal point.
 
     ``grad_norm`` is the envelope gradient norm, which upper-bounds the
-    distance of zero to the subdifferential of phi at x_hat.  When the
-    problem exposes a one-dimensional subdifferential interval the exact
-    distance is reported too, taken over the inner certificate's uncertainty
-    interval around x_hat: a certified objective gap eps localizes the true
-    proximal point within sqrt(2 eps / mu), and the numeric x_hat often
-    lands a few ulps off a kink.  Since v -> subdiff phi(v) + rho v is
-    monotone, its union over [a, b] is the interval between its low end at
-    a and its high end at b, which makes that sweep computable.
+    distance of zero to the subdifferential of phi at x_hat.  For a
+    one-dimensional problem the exact distance is reported too, taken over
+    the inner certificate's uncertainty interval [a, b] around x_hat: a
+    certified objective gap eps localizes the true proximal point within
+    delta = sqrt(2 eps / mu), and the numeric x_hat often lands a few ulps
+    off a kink.  Since v -> subdiff g(v) + rho v is monotone, the selection
+    s = ``g_full_subgradient`` just outside, at a' = a - delta and
+    b' = b + delta, bounds subdiff g(u) for every u in [a, b] between
+    s(a') - rho (b' - a') and s(b') + rho (b' - a'); subdiff r, monotone
+    too, lies between its low end at a and its high end at b.
     """
     gn = float(np.linalg.norm(point.envelope_grad))
     exact = None
-    if (
-        problem is not None
-        and problem.dim == 1
-        and problem.g_subdiff_interval is not None
-    ):
+    if problem is not None and problem.dim == 1:
         r = problem.regularizer
         y = float(np.atleast_1d(point.x_hat)[0])
         mu = 1.0 / point.lam - problem.rho
@@ -714,15 +710,11 @@ def stationarity_report(
             ends = fixed[0] + np.sort(G[:, :1] * np.stack([clo, chi], axis=1), axis=1).sum(axis=0)
             return float(ends[0]), float(ends[1])
 
-        pad = problem.rho * max(0.0, float(b_pt[0] - a_pt[0]))
-        lo_tot = problem.g_subdiff_interval(a_pt)[0] + r_interval(a_pt)[0] - pad
-        hi_tot = problem.g_subdiff_interval(b_pt)[1] + r_interval(b_pt)[1] + pad
-        if lo_tot > 0:
-            exact = lo_tot
-        elif hi_tot < 0:
-            exact = -hi_tot
-        else:
-            exact = 0.0
+        pad = problem.rho * float(b_pt[0] - a_pt[0] + 2.0 * delta)
+        lo_tot = problem.g_full_subgradient(a_pt - delta)[0] - pad + r_interval(a_pt)[0]
+        hi_tot = problem.g_full_subgradient(b_pt + delta)[0] + pad + r_interval(b_pt)[1]
+        # [lo_tot, hi_tot] holds subdiff phi over [a, b]: its distance to zero
+        exact = float(max(lo_tot, -hi_tot, 0.0))
     return StationarityReport(
         grad_norm=gn,
         grad_norm_sq=gn * gn,

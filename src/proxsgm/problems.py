@@ -15,10 +15,11 @@ stack of at least m draws the table form (see ``_finite_sum_oracle``).
 A draw of ``smooth_ls`` is its Gaussian noise with the gradient's
 constant folded in (see ``make_smooth_ls_noisy``).
 
-Generators accept either an integer seed or a ``numpy.random.Generator``;
-regeneration from the same ``(family, m, d, seed)`` is bit-identical, which
-is what makes the string ids below ("family:m:d:seed") reproducible
-addresses.
+Generators take a nonnegative integer seed and nothing else: a
+``Generator``, a float or a bool raises ``TypeError`` and a negative seed
+``ValueError``, before any draw.  Regeneration from the same
+``(family, m, d, seed)`` is bit-identical, which is what makes the string
+ids below ("family:m:d:seed") reproducible addresses.
 
 A real-valued generator parameter that differs from its default rides on
 the id as a keyed suffix: ``smooth_ls:m:d:seed:sigma=0.2``,
@@ -44,7 +45,6 @@ from .core import (
     ProblemMeta,
     StochasticOracle,
     _in_range,
-    coerce_rng,
     deterministic_oracle,
     point_value,
     row_dots,
@@ -120,7 +120,7 @@ def _spectral_start(m: int, d: int, seed: int) -> Array:
     return v * min(float(np.sqrt(b.mean())), 2.0)
 
 
-def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
+def make_phase_retrieval(m: int, d: int, seed: int) -> CompositeProblem:
     """Real phase retrieval with a planted unit signal.
 
     Rows a_i are standard Gaussian, b_i = <a_i, x_sharp>^2, and
@@ -130,8 +130,9 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
     L = 2 * radius * max_i ||a_i||^2.
     """
     _in_range("(m, d)", (m, d), 1, ends="[)")
-    rng, seed = coerce_rng(rng_or_seed)
-    A, x_sharp, b = _phase_retrieval_data(m, d, rng)
+    # built first: it checks the seed before any data is drawn
+    meta = ProblemMeta("phase_retrieval", m, d, seed)
+    A, x_sharp, b = _phase_retrieval_data(m, d, np.random.default_rng(seed))
     radius = 2.0
     row_sq = np.sum(A**2, axis=1)
     rho = 2.0 * float(np.max(row_sq))
@@ -157,7 +158,7 @@ def make_phase_retrieval(m: int, d: int, rng_or_seed) -> CompositeProblem:
         lipschitz_L=L,
         domain_diameter=2.0 * radius,
         planted_point=x_sharp,
-        meta=ProblemMeta(family="phase_retrieval", m=m, d=d, seed=seed),
+        meta=meta,
     )
 
 
@@ -175,7 +176,7 @@ def _robust_regression_data(
 
 
 def make_robust_regression(
-    m: int, d: int, rng_or_seed, outlier_fraction: float = DEFAULT_OUTLIER_FRACTION
+    m: int, d: int, seed: int, outlier_fraction: float = DEFAULT_OUTLIER_FRACTION
 ) -> CompositeProblem:
     """Least absolute deviations with sparse outliers in the responses.
 
@@ -184,10 +185,11 @@ def make_robust_regression(
     L = max_i ||a_i||, box constraint [-2, 2]^d with the signal interior.
     """
     _in_range("(m, d)", (m, d), 1, ends="[)")
-    rng, seed = coerce_rng(rng_or_seed)
-    # built first: it checks the fraction before any data is drawn
+    # built first: it checks the seed and the fraction before any data is drawn
     meta = ProblemMeta("robust_regression", m, d, seed, outlier_fraction=float(outlier_fraction))
-    A, b, x_sharp = _robust_regression_data(rng, m, d, outlier_fraction)
+    A, b, x_sharp = _robust_regression_data(
+        np.random.default_rng(seed), m, d, outlier_fraction
+    )
     L = float(np.max(np.linalg.norm(A, axis=1)))
 
     def g_value(x: Array) -> float | Array:
@@ -216,13 +218,11 @@ def exact_min_1d_robust_regression(problem: CompositeProblem) -> tuple[float, fl
 
     mean_i |a_i x - b_i| restricted to the box is piecewise linear; the
     minimum sits at a breakpoint b_i / a_i or a box endpoint, so scanning
-    the breakpoints is exact.  Needs a problem built from a recorded seed.
+    the breakpoints is exact.
     """
     meta = problem.meta
     if meta is None or meta.family != "robust_regression" or problem.dim != 1:
         raise ValueError("exact minimum only for 1-D robust regression")
-    if meta.seed < 0:
-        raise ValueError("problem was built from a raw generator; seed unknown")
     A, b, _ = _robust_regression_data(
         np.random.default_rng(meta.seed), meta.m, meta.d, meta.outlier_fraction
     )
@@ -237,7 +237,7 @@ def exact_min_1d_robust_regression(problem: CompositeProblem) -> tuple[float, fl
     return candidates[k], vals[k]
 
 
-def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> CompositeProblem:
+def make_smooth_ls_noisy(m: int, d: int, sigma: float, seed: int) -> CompositeProblem:
     """Least squares with an exact-gradient-plus-Gaussian-noise oracle.
 
     g(x) = ||Ax - b||^2 / (2m); the oracle returns grad g(x) + sigma * w with
@@ -253,9 +253,9 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, rng_or_seed) -> Composite
     residual form, which does not cancel near the minimum.
     """
     _in_range("(m, d)", (m, d), 1, ends="[)")
-    rng, seed = coerce_rng(rng_or_seed)
-    # built first: it checks sigma before any data is drawn
+    # built first: it checks the seed and sigma before any data is drawn
     meta = ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed, sigma=float(sigma))
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, d))
     x_sharp = rng.uniform(-0.5, 0.5, size=d)
     b = A @ x_sharp
@@ -298,8 +298,7 @@ def make_toy1d(kind: str) -> CompositeProblem:
     ``"abs"``:     g(x) = |x|, r == 0, convex, L = 1.
     ``"absquad"``: g(x) = |x^2 - 1| on [-2, 2], rho = 2, L = 4.
 
-    Both expose the exact subdifferential interval for stationarity checks
-    and use a deterministic oracle (the subgradient selection itself).
+    Both use a deterministic oracle (the subgradient selection itself).
     """
     if kind == "abs":
 
@@ -309,14 +308,6 @@ def make_toy1d(kind: str) -> CompositeProblem:
         def g_sub(x: Array) -> Array:
             return np.sign(np.asarray(x, float))
 
-        def interval(x: Array) -> tuple[float, float]:
-            v = float(np.atleast_1d(x)[0])
-            if v > 0:
-                return 1.0, 1.0
-            if v < 0:
-                return -1.0, -1.0
-            return -1.0, 1.0
-
         return CompositeProblem(
             dim=1,
             g_oracle=deterministic_oracle(g_sub),
@@ -325,7 +316,6 @@ def make_toy1d(kind: str) -> CompositeProblem:
             g_value=g_value,
             g_full_subgradient=g_sub,
             lipschitz_L=1.0,
-            g_subdiff_interval=interval,
             meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="abs"),
         )
 
@@ -339,13 +329,6 @@ def make_toy1d(kind: str) -> CompositeProblem:
             v = np.asarray(x, float)
             return 2.0 * v * np.sign(v * v - 1.0)
 
-        def interval(x: Array) -> tuple[float, float]:
-            v = float(np.atleast_1d(x)[0])
-            if abs(v * v - 1.0) > 0:
-                s = 2.0 * v * np.sign(v * v - 1.0)
-                return s, s
-            return -2.0 * abs(v), 2.0 * abs(v)
-
         return CompositeProblem(
             dim=1,
             g_oracle=deterministic_oracle(g_sub),
@@ -355,7 +338,6 @@ def make_toy1d(kind: str) -> CompositeProblem:
             g_full_subgradient=g_sub,
             lipschitz_L=4.0,
             domain_diameter=4.0,
-            g_subdiff_interval=interval,
             meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="absquad"),
         )
 
@@ -373,13 +355,9 @@ def _id_int(problem_id: str, name: str, least: int, text: str) -> int:
         raise ValueError(f"problem id {problem_id!r}: {name} must be an integer, got {text!r}")
     value = int(text)
     if value < least:
-        why = f"{name} must be at least {least}, got {value}"
-        if name == "seed" and value == -1:
-            why += (
-                "; seed -1 marks a problem built from a live generator,"
-                " so the id names no instance"
-            )
-        raise ValueError(f"problem id {problem_id!r}: {why}")
+        raise ValueError(
+            f"problem id {problem_id!r}: {name} must be at least {least}, got {value}"
+        )
     return value
 
 
@@ -393,8 +371,7 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
     for robust_regression) sets that parameter; without it the default
     applies.  The inverse of ``ProblemMeta.problem_id``.  A ``ValueError``
     names the id and the bad field when m, d or seed is not a decimal
-    integer, m or d is below 1, or the seed is negative (seed -1 is what a
-    problem built from a live generator reports: its id names no instance).
+    integer, m or d is below 1, or the seed is negative.
     """
     parts = problem_id.strip().split(":")
     family = parts[0]
@@ -427,9 +404,8 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
 def default_x0(problem: CompositeProblem) -> Array:
     """Documented starting point per family.
 
-    phase_retrieval: spectral start recomputed from the data seed (falls
-    back to the first basis vector when the problem was built from a live
-    generator and the data cannot be regenerated).  robust_regression:
+    phase_retrieval: spectral start recomputed from the data seed.
+    robust_regression:
     midpoint of the upper box corner.  smooth_ls: the origin.  toy1d: 0.5
     for "abs", 1.8 for "absquad".
     """
@@ -437,11 +413,7 @@ def default_x0(problem: CompositeProblem) -> Array:
     fam = meta.family if meta else ""
     d = problem.dim
     if fam == "phase_retrieval":
-        if meta.seed >= 0:
-            return _spectral_start(meta.m, meta.d, meta.seed)
-        e = np.zeros(d)
-        e[0] = 1.0
-        return e
+        return _spectral_start(meta.m, meta.d, meta.seed)
     if fam == "robust_regression":
         return 0.5 * np.broadcast_to(np.asarray(problem.regularizer.hi, float), (d,)).copy()
     if fam == "smooth_ls":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompositeProblem, _in_range, coerce_rng
+from .core import CompositeProblem, _in_range
 from .moreau import MoreauPoint, moreau_prox
 
 Array = np.ndarray
@@ -131,7 +131,7 @@ def run_psgm(
     keeping x_star if t* falls in the chunk, so the iterates held take
     O(CHUNK d) memory at every horizon.
     """
-    rng, _ = coerce_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     x0 = np.array(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise DomainError(f"x0 has shape {x0.shape}, problem dim {problem.dim}")
@@ -237,7 +237,7 @@ def check_descent_lemma(
     needs.  At alpha = 0 estimate and bound are equal in exact arithmetic,
     so the verdict would be roundoff.
     """
-    rng, _ = coerce_rng(rng_or_seed)
+    rng = np.random.default_rng(rng_or_seed)
     variant = "smooth" if problem.smooth else "weakly_convex"
     # the weakly convex variant's contraction needs rho_hat <= 2 rho
     cap = 2 * problem.rho if variant == "weakly_convex" and problem.rho > 0 else math.inf

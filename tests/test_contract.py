@@ -94,7 +94,6 @@ class Problems:
             g_oracle=StochasticOracle(sample=self._count(o.sample), draw=self._count(o.draw)),
             g_value=self._count(p.g_value),
             g_full_subgradient=self._count(p.g_full_subgradient),
-            g_subdiff_interval=self._count(p.g_subdiff_interval),
         )
 
 

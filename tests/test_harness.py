@@ -119,6 +119,28 @@ def test_cli_bounds_rejects_a_negative_horizon(capsys):
     assert capsys.readouterr().out == f"Cor27: {value:.12g}\n"
 
 
+@pytest.mark.parametrize("variant", ["Cor22", "Cor27"])
+def test_cli_bounds_builds_no_step_array_for_a_constant_step_corollary(capsys, variant):
+    # the corollaries read gamma and T only: the (T+1,) step array at
+    # T = 10**12 would take 8 TB
+    import tracemalloc
+
+    from proxsgm import cli
+
+    T = 10**12
+    args = ["bounds", "--variant", variant, "--delta", "1", "--rho", "1", "--L", "1"]
+    args += ["--gamma", "1", "--T", str(T)]
+    tracemalloc.start()
+    try:
+        assert cli.main(args) == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    value = theoretical_bound(variant, BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=T))
+    assert capsys.readouterr().out == f"{variant}: {value:.12g}\n"
+    assert peak < 2**20
+
+
 NON_BOUNDS = [
     (["--delta", "-5"], "delta"),
     (["--delta", "nan"], "delta"),

@@ -206,6 +206,78 @@ def test_stationarity_report_abs():
     assert rep.grad_norm >= rep.exact_subdiff_dist - 1e-12
 
 
+def _toy1d_subdiff(kind: str, v: float) -> tuple[float, float]:
+    """The exact subdifferential interval of the toy1d g at v, the reference
+    for the selection-based bound of ``stationarity_report``."""
+    if kind == "abs":
+        return (float(np.sign(v)),) * 2 if v != 0 else (-1.0, 1.0)
+    if v * v != 1.0:
+        s = 2.0 * v * float(np.sign(v * v - 1.0))
+        return s, s
+    return -2.0 * abs(v), 2.0 * abs(v)
+
+
+def _interval_form_dist(pt, problem, kind: str) -> float:
+    """Distance of zero to subdiff phi over the report's bracket [a, b], with
+    subdiff g read from the exact intervals at a and b: monotonicity of
+    subdiff g + rho id pads them by rho (b - a)."""
+    r = problem.regularizer
+    y = float(pt.x_hat[0])
+    mu = 1.0 / pt.lam - problem.rho
+    delta = max(math.sqrt(2.0 * pt.inner_tol / mu), 1e-12 * (1.0 + abs(y)))
+    a = r.project_domain(np.array([y - delta]))
+    b = r.project_domain(np.array([y + delta]))
+
+    def r_ends(yy):
+        fixed, G, lo, hi = r.subdiff_generators(yy, 1e-9 * (1.0 + abs(float(yy[0]))))
+        ends = fixed[0] + np.sort(G[:, :1] * np.stack([lo, hi], axis=1), axis=1).sum(axis=0)
+        return float(ends[0]), float(ends[1])
+
+    pad = problem.rho * float(b[0] - a[0])
+    lo = _toy1d_subdiff(kind, float(a[0]))[0] + r_ends(a)[0] - pad
+    hi = _toy1d_subdiff(kind, float(b[0]))[1] + r_ends(b)[1] + pad
+    return max(lo, -hi, 0.0)
+
+
+def test_stationarity_exact_dist_matches_the_toy1d_interval_form():
+    # 2 kinds x 3 lam x 50 anchors x 2 tolerances; the kinks and the box
+    # ends are among the anchors
+    rng = np.random.default_rng(0)
+    kinks = [0.0, 1e-9, 1.0, -1.0, 2.0, -2.0, 0.5, 1.5, -1.2, 2.5]
+    xs = np.concatenate([rng.uniform(-3.0, 3.0, 40), kinks])
+    dists = []
+    for kind, lams in (("abs", (0.25, 0.5, 1.0)), ("absquad", (0.1, 0.25, 0.4))):
+        p = make_toy1d(kind)
+        for lam in lams:
+            for x in xs:
+                for tol in (1e-6, 1e-12):
+                    pt = moreau_prox(p, np.array([x]), lam, tol)
+                    dists.append(
+                        (stationarity_report(pt, p).exact_subdiff_dist,
+                         _interval_form_dist(pt, p, kind))
+                    )
+    assert len(dists) == 600
+    got, ref = np.array(dists).T
+    # the selection bound's interval contains the exact one, so it is never
+    # farther from zero
+    assert np.all(got <= ref)
+    assert np.max(ref - got) <= 1e-10
+    assert np.count_nonzero(got == 0.0) == np.count_nonzero(ref == 0.0) > 0
+
+
+@pytest.mark.parametrize(
+    "pid", ["robust_regression:20:1:3", "phase_retrieval:20:1:2", "smooth_ls:20:1:4"]
+)
+def test_stationarity_exact_dist_on_one_dimensional_families(pid):
+    # dist(0, subdiff phi(x_hat)) <= ||grad envelope|| (the paper's section 2)
+    p = problem_from_id(pid)
+    lam = 1.0 / (2.0 * p.rho) if p.rho > 0 else 0.5
+    for x in np.linspace(-2.5, 2.5, 41):
+        for tol in (1e-6, 1e-10):
+            rep = stationarity_report(moreau_prox(p, np.array([x]), lam, tol), p)
+            assert 0.0 <= rep.exact_subdiff_dist <= rep.grad_norm + 1e-12
+
+
 def test_prox_gradient_mapping_unconstrained_equals_gradient():
     p = quadratic_problem(2)
     x = np.array([1.5, -0.3])

@@ -29,7 +29,8 @@ def test_toy_abs_values_and_subgradients():
     assert p.rho == 0.0 and p.lipschitz_L == 1.0
     assert p.g_value(np.array([0.5])) == 0.5
     assert p.g_full_subgradient(np.array([-2.0])) == pytest.approx([-1.0])
-    assert p.g_subdiff_interval(np.zeros(1)) == (-1.0, 1.0)
+    # at the kink the selection is the zero element of [-1, 1]
+    assert p.g_full_subgradient(np.zeros(1)) == [0.0]
 
 
 def test_toy_absquad_values_and_subgradients():
@@ -39,8 +40,8 @@ def test_toy_absquad_values_and_subgradients():
     # d(|x^2-1|)/dx = 2x sign(x^2-1) away from the kinks
     assert p.g_full_subgradient(np.array([2.0])) == pytest.approx([4.0])
     assert p.g_full_subgradient(np.array([0.5])) == pytest.approx([-1.0])
-    lo, hi = p.g_subdiff_interval(np.ones(1))
-    assert (lo, hi) == (-2.0, 2.0)
+    # at the kink x = 1 the selection is the zero element of [-2, 2]
+    assert p.g_full_subgradient(np.ones(1)) == [0.0]
 
 
 def test_toy_kinds_rejected():
@@ -298,11 +299,40 @@ def test_problem_from_id_names_the_id_and_the_bad_field(bad, message):
         problem_from_id(bad)
 
 
-def test_live_generator_id_is_rejected_as_naming_no_instance():
-    pid = make_smooth_ls_noisy(10, 2, 0.1, np.random.default_rng(3)).meta.problem_id()
-    assert pid == "smooth_ls:10:2:-1"
-    with pytest.raises(ValueError, match="seed -1 marks a problem built from a live generator"):
-        problem_from_id(pid)
+FACTORIES = {
+    "phase_retrieval": lambda seed: make_phase_retrieval(10, 2, seed),
+    "robust_regression": lambda seed: make_robust_regression(10, 2, seed),
+    "smooth_ls": lambda seed: make_smooth_ls_noisy(10, 2, 0.1, seed),
+}
+
+
+@pytest.mark.parametrize("family", FACTORIES)
+@pytest.mark.parametrize("seed, error, message", [
+    (np.random.default_rng(3), TypeError, "seed must be an integer, got Generator"),
+    (3.0, TypeError, "seed must be an integer, got float"),
+    (True, TypeError, "seed must be an integer, got bool"),
+    (-1, ValueError, "seed must be finite and nonnegative, got -1"),
+])
+def test_factories_take_only_a_nonnegative_integer_seed(
+    monkeypatch, family, seed, error, message
+):
+    # a problem id names exactly one instance, so a factory refuses any seed
+    # an id cannot carry, before it seeds a generator or draws from one
+    seeded = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeded.append(a))
+    state = seed.bit_generator.state if isinstance(seed, np.random.Generator) else None
+    with pytest.raises(error, match=message):
+        FACTORIES[family](seed)
+    assert seeded == []
+    if state is not None:
+        assert seed.bit_generator.state == state
+
+
+def test_factories_take_a_numpy_integer_seed():
+    p = make_smooth_ls_noisy(10, 2, 0.1, np.int64(3))
+    assert p.meta.problem_id() == "smooth_ls:10:2:3"
+    same = problem_from_id("smooth_ls:10:2:3")
+    np.testing.assert_array_equal(p.planted_point, same.planted_point)
 
 
 def test_default_x0_feasible_everywhere():
