@@ -9,7 +9,6 @@ fits a decay exponent from an existing sweep CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -24,6 +23,7 @@ from .harness import (
     run_sweep,
     theoretical_bound,
 )
+from .solver import StepSchedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +63,7 @@ def _cmd_bounds(args) -> int:
         if args.alphas:
             alphas = np.array([float(v) for v in args.alphas.split(",") if v.strip()])
         elif reads_steps and args.gamma is not None and args.T is not None:
-            alphas = np.full(args.T + 1, args.gamma / math.sqrt(args.T + 1))
+            alphas = StepSchedule.constant(args.gamma, args.T).alphas
         inputs = BoundInputs(
             delta=args.delta,
             rho=args.rho,

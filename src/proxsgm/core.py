@@ -5,8 +5,7 @@ A problem is min phi(x) = g(x) + r(x) where g is rho-weakly convex (adding
 oracle, and r is prox-friendly convex.  A problem's data comes from a
 nonnegative integer seed, recorded in its id; every run draws from a
 ``numpy.random.Generator`` its caller passes or seeds.  Identical seeds give
-bit-identical results.  Problem objects are immutable after construction and
-safe to share across worker threads.
+bit-identical results.  Problem objects are immutable after construction.
 
 The maps of a problem are batch-first, with one formula per family: a
 ``(d,)`` point gives a Python ``float`` value or a ``(d,)`` vector, an
@@ -63,6 +62,14 @@ def _in_range(name: str, v, lo=0.0, hi=math.inf, ends: str = "()", error=ValueEr
             (0, math.inf, "[)"): "be finite and nonnegative"}
     must = must.get((lo, hi, ends), f"lie in {ends[0]}{lo}, {hi}{ends[1]}")
     raise error(f"{name} must {must}, got {got}")
+
+
+def _integer(name: str, v, error=ValueError):
+    """``v`` once it is an integer, Python's or numpy's; else ``error`` names
+    ``name`` and the type.  A bool, a float or a str is refused, not rounded."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {type(v).__name__}")
+    return v
 
 
 def _formula(name: str, formula: Callable[[], float]) -> float:
@@ -166,9 +173,7 @@ class ProblemMeta:
     outlier_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {type(self.seed).__name__}")
-        _in_range("seed", self.seed, 0, ends="[)")
+        _in_range("seed", _integer("seed", self.seed, TypeError), 0, ends="[)")
         _in_range("sigma", self.sigma, ends="[)")
         _in_range("outlier_fraction", self.outlier_fraction, 0.0, 1.0, "[)")
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .boost import optimal_gamma
-from .core import _LENGTH_MAX, CompositeProblem, _formula, _in_range
+from .core import _LENGTH_MAX, CompositeProblem, _formula, _in_range, _integer
 from .moreau import InnerAccuracyError, moreau_prox
 from .problems import default_x0, problem_from_id
 from .solver import StepSchedule, run_psgm
@@ -72,8 +72,8 @@ class BoundInputs:
     ``delta`` upper-bounds envelope(x0) - min phi.  Constant-step variants
     need gamma and T; the general variants need the explicit step sequence.
     A negative or non-finite delta, rho, rho_hat, L or sigma, a gamma or
-    step that is not finite and positive, or a negative T raises
-    ``ValueError``.
+    step that is not finite and positive, or a T that is negative or not an
+    integer raises ``ValueError``.
     """
 
     delta: float
@@ -90,6 +90,8 @@ class BoundInputs:
         for name in ("delta", "rho", "rho_hat", "L", "sigma"):
             _in_range(name, getattr(self, name), ends="[)")
         _in_range("gamma", self.gamma)
+        if self.T is not None:
+            _integer("T", self.T)
         _in_range("T", self.T, 0, ends="[)")
         _in_range("step sequence", self.alphas)
 
@@ -169,9 +171,15 @@ class ExperimentConfig:
     lam: float | None = None
     n_seeds: int = 50
     inner_tol: float = 1e-6
+    # No sweep reads this; it stays only because bench/workloads.py passes
+    # workers=1, until the benchmark's next version drops it.
     workers: int = 1
 
     def __post_init__(self):
+        for t in self.horizons:
+            _integer("horizons", t, ConfigError)
+        if _integer("workers", self.workers, ConfigError) != 1:
+            raise ConfigError(f"workers must be 1, got {self.workers}")
         hs = tuple(int(t) for t in self.horizons)
         _in_range("number of horizons", len(hs), 1, ends="[)", error=ConfigError)
         _in_range("horizons", hs, 0, ends="[)", error=ConfigError)
@@ -184,7 +192,7 @@ class ExperimentConfig:
                          ("inner_tol", self.inner_tol), ("rho_hat", self.rho_hat),
                          ("lambda", self.lam)):
             _in_range(key, val, error=ConfigError)
-        _in_range("(n_seeds, workers)", (self.n_seeds, self.workers), 1, ends="[)",
+        _in_range("n_seeds", _integer("n_seeds", self.n_seeds, ConfigError), 1, ends="[)",
                   error=ConfigError)
 
 
@@ -197,7 +205,6 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "lambda": float,
     "n_seeds": int,
     "inner_tol": float,
-    "workers": int,
 }
 
 _CONFIG_ATTR = {"lambda": "lam"}
@@ -300,10 +307,6 @@ def _resolve_parameters(
         gamma = optimal_gamma(min(rho_eff * D * D, D * L), rho_eff, L)
     else:
         gamma = float(config.gamma)
-
-    T = config.horizons[0]  # the first horizon takes the largest step
-    _in_range(f"step gamma/sqrt(T+1) at T={T}", gamma / math.sqrt(T + 1), 0.0,
-              1.0 / rho_hat + 1e-15, "(]", ConfigError)
     return gamma, rho_hat, lam
 
 
@@ -314,25 +317,31 @@ def run_sweep(
 ) -> ExperimentReport:
     """Execute the sweep and (when configured) write the CSV report.
 
-    Each (T, seed) trial gets an independent generator keyed by (seed, T)
-    and the instance's data seed (0 without ``meta``), so results do not
-    depend on execution order; trials run one after
-    another, or on a thread pool of ``config.workers`` threads when that is
-    above 1, and are merged in sorted (T, seed) order.  Inner-solver
-    shortfalls are recorded in inner_tol_achieved rather than aborting the
-    sweep, and each horizon counts them in ``n_inner_missed``.  ``clock``
-    exists so tests can pin wall_ms; every other column is bit-deterministic
-    for a fixed config.
+    Each horizon T gets one constant schedule gamma / sqrt(T+1), built
+    before any solve: a step above 1/rho_hat raises ``ConfigError`` naming
+    gamma and T.  Every trial of that horizon runs it, and the SmoothCor29
+    bound reads its steps.  Trials run one after another in (T, seed)
+    order, each with its own generator keyed by (seed, T) and the
+    instance's data seed (0 without ``meta``).  Inner-solver shortfalls are
+    recorded in inner_tol_achieved rather than aborting the sweep, and each
+    horizon counts them in ``n_inner_missed``.  ``clock`` exists so tests
+    can pin wall_ms; every other column is bit-deterministic for a fixed
+    config.
     """
     if problem is None:
         problem = problem_from_id(config.problem_id)
     problem.require_deterministic()
     gamma, rho_hat, lam = _resolve_parameters(problem, config)
+    schedules = {}
+    for T in config.horizons:
+        try:
+            schedules[T] = StepSchedule.constant(gamma, T, rho_hat=rho_hat)
+        except ValueError as exc:
+            raise ConfigError(f"gamma={gamma!r} at T={T}: {exc}") from None
     x0 = default_x0(problem)
 
     variant = "SmoothCor29" if problem.smooth else "Cor27"
-    x0_point = moreau_prox(problem, x0, lam, config.inner_tol)
-    envelope_x0 = x0_point.envelope_value
+    envelope_x0 = moreau_prox(problem, x0, lam, config.inner_tol).envelope_value
     phi_x0 = problem.phi(x0)
 
     problem_key = problem.meta.seed if problem.meta is not None else 0
@@ -340,8 +349,7 @@ def run_sweep(
     def one_trial(T: int, seed: int) -> TrialRow:
         t_start = clock()
         rng = np.random.default_rng([seed, T, problem_key])
-        schedule = StepSchedule.constant(gamma, T, rho_hat=rho_hat)
-        run = run_psgm(problem, x0, schedule, rng)
+        run = run_psgm(problem, x0, schedules[T], rng)
         try:
             pt = moreau_prox(problem, run.x_star, lam, config.inner_tol)
         except InnerAccuracyError as exc:
@@ -357,15 +365,7 @@ def run_sweep(
             wall_ms=(clock() - t_start) * 1e3,
         )
 
-    cells = [(T, s) for T in config.horizons for s in range(config.n_seeds)]
-    if config.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda c: one_trial(*c), cells))
-    else:
-        results = [one_trial(*c) for c in cells]
-    rows = tuple(sorted(results, key=lambda r: (r.T, r.seed)))
+    rows = tuple(one_trial(T, s) for T in config.horizons for s in range(config.n_seeds))
 
     phi_best = min(min(r.phi_at_star for r in rows), phi_x0)
     if problem.planted_point is not None:
@@ -381,28 +381,12 @@ def run_sweep(
         mean = float(vals.mean())
         sem = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
         if variant == "SmoothCor29":
-            alphas = np.full(T + 1, gamma / math.sqrt(T + 1))
-            bound = theoretical_bound(
-                variant,
-                BoundInputs(
-                    delta=delta,
-                    rho=problem.rho,
-                    rho_hat=rho_hat,
-                    sigma=problem.sigma,
-                    alphas=alphas,
-                ),
-            )
+            inputs = BoundInputs(delta=delta, rho=problem.rho, rho_hat=rho_hat,
+                                 sigma=problem.sigma, alphas=schedules[T].alphas)
         else:
-            bound = theoretical_bound(
-                variant,
-                BoundInputs(
-                    delta=delta,
-                    rho=rho_hat / 2.0,
-                    L=problem.lipschitz_L,
-                    gamma=gamma,
-                    T=T,
-                ),
-            )
+            inputs = BoundInputs(delta=delta, rho=rho_hat / 2.0, L=problem.lipschitz_L,
+                                 gamma=gamma, T=T)
+        bound = theoretical_bound(variant, inputs)
         per_horizon.append(
             HorizonStats(
                 T=T,

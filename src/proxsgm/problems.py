@@ -9,9 +9,10 @@ certified constants:
                           noise, box constraint.
 * ``toy1d``            -- one-dimensional sanity problems ("abs", "absquad").
 
-A draw of ``phase_retrieval`` or ``robust_regression`` is a row index; a
-point call (a solver step) or fewer than m draws take the row form, a
-stack of at least m draws the table form (see ``_finite_sum_oracle``).
+``phase_retrieval`` and ``robust_regression`` are finite sums built by
+``_finite_sum`` from a loss and its one coefficient.  A draw is a row
+index; a point call (a solver step) computes its row, a stack gathers
+from the table of the m component subgradients.
 A draw of ``smooth_ls`` is its Gaussian noise with the gradient's
 constant folded in (see ``make_smooth_ls_noisy``).
 
@@ -68,32 +69,46 @@ def _matvec(M: Array, x: Array) -> Array:
     return M.dot(x) if x.ndim == 1 else (M @ x[:, :, None])[:, :, 0]
 
 
-def _finite_sum_oracle(
-    A: Array, b: Array, coef: Callable[[Array, Array], Array]
-) -> StochasticOracle:
-    """Oracle whose draw is a row index i, with subgradient ``coef(<a_i, x>, b_i) a_i``.
+def _finite_sum(
+    A: Array,
+    b: Array,
+    loss: Callable[[Array, Array], Array],
+    coef: Callable[[Array, Array], Array],
+    **fields,
+) -> CompositeProblem:
+    """g(x) = mean_i loss(<a_i, x>, b_i), with ``fields`` the rest of the problem.
 
-    A point call or fewer than m draws take the row form: gather the rows,
-    then one inner product and one scaling each, as a solver step always
-    has.  A stack of at least m draws takes the table form: the m component
-    subgradients at x once, then one gather, equal to the row form up to
-    the rounding of a gemv.
+    ``coef(<a_i, x>, b_i)``, a derivative of the loss in its first argument,
+    is the one coefficient the selection A^T coef / m and the oracle read.
+    A draw is a row index i.  A point call (a solver step) takes its row:
+    one inner product and one scaling.  A stack takes the m component
+    subgradients at x once, then one gather, so the oracle's mean is the
+    selection up to the order of a sum.
     """
     m = len(b)
+
+    def g_value(x: Array) -> float | Array:
+        return point_value(np.mean(loss(_matvec(A, x), b), axis=-1))
+
+    def g_full_subgradient(x: Array) -> Array:
+        return _matvec(A.T, coef(_matvec(A, x), b)) / m
 
     def draw(rng: np.random.Generator, n: int) -> Array:
         return rng.integers(m, size=n)
 
     def sample(x: Array, i: Array) -> Array:
-        if i.ndim and i.size >= m:
+        if i.ndim:
             return (coef(_matvec(A, x), b)[:, None] * A).take(i, axis=0)
-        rows = A[i]
-        c = coef(rows.dot(x), b[i])
-        # a point's c is a numpy scalar, and indexing one costs more than
-        # the rest of its product
-        return (c[..., None] if i.ndim else c) * rows
+        row = A[i]
+        return coef(row.dot(x), b[i]) * row
 
-    return StochasticOracle(sample=sample, draw=draw)
+    return CompositeProblem(
+        dim=A.shape[1],
+        g_oracle=StochasticOracle(sample=sample, draw=draw),
+        g_value=g_value,
+        g_full_subgradient=g_full_subgradient,
+        **fields,
+    )
 
 
 def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
@@ -138,27 +153,10 @@ def make_phase_retrieval(m: int, d: int, seed: int) -> CompositeProblem:
     rho = 2.0 * float(np.max(row_sq))
     L = 2.0 * radius * float(np.max(row_sq))
 
-    def g_value(x: Array) -> float | Array:
-        return point_value(np.mean(np.abs(_matvec(A, x) ** 2 - b), axis=-1))
-
-    def g_full_subgradient(x: Array) -> Array:
-        inner = _matvec(A, x)
-        signs = np.sign(inner**2 - b)
-        return (2.0 / m) * _matvec(A.T, signs * inner)
-
-    return CompositeProblem(
-        dim=d,
-        g_oracle=_finite_sum_oracle(
-            A, b, lambda inner, b_rows: 2.0 * np.sign(inner**2 - b_rows) * inner
-        ),
-        regularizer=ball_indicator(np.zeros(d), radius),
-        rho=rho,
-        g_value=g_value,
-        g_full_subgradient=g_full_subgradient,
-        lipschitz_L=L,
-        domain_diameter=2.0 * radius,
-        planted_point=x_sharp,
-        meta=meta,
+    return _finite_sum(
+        A, b, lambda y, b: np.abs(y**2 - b), lambda y, b: 2.0 * np.sign(y**2 - b) * y,
+        regularizer=ball_indicator(np.zeros(d), radius), rho=rho, lipschitz_L=L,
+        domain_diameter=2.0 * radius, planted_point=x_sharp, meta=meta,
     )
 
 
@@ -192,24 +190,11 @@ def make_robust_regression(
     )
     L = float(np.max(np.linalg.norm(A, axis=1)))
 
-    def g_value(x: Array) -> float | Array:
-        return point_value(np.mean(np.abs(_matvec(A, x) - b), axis=-1))
-
-    def g_full_subgradient(x: Array) -> Array:
-        return _matvec(A.T, np.sign(_matvec(A, x) - b)) / m
-
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
-    return CompositeProblem(
-        dim=d,
-        g_oracle=_finite_sum_oracle(A, b, lambda inner, b_rows: np.sign(inner - b_rows)),
-        regularizer=box_indicator(lo, hi),
-        rho=0.0,
-        g_value=g_value,
-        g_full_subgradient=g_full_subgradient,
-        lipschitz_L=L,
-        domain_diameter=float(np.linalg.norm(hi - lo)),
-        planted_point=x_sharp,
-        meta=meta,
+    return _finite_sum(
+        A, b, lambda y, b: np.abs(y - b), lambda y, b: np.sign(y - b),
+        regularizer=box_indicator(lo, hi), rho=0.0, lipschitz_L=L,
+        domain_diameter=float(np.linalg.norm(hi - lo)), planted_point=x_sharp, meta=meta,
     )
 
 

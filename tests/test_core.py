@@ -113,6 +113,30 @@ def test_zero_variance_oracle_passes_unbiasedness(pid, x):
     assert rep.worst_ratio < 1.0
 
 
+def test_zero_allowance_passes_an_exact_zero_mean():
+    # sign(0) = 0: every draw is 0, so the spread, the rounding floor and the
+    # allowance are all 0, and only an exact match passes
+    rep = check_oracle_unbiasedness(make_toy1d("abs"), np.zeros(1), np.random.default_rng(0))
+    assert rep.passed and rep.n_passed == rep.n_repeats
+    assert rep.worst_ratio == 0.0
+
+
+def test_zero_allowance_fails_any_error():
+    # an oracle of zeros whose selection is ones: zero allowance, nonzero error
+    ones = lambda x: np.ones_like(x)
+    problem = CompositeProblem(
+        dim=2,
+        g_oracle=deterministic_oracle(np.zeros_like),
+        regularizer=zero_regularizer(),
+        rho=0.0,
+        g_value=lambda x: point_value(np.sum(x, axis=-1)),
+        g_full_subgradient=ones,
+    )
+    rep = check_oracle_unbiasedness(problem, np.array([0.5, -1.0]), np.random.default_rng(0))
+    assert not rep.passed and rep.n_passed == 0
+    assert rep.worst_ratio == math.inf
+
+
 @pytest.mark.parametrize(
     "pid", ["phase_retrieval:50:10:0", "robust_regression:40:2:1", "smooth_ls:60:5:2"]
 )

@@ -104,6 +104,20 @@ def test_bound_validation_errors():
         theoretical_bound("Thm999", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=0))
 
 
+@pytest.mark.parametrize("T, kind", [(2.5, "float"), (3.0, "float"), (True, "bool"),
+                                     ("3", "str")])
+def test_bound_inputs_refuse_a_horizon_that_is_not_an_integer(T, kind):
+    # a fractional horizon used to give a bound for a run that cannot exist
+    with pytest.raises(ValueError, match=f"T must be an integer, got {kind}"):
+        BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=T)
+
+
+def test_bound_inputs_take_a_numpy_integer_horizon():
+    inputs = BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=np.int64(3))
+    assert theoretical_bound("Cor22", inputs) == theoretical_bound(
+        "Cor22", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=3))
+
+
 def test_cli_bounds_rejects_a_negative_horizon(capsys):
     from proxsgm import cli
 
@@ -187,8 +201,44 @@ def test_experiment_config_validation():
         ExperimentConfig(**{**ok, "n_seeds": 0})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**ok, "inner_tol": 0.0})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**{**ok, "workers": 0})
+    # the field stays for the benchmark's callers, which pass 1; no sweep reads it
+    assert ExperimentConfig(**ok, workers=1).workers == 1
+    for workers in (0, 2):
+        with pytest.raises(ConfigError, match=f"workers must be 1, got {workers}"):
+            ExperimentConfig(**ok, workers=workers)
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("horizons", (10.7, 20), "float"),
+    ("horizons", (True, 20), "bool"),
+    ("horizons", ("10", "20"), "str"),
+    ("horizons", (10, 20.0), "float"),
+    ("n_seeds", 2.5, "float"),
+    ("n_seeds", 3.0, "float"),
+    ("n_seeds", True, "bool"),
+    ("n_seeds", "3", "str"),
+    ("workers", 1.0, "float"),
+    ("workers", True, "bool"),
+])
+def test_experiment_config_refuses_an_integer_field_of_another_type(
+    monkeypatch, field, value, kind
+):
+    # horizons (10.7, 20) used to run T = 10 and (True, 20) T = 1, and
+    # n_seeds = 2.5 raised a bare TypeError after the x0 envelope solve
+    from proxsgm import harness
+
+    monkeypatch.setattr(harness, "moreau_prox", lambda *a: pytest.fail("solved"))
+    config = dict(problem_id="toy1d:abs", horizons=(10, 20), gamma=0.5, output="")
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {kind}"):
+        run_sweep(ExperimentConfig(**{**config, field: value}))
+
+
+def test_experiment_config_takes_numpy_integers():
+    cfg = ExperimentConfig(problem_id="toy1d:abs", horizons=(np.int64(10), np.int32(20)),
+                           gamma=0.5, n_seeds=np.int64(2), output="")
+    assert cfg.horizons == (10, 20) and all(type(t) is int for t in cfg.horizons)
+    assert [(r.T, r.seed) for r in run_sweep(cfg, clock=lambda: 0.0).rows] == [
+        (10, 0), (10, 1), (20, 0), (20, 1)]
 
 
 def test_parse_config_file_roundtrip(tmp_path):
@@ -200,7 +250,6 @@ def test_parse_config_file_roundtrip(tmp_path):
         "gamma = optimal\n"
         "lambda = 0.9\n"
         "n_seeds = 3\n"
-        "workers = 2\n"
         "output = out.csv\n"
     )
     cfg = parse_config_file(str(path))
@@ -209,7 +258,6 @@ def test_parse_config_file_roundtrip(tmp_path):
     assert cfg.gamma == "optimal"
     assert cfg.lam == 0.9
     assert cfg.n_seeds == 3
-    assert cfg.workers == 2
     assert cfg.output == "out.csv"
 
 
@@ -356,17 +404,39 @@ def test_run_sweep_smooth_problem_uses_smooth_bound():
     assert report.variant == "SmoothCor29"
 
 
-def test_run_sweep_rejects_oversized_steps():
-    # gamma/sqrt(T+1) > 1/rho_hat at the smallest horizon is not admissible
+def test_run_sweep_rejects_oversized_steps(monkeypatch):
+    # gamma/sqrt(T+1) > 1/rho_hat at the smallest horizon is not admissible;
+    # the schedule says so before the x0 envelope solve
+    from proxsgm import harness
+
+    monkeypatch.setattr(harness, "moreau_prox", lambda *a: pytest.fail("solved"))
     cfg = small_config(gamma=50.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"gamma=50\.0 at T=30: steps must lie in"):
         run_sweep(cfg, clock=lambda: 0.0)
 
 
-def test_run_sweep_workers_match_serial(tmp_path):
-    serial = run_sweep(small_config(tmp_path), clock=lambda: 0.0)
-    parallel = run_sweep(small_config(tmp_path, workers=3), clock=lambda: 0.0)
-    assert [r.grad_norm_sq for r in serial.rows] == [r.grad_norm_sq for r in parallel.rows]
+def test_run_sweep_bounds_the_schedule_its_trials_ran(monkeypatch):
+    # one schedule per horizon: every trial of it runs that schedule, and the
+    # SmoothCor29 bound reads that schedule's steps
+    from proxsgm import harness
+
+    ran, bounded = {}, {}
+    real_run, real_bound = harness.run_psgm, harness.theoretical_bound
+
+    def run(problem, x0, schedule, rng):
+        ran.setdefault(schedule.horizon, set()).add(id(schedule.alphas))
+        return real_run(problem, x0, schedule, rng)
+
+    def bound(variant, inputs):
+        bounded[inputs.alphas.size - 1] = {id(inputs.alphas)}
+        return real_bound(variant, inputs)
+
+    monkeypatch.setattr(harness, "run_psgm", run)
+    monkeypatch.setattr(harness, "theoretical_bound", bound)
+    cfg = ExperimentConfig(problem_id="smooth_ls:15:2:3", horizons=(20, 40), gamma=0.2,
+                           n_seeds=3, output="")
+    assert run_sweep(cfg, clock=lambda: 0.0).variant == "SmoothCor29"
+    assert ran == bounded and sorted(ran) == [20, 40]
 
 
 def test_run_sweep_counts_inner_solver_misses(tmp_path, monkeypatch, capsys):

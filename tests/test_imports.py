@@ -3,10 +3,10 @@ invariant suites load numpy, not scipy, and all of them run with scipy
 blocked.
 
 No solve path imports scipy; ``moreau.lsq_linear`` and ``moreau.minimize``
-import it on first call.  A serial sweep does not load ``concurrent.futures``
-either; the thread pool is imported only when ``workers`` is above 1.  The
-probe runs in a fresh interpreter so modules the test session already
-loaded do not count.
+import it on first call.  A sweep runs its trials one after another on the
+calling thread and does not load ``concurrent.futures`` either.  The probe
+runs in a fresh interpreter so modules the test session already loaded do
+not count.
 """
 
 import subprocess

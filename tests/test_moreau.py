@@ -163,6 +163,37 @@ def test_moreau_prox_rejects_an_unmeetable_tol_before_solving(pid, tol):
     assert calls == []
 
 
+def steep_abs_problem(center):
+    """g(y) = 50 |y - center|, r = 0, L = 50: a kink far from the unit
+    bracket around a small x, so the 1-D solve must widen its bracket."""
+    sub = lambda y: 50.0 * np.sign(y - center)
+    return CompositeProblem(
+        dim=1,
+        g_oracle=deterministic_oracle(sub),
+        regularizer=zero_regularizer(),
+        rho=0.0,
+        g_value=lambda y: point_value(50.0 * np.abs(y[..., 0] - center)),
+        g_full_subgradient=sub,
+        lipschitz_L=50.0,
+    )
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("lam", [1.0, 0.7])
+@pytest.mark.parametrize("x", [0.0, 100.0, -5.0])
+def test_1d_bracket_widens_to_a_far_kink(side, lam, x):
+    # the kink at 30 lies right of the first bracket at x = 0 and -5, and
+    # its mirror at -30 left of the mirrored x: both bracket ends widen
+    c, x = side * 30.0, side * x
+    p = steep_abs_problem(c)
+    pt = moreau_prox(p, np.array([x]), lam, tol=1e-10)
+    # the prox of 50 |y - c| soft-thresholds x - c by 50 lam
+    want = c + math.copysign(max(abs(x - c) - 50.0 * lam, 0.0), x - c)
+    assert pt.x_hat[0] == pytest.approx(want, abs=1e-9)
+    grid = moreau_grid_oracle(p, np.array([x]), lam, GridSpec(200_001, 2))
+    assert pt.envelope_value == pytest.approx(grid.envelope_value, rel=1e-12)
+
+
 def test_grid_rejects_high_dimension():
     p = quadratic_problem(3)
     with pytest.raises(DimensionError):

@@ -415,9 +415,10 @@ FINITE_SUM_IDS = [
 
 @pytest.mark.parametrize("pid", FINITE_SUM_IDS)
 def test_finite_sum_oracle_forms_match_the_row_reference(pid):
-    # fewer than m draws take the row form, at least m the table form of
-    # the m component subgradients; a point call must stay the row form's
-    # exact bytes, since it is what a solver step pays
+    # a stack of any size gathers from the table of the m component
+    # subgradients, equal to the row reference up to the rounding of a gemv;
+    # a point call must stay the row reference's exact bytes, since it is
+    # what a solver step pays
     p = problem_from_id(pid)
     m, d, subgradient = _finite_sum_reference(pid)
     rng = np.random.default_rng(17)
@@ -433,6 +434,12 @@ def test_finite_sum_oracle_forms_match_the_row_reference(pid):
             np.testing.assert_allclose(
                 stack, np.reshape(reference, (n, d)), rtol=1e-12, atol=1e-12
             )
+        # the table and the selection read one coefficient: its mean over the
+        # m rows is the selection up to the order of a sum
+        table = p.g_oracle.sample(x, np.arange(m))
+        np.testing.assert_allclose(
+            table.mean(axis=0), p.g_full_subgradient(x), rtol=1e-12, atol=1e-12
+        )
 
 
 # --------------------------------------------------- batch-first g callables
