@@ -8,7 +8,8 @@ before and after the change and compares the printed lines:
 
 Areas (every input is fixed here, so the digests depend only on the code):
 
-* ``run_psgm``: every ``RunResult`` field of seeded runs on five families.
+* ``run_psgm``: every ``RunResult`` field of seeded runs on five families,
+  and every ``AveragedRun`` field of ``run_averaged`` on the same inputs.
 * ``moreau_prox`` / ``moreau_grid_oracle``: proximal point, envelope value
   and gradient, certificate and gap at sampled anchors.
 * ``run_sweep``: every row and per-horizon statistic of small sweeps.
@@ -130,8 +131,9 @@ def digest_runs() -> str:
         x0 = default_x0(problem)
         for T in (0, 7, 300):
             sched = solver.StepSchedule.constant(0.05, T)
-            run = solver.run_psgm(problem, x0, sched, np.random.default_rng([k, T]))
-            dig.add(pid, T, *(getattr(run, f.name) for f in dataclasses.fields(run)))
+            for run_fn in (solver.run_psgm, solver.run_averaged):
+                run = run_fn(problem, x0, sched, np.random.default_rng([k, T]))
+                dig.add(pid, T, *(getattr(run, f.name) for f in dataclasses.fields(run)))
     return dig.short()
 
 
@@ -139,7 +141,8 @@ def digest_boost() -> str:
     dig = Digest()
     base = problem_from_id(BOOST_ID)
     out = two_stage_convex(base, 200, 1.0, np.random.default_rng(1))
-    dig.add(out.result.x_star, out.result.x_last, out.stage1_point, out.stage2_gamma)
+    dig.add(out.result.t_star, out.result.x_star, out.result.oracle_calls, out.stage1_point,
+            out.stage2_gamma)
     reg = RegularizedProblem(base, 0.5, np.zeros(base.dim))
     dig.add(strongly_convex_stage(reg, 200, np.random.default_rng(2)))
     pipe = regularized_pipeline(base, 0.5, 0.4, 200, np.random.default_rng(3))

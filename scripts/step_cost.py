@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Print the cost of one ``run_psgm`` step per problem family, untraced.
+"""Print the cost of one solver step per problem family, untraced.
 
     python3 scripts/step_cost.py
 
-For each instance below, ``run_psgm`` takes STEPS + 1 steps of a constant
-schedule from the family's default start; the script prints the process
-time per step in µs as the min, median and max over REPEATS runs, beside
-the kind of its regularizer (a box step and a ball step differ in their
-prox).  On a
-shared host other tenants slow a core by up to about 2x for seconds at a
-time, and the spread shows how much of that a line carries; the min is
+For each instance below, ``run_averaged`` takes all STEPS + 1 steps of a
+constant schedule from the family's default start (``run_psgm`` would stop
+at its drawn output index, a varying share of them); the script prints the
+process time per step in µs as the min, median and max over REPEATS runs,
+beside the kind of its regularizer (a box step and a ball step differ in
+their prox).  On a shared host other tenants slow a core by up to about 2x
+for seconds at a time, and the spread shows how much of that a line carries; the min is
 the closest to the code's own cost but can still be a slowed run.  So a
 difference under about 2x between two trees needs the benchmark's
 contention-corrected ``wall_s`` (``bench/run.py``), or at least 10 runs
@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from proxsgm.problems import default_x0, problem_from_id  # noqa: E402
-from proxsgm.solver import StepSchedule, run_psgm  # noqa: E402
+from proxsgm.solver import StepSchedule, run_averaged  # noqa: E402
 
 INSTANCES = (
     "phase_retrieval:50:10:0",
@@ -53,7 +53,7 @@ def step_us(problem) -> list[float]:
     runs = []
     for _ in range(REPEATS):
         t0 = time.process_time()
-        run_psgm(problem, x0, schedule, 0)
+        run_averaged(problem, x0, schedule, 0)
         runs.append(1e6 * (time.process_time() - t0) / (STEPS + 1))
     return sorted(runs)
 

@@ -46,10 +46,12 @@ from .moreau import (
     stationarity_report,
 )
 from .solver import (
+    AveragedRun,
     RunResult,
     StepSchedule,
     check_descent_lemma,
     check_prox_identity,
+    run_averaged,
     run_psgm,
     sample_tstar,
 )
@@ -110,10 +112,12 @@ __all__ = [
     "moreau_prox",
     "prox_gradient_mapping",
     "stationarity_report",
+    "AveragedRun",
     "RunResult",
     "StepSchedule",
     "check_descent_lemma",
     "check_prox_identity",
+    "run_averaged",
     "run_psgm",
     "sample_tstar",
     "PipelineResult",

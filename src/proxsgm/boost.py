@@ -31,7 +31,7 @@ from .core import (
     point_value,
 )
 from .moreau import moreau_prox
-from .solver import RunResult, StepSchedule, run_psgm
+from .solver import RunResult, StepSchedule, run_averaged, run_psgm
 
 Array = np.ndarray
 
@@ -193,7 +193,12 @@ def _pipeline_constants(
 
 @dataclass(frozen=True)
 class TwoStageResult:
-    """Stage-2 run plus the stage-1 warm start metadata."""
+    """Stage-2 run plus the stage-1 warm start metadata.
+
+    ``total_oracle_calls`` is the budget 2 (T+1) that the guarantees are
+    stated for: stage 1 makes T+1 calls and stage 2 stops at its output,
+    after ``result.oracle_calls`` <= T+1 calls.
+    """
 
     result: RunResult
     stage1_point: Array
@@ -217,7 +222,8 @@ def two_stage_convex(
     to R = L D / sqrt(T+1).
     Stage 2 restarts the method there with gamma tuned to that gap, using
     rho_hat / 2 as the declared modulus (the rho_hat = 2 rho convention
-    used everywhere else).  Total budget: 2 (T+1) oracle calls.
+    used everywhere else), and stops at its output.  Total budget: 2 (T+1)
+    oracle calls.
     """
     L, D = _convex_constants(base, "two-stage scheme")
     _in_range("rho_hat", rho_hat)
@@ -234,8 +240,7 @@ def two_stage_convex(
     rng = np.random.default_rng(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
     x0 = base.regularizer.project_domain(np.zeros(base.dim))
-    stage1 = run_psgm(base, x0, schedule1, kid1)
-    stage1_point = stage1.mean
+    stage1_point = run_averaged(base, x0, schedule1, kid1).mean
     stage2 = run_psgm(base, stage1_point, schedule2, kid2)
     return TwoStageResult(
         result=stage2,
@@ -266,8 +271,7 @@ def strongly_convex_stage(
     regularized problem is at most `strongly_convex_gap_bound`.
     """
     alphas = 2.0 / (reg.mu * (np.arange(T + 1) + 1.0))
-    run = run_psgm(reg.problem, reg.x_c, StepSchedule(alphas), rng_or_seed)
-    return run.weighted_mean
+    return run_averaged(reg.problem, reg.x_c, StepSchedule(alphas), rng_or_seed).weighted_mean
 
 
 def pipeline_budget(base: CompositeProblem, rho: float, eps: float) -> int:
@@ -291,7 +295,12 @@ def pipeline_budget(base: CompositeProblem, rho: float, eps: float) -> int:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Output of the regularize -> strongly convex stage -> tuned run chain."""
+    """Output of the regularize -> strongly convex stage -> tuned run chain.
+
+    ``total_oracle_calls`` is the budget 2 (T+1) that `pipeline_budget`
+    sizes: the strongly convex stage makes T+1 calls and the tuned run
+    stops at its output, after at most T+1 calls.
+    """
 
     z: Array
     x_reg_star: Array
@@ -313,9 +322,9 @@ def regularized_pipeline(
 
     Regularizes with mu = eps/(2D) and lam = 2 rho - mu (so lam + mu =
     2 rho) around the anchor x_c, the projection of the origin onto dom r,
-    runs the strongly convex stage for T+1 calls, then the main method for
-    T+1 calls with gamma tuned to the stage-one gap, and maps the result
-    back.  The returned z targets the base problem's envelope
+    runs the strongly convex stage for T+1 calls, then the main method on
+    a (T+1)-step schedule with gamma tuned to the stage-one gap, up to its
+    output, and maps the result back.  The returned z targets the base problem's envelope
     with coefficient 2 rho.  Requires eps <= 2 rho D.
     """
     L, D, mu, lam = _pipeline_constants(base, rho, eps)

@@ -176,11 +176,16 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for t in self.horizons:
+        try:
+            hs = tuple(self.horizons)
+        except TypeError:
+            raise ConfigError("horizons must be a sequence of integers, got "
+                              f"{type(self.horizons).__name__}") from None
+        for t in hs:
             _integer("horizons", t, ConfigError)
         if _integer("workers", self.workers, ConfigError) != 1:
             raise ConfigError(f"workers must be 1, got {self.workers}")
-        hs = tuple(int(t) for t in self.horizons)
+        hs = tuple(int(t) for t in hs)
         _in_range("number of horizons", len(hs), 1, ends="[)", error=ConfigError)
         _in_range("horizons", hs, 0, ends="[)", error=ConfigError)
         _in_range("horizon increments", np.diff(hs), 0, error=ConfigError)
@@ -191,6 +196,9 @@ class ExperimentConfig:
         for key, val in (("gamma", None if self.gamma == "optimal" else self.gamma),
                          ("inner_tol", self.inner_tol), ("rho_hat", self.rho_hat),
                          ("lambda", self.lam)):
+            # float(True) is 1.0: a bool would run as that value
+            if isinstance(val, bool):
+                raise ConfigError(f"{key} must be a real number, got bool")
             _in_range(key, val, error=ConfigError)
         _in_range("n_seeds", _integer("n_seeds", self.n_seeds, ConfigError), 1, ends="[)",
                   error=ConfigError)
@@ -246,6 +254,12 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One trial of a sweep: the run's output x_{t*} and its envelope solve.
+
+    ``oracle_calls`` counts the calls the run made, t*, not the horizon's
+    T+1: the run stops at its output.
+    """
+
     T: int
     seed: int
     grad_norm_sq: float
@@ -257,6 +271,15 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class HorizonStats:
+    """The trials of one horizon against the bound at that horizon.
+
+    ``bound_value`` evaluates the bound at the surrogate gap Delta =
+    envelope(x0) - (least phi observed), clipped at 0, which lies at or
+    below the true gap envelope(x0) - min phi.  The bound grows with
+    Delta, so ``bound_value`` is at most the theorem's right side: a
+    stricter test than the theorem, not its bound.
+    """
+
     T: int
     mean: float
     ci_half_width: float
@@ -319,10 +342,11 @@ def run_sweep(
 
     Each horizon T gets one constant schedule gamma / sqrt(T+1), built
     before any solve: a step above 1/rho_hat raises ``ConfigError`` naming
-    gamma and T.  Every trial of that horizon runs it, and the SmoothCor29
-    bound reads its steps.  Trials run one after another in (T, seed)
-    order, each with its own generator keyed by (seed, T) and the
-    instance's data seed (0 without ``meta``).  Inner-solver shortfalls are
+    gamma and T.  Every trial of that horizon runs it up to the trial's
+    output index t* (`run_psgm`), and the SmoothCor29 bound reads its
+    steps.  Trials run one after another in (T, seed) order, each with its
+    own generator keyed by (seed, T) and the instance's data seed (0
+    without ``meta``).  Inner-solver shortfalls are
     recorded in inner_tol_achieved rather than aborting the sweep, and each
     horizon counts them in ``n_inner_missed``.  ``clock`` exists so tests
     can pin wall_ms; every other column is bit-deterministic for a fixed

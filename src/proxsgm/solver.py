@@ -4,9 +4,10 @@ The method is the obvious one: draw a stochastic subgradient, take a step,
 apply the proximal map of r.  The only nonstandard piece is the returned
 point, which is sampled from the iterates with probabilities proportional
 to the step sizes; all the convergence statements in `harness` are about
-that randomly selected iterate.  A run keeps no trajectory: besides that
-iterate it returns the last one and the plain and (t+1)-weighted means of
-the iterates, which the convex stages in `boost` start from.
+that randomly selected iterate.  `run_psgm` draws its index t* first and
+stops there.  `run_averaged` runs the whole schedule and returns the last
+iterate and the plain and (t+1)-weighted means of the iterates, which the
+convex stages in `boost` start from.  Neither keeps a trajectory.
 
 `check_descent_lemma` and `check_prox_identity` turn the two single-step
 facts the analysis rests on into Monte-Carlo / algebraic checks that run
@@ -28,7 +29,7 @@ Array = np.ndarray
 # No run reads this; it stays only because bench/tracer.py reads it to label
 # its spans, until the benchmark's next version drops that split.
 TRAJECTORY_CAP = 1_000_000
-# Steps whose randomness, step sizes and iterates `run_psgm` handles at once.
+# Steps whose randomness, step sizes and iterates a run handles at once.
 CHUNK = 4096
 
 
@@ -82,15 +83,27 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class RunResult:
-    """What a run keeps of its trajectory x_0..x_{T+1}.
+    """The method's output: x_{t_star}, where the run stopped.
 
-    ``x_star`` is x_{t_star}, the iterate that the step-weighted draw
-    selects, and ``x_last`` is x_{T+1}.  ``mean`` is the plain average of
-    x_0..x_T and ``weighted_mean`` their average with weight t+1 on x_t.
+    ``t_star`` is drawn before the first step with probability
+    alpha_t / sum(alphas), and the run takes steps 0..t_star-1 only, so
+    ``x_star`` is x_{t_star} and ``oracle_calls`` equals ``t_star``.
     """
 
     t_star: int
     x_star: Array
+    oracle_calls: int
+
+
+@dataclass(frozen=True)
+class AveragedRun:
+    """What a full run keeps of its trajectory x_0..x_{T+1}.
+
+    ``x_last`` is x_{T+1}, ``mean`` the plain average of x_0..x_T and
+    ``weighted_mean`` their average with weight t+1 on x_t; the run makes
+    T+1 oracle calls.
+    """
+
     x_last: Array
     mean: Array
     weighted_mean: Array
@@ -113,35 +126,21 @@ def sample_tstar(alphas, rng: np.random.Generator, size: int | None = None) -> i
     return int(t) if size is None else t
 
 
-def run_psgm(
-    problem: CompositeProblem,
-    x0: Array,
-    schedule: StepSchedule,
-    rng_or_seed,
-) -> RunResult:
-    """Run the proximal stochastic subgradient method for T+1 steps.
+def _iterate(problem: CompositeProblem, x0, alphas: Array, rng, fold) -> Array:
+    """The iterate after one step per entry of ``alphas``, from x0.
 
-    Deterministic given (seed, problem data, x0, schedule).  The selection
-    index t* is drawn first, from a substream spawned off the generator, so
-    the subgradient stream does not depend on it.  Randomness
-    (``g_oracle.draw``) and step sizes are then prepared CHUNK steps at a
-    time, and each step makes one ``g_oracle.sample`` call, one finite
-    check and one prox call; the last iterate gets one finite check of its
-    own.  Each chunk's iterates are folded into the two means and dropped,
-    keeping x_star if t* falls in the chunk, so the iterates held take
-    O(CHUNK d) memory at every horizon.
+    Randomness (``g_oracle.draw``) and step sizes are prepared CHUNK steps
+    at a time, and each step makes one ``g_oracle.sample`` call, one finite
+    check and one prox call; the returned iterate gets one finite check of
+    its own.  ``fold(start, xs)`` receives each chunk's iterates
+    x_start..x_{start+n-1} before they are dropped, so the iterates held
+    take O(CHUNK d) memory at every horizon.
     """
-    rng = np.random.default_rng(rng_or_seed)
-    x0 = np.array(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise DomainError(f"x0 has shape {x0.shape}, problem dim {problem.dim}")
-    if math.isinf(problem.regularizer.value(x0)):
-        raise DomainError("x0 outside dom r")
-
-    alphas = schedule.alphas
-    n_iter = alphas.size
-    t_star = sample_tstar(alphas, rng.spawn(1)[0])
-
+    x = np.array(x0, dtype=float)
+    if x.shape != (problem.dim,):
+        raise DomainError(f"x0 has shape {x.shape}, problem dim {problem.dim}")
+    if not np.isfinite(x).all() or math.isinf(problem.regularizer.value(x)):
+        raise DomainError("x0 must be finite and in dom r")
     draw, sample = problem.g_oracle.draw, problem.g_oracle.sample
     prox = problem.regularizer.prox
     # 0 * v is 0 for finite v and NaN for an infinite or NaN one, so this
@@ -151,11 +150,9 @@ def run_psgm(
     # `prox` are suppressed too.  A NaN made inside `sample` fails the check;
     # one made by `prox` (an overflowed step fed to the ball's rescale,
     # inf * 0) stays in the iterates, as the shipped proxes keep a NaN, and
-    # fails the one check on the final iterate.
+    # fails the one check on the returned iterate.
     zero = np.zeros(problem.dim)
-    # row 0: the plain sum of x_0..x_T, row 1: the sum with weight t+1 on x_t
-    sums = np.zeros((2, problem.dim))
-    x = x0
+    n_iter = alphas.size
     with np.errstate(invalid="ignore"):
         for start in range(0, n_iter, CHUNK):
             stop = min(start + CHUNK, n_iter)
@@ -173,20 +170,65 @@ def run_psgm(
                 if not math.isfinite(g.dot(zero)):
                     raise OracleError(f"non-finite subgradient at iteration {t}", t)
                 x = prox(x - g * ar, a)
-            if start <= t_star < stop:
-                x_star = xs[t_star - start]
-            # x0 and every prox output are contiguous float64 (d,) arrays, so
-            # their joined bytes are the chunk's rows (join or reshape raises
-            # if one is not); per row this costs a third of np.concatenate
-            weights = np.stack((np.ones(n), np.arange(start + 1.0, stop + 1.0)))
-            sums += weights @ np.frombuffer(b"".join(xs)).reshape(n, problem.dim)
+            fold(start, xs)
         if not math.isfinite(x.dot(zero)):
             raise OracleError(f"non-finite iterate after iteration {n_iter - 1}", n_iter - 1)
+    return x
 
-    return RunResult(
-        t_star=t_star,
-        x_star=x_star,
-        x_last=x,
+
+def run_psgm(
+    problem: CompositeProblem,
+    x0: Array,
+    schedule: StepSchedule,
+    rng_or_seed,
+) -> RunResult:
+    """Run the proximal stochastic subgradient method to its output x_{t*}.
+
+    Deterministic given (seed, problem data, x0, schedule).  The output
+    index t* is drawn first, from a substream spawned off the generator,
+    with probability alpha_t / sum(alphas) over t = 0..T; the run then
+    takes steps 0..t*-1 of the schedule from the generator itself and
+    stops (at t* = 0 it takes none and returns x0).  The steps after t*
+    would not change x_{t*}, and x_{t*} has the bytes it has in the full
+    run of `run_averaged` from the same generator.  The run makes t*
+    oracle calls.
+    """
+    rng = np.random.default_rng(rng_or_seed)
+    t_star = sample_tstar(schedule.alphas, rng.spawn(1)[0])
+    x_star = _iterate(problem, x0, schedule.alphas[:t_star], rng, lambda start, xs: None)
+    return RunResult(t_star=t_star, x_star=x_star, oracle_calls=t_star)
+
+
+def run_averaged(
+    problem: CompositeProblem,
+    x0: Array,
+    schedule: StepSchedule,
+    rng_or_seed,
+) -> AveragedRun:
+    """Run all T+1 steps of the schedule and average the iterates.
+
+    The convex stages in `boost` start from these averages.  The steps use
+    the generator as `run_psgm` does, which draws no t* here, so the two
+    runs from equal generators share their iterates.  Each chunk's
+    iterates are folded into the two means and dropped.
+    """
+    rng = np.random.default_rng(rng_or_seed)
+    n_iter = schedule.alphas.size
+    # row 0: the plain sum of x_0..x_T, row 1: the sum with weight t+1 on x_t
+    sums = np.zeros((2, problem.dim))
+
+    def fold(start, xs):
+        nonlocal sums
+        n = len(xs)
+        # x0 and every prox output are contiguous float64 (d,) arrays, so
+        # their joined bytes are the chunk's rows (join or reshape raises
+        # if one is not); per row this costs a third of np.concatenate
+        weights = np.stack((np.ones(n), np.arange(start + 1.0, start + n + 1.0)))
+        sums += weights @ np.frombuffer(b"".join(xs)).reshape(n, problem.dim)
+
+    x_last = _iterate(problem, x0, schedule.alphas, rng, fold)
+    return AveragedRun(
+        x_last=x_last,
         mean=sums[0] / n_iter,
         weighted_mean=sums[1] / (n_iter * (n_iter + 1) / 2),
         oracle_calls=n_iter,

@@ -34,7 +34,7 @@ from proxsgm.problems import (
     problem_from_id,
 )
 from proxsgm.prox import box_indicator
-from proxsgm.solver import StepSchedule, run_psgm
+from proxsgm.solver import StepSchedule, run_averaged
 
 
 def noisy_linear_problem(c, noise, lo, hi, seed_norm=None):
@@ -253,6 +253,8 @@ def test_two_stage_bookkeeping():
     base = make_robust_regression(15, 2, 4)
     out = two_stage_convex(base, 60, 1.0, np.random.default_rng(3))
     assert out.total_oracle_calls == 2 * 61
+    # the budget; stage 2 stops at its output
+    assert out.result.oracle_calls == out.result.t_star <= 61
     assert out.gap_estimate_R == pytest.approx(
         base.lipschitz_L * base.domain_diameter / math.sqrt(61))
     assert out.stage1_gamma == pytest.approx(
@@ -297,12 +299,12 @@ def test_averaging_stages_start_from_the_run_means():
     kid1, _ = np.random.default_rng(3).spawn(2)
     x0 = base.regularizer.project_domain(np.zeros(base.dim))
     sched = StepSchedule.constant(base.domain_diameter / base.lipschitz_L, T)
-    stage1 = run_psgm(base, x0, sched, kid1)
+    stage1 = run_averaged(base, x0, sched, kid1)
     out = two_stage_convex(base, T, 1.0, np.random.default_rng(3))
     assert out.stage1_point.tobytes() == stage1.mean.tobytes()
     reg = RegularizedProblem(base, 0.5, x0)
     alphas = 2.0 / (0.5 * (np.arange(T + 1) + 1.0))
-    run = run_psgm(reg.problem, x0, StepSchedule(alphas), 4)
+    run = run_averaged(reg.problem, x0, StepSchedule(alphas), 4)
     assert strongly_convex_stage(reg, T, 4).tobytes() == run.weighted_mean.tobytes()
     assert base.regularizer.value(run.weighted_mean) == 0.0
 

@@ -19,9 +19,9 @@ from proxsgm.harness import (
     run_sweep,
     theoretical_bound,
 )
-from proxsgm.moreau import InnerAccuracyError
-from proxsgm.problems import problem_from_id
-from proxsgm.solver import StepSchedule
+from proxsgm.moreau import InnerAccuracyError, moreau_prox
+from proxsgm.problems import default_x0, problem_from_id
+from proxsgm.solver import StepSchedule, sample_tstar
 
 
 # ------------------------------------------------------------ bound values
@@ -208,28 +208,30 @@ def test_experiment_config_validation():
             ExperimentConfig(**ok, workers=workers)
 
 
-@pytest.mark.parametrize("field, value, kind", [
-    ("horizons", (10.7, 20), "float"),
-    ("horizons", (True, 20), "bool"),
-    ("horizons", ("10", "20"), "str"),
-    ("horizons", (10, 20.0), "float"),
-    ("n_seeds", 2.5, "float"),
-    ("n_seeds", 3.0, "float"),
-    ("n_seeds", True, "bool"),
-    ("n_seeds", "3", "str"),
-    ("workers", 1.0, "float"),
-    ("workers", True, "bool"),
+@pytest.mark.parametrize("field, value, want", [
+    ("horizons", (10.7, 20), "an integer, got float"),
+    ("horizons", (True, 20), "an integer, got bool"),
+    ("horizons", ("10", "20"), "an integer, got str"),
+    ("horizons", (10, 20.0), "an integer, got float"),
+    ("horizons", 10, "a sequence of integers, got int"),
+    ("n_seeds", 2.5, "an integer, got float"),
+    ("n_seeds", 3.0, "an integer, got float"),
+    ("n_seeds", True, "an integer, got bool"),
+    ("n_seeds", "3", "an integer, got str"),
+    ("workers", 1.0, "an integer, got float"),
+    ("workers", True, "an integer, got bool"),
+    ("gamma", True, "a real number, got bool"),
+    ("inner_tol", True, "a real number, got bool"),
 ])
-def test_experiment_config_refuses_an_integer_field_of_another_type(
-    monkeypatch, field, value, kind
-):
+def test_experiment_config_refuses_a_field_of_another_type(monkeypatch, field, value, want):
     # horizons (10.7, 20) used to run T = 10 and (True, 20) T = 1, and
-    # n_seeds = 2.5 raised a bare TypeError after the x0 envelope solve
+    # n_seeds = 2.5 raised a bare TypeError after the x0 envelope solve;
+    # gamma = True ran at gamma = 1, and horizons = 10 raised a bare TypeError
     from proxsgm import harness
 
     monkeypatch.setattr(harness, "moreau_prox", lambda *a: pytest.fail("solved"))
     config = dict(problem_id="toy1d:abs", horizons=(10, 20), gamma=0.5, output="")
-    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {kind}"):
+    with pytest.raises(ConfigError, match=f"{field} must be {want}"):
         run_sweep(ExperimentConfig(**{**config, field: value}))
 
 
@@ -437,6 +439,29 @@ def test_run_sweep_bounds_the_schedule_its_trials_ran(monkeypatch):
                            n_seeds=3, output="")
     assert run_sweep(cfg, clock=lambda: 0.0).variant == "SmoothCor29"
     assert ran == bounded and sorted(ran) == [20, 40]
+
+
+def test_run_sweep_reads_x_t_star_of_the_full_trajectory():
+    # each trial stops at its output x_{t*}; its grad_norm_sq and
+    # phi_at_star equal, bit for bit, their values at x_{t*} of the whole
+    # trajectory x_0..x_{T+1}, rebuilt here from the trial's generator
+    p = problem_from_id("smooth_ls:60:5:2")
+    cfg = ExperimentConfig(problem_id="smooth_ls:60:5:2", horizons=(10, 100, 1000),
+                           gamma=0.5, n_seeds=3, output="")
+    rep = run_sweep(cfg, problem=p, clock=lambda: 0.0)
+    x0 = default_x0(p)
+    assert len(rep.rows) == 9
+    for row in rep.rows:
+        sched = StepSchedule.constant(rep.gamma, row.T, rho_hat=rep.rho_hat)
+        rng = np.random.default_rng([row.seed, row.T, p.meta.seed])
+        t_star = sample_tstar(sched.alphas, rng.spawn(1)[0])
+        traj = [x0]
+        for a, w in zip(sched.alphas, p.g_oracle.draw(rng, row.T + 1)):
+            traj.append(p.regularizer.prox(traj[-1] - a * p.g_oracle.sample(traj[-1], w), a))
+        x = traj[t_star]
+        gn = float(np.linalg.norm(moreau_prox(p, x, rep.lam, cfg.inner_tol).envelope_grad))
+        assert row.oracle_calls == t_star
+        assert (row.grad_norm_sq, row.phi_at_star) == (gn * gn, p.phi(x))
 
 
 def test_run_sweep_counts_inner_solver_misses(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """The checked-in scripts still run against the library they measure."""
 
+import dataclasses
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 from proxsgm.harness import parse_config_file
+from proxsgm.problems import problem_from_id
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +43,22 @@ def test_shipped_config_files_parse():
     for path in configs:
         config = parse_config_file(path)
         assert config.problem_id and config.horizons, path.name
+
+
+def test_step_cost_times_every_step_it_divides_by(monkeypatch):
+    # the script divides each run's time by STEPS + 1, so the run it times
+    # must make that many oracle calls, not stop at a drawn t*
+    spec = importlib.util.spec_from_file_location("step_cost", ROOT / "scripts" / "step_cost.py")
+    step_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_cost)
+    monkeypatch.setattr(step_cost, "REPEATS", 1)
+    p = problem_from_id("toy1d:abs")
+    calls = []
+
+    def sample(x, w):
+        calls.append(1)
+        return p.g_oracle.sample(x, w)
+
+    step_cost.step_us(dataclasses.replace(p, g_oracle=dataclasses.replace(p.g_oracle,
+                                                                            sample=sample)))
+    assert len(calls) == step_cost.STEPS + 1

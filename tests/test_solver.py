@@ -28,6 +28,7 @@ from proxsgm.solver import (
     StepSchedule,
     check_descent_lemma,
     check_prox_identity,
+    run_averaged,
     run_psgm,
     sample_tstar,
 )
@@ -105,24 +106,34 @@ def run_bytes(run):
     return [np.asarray(getattr(run, f.name)).tobytes() for f in dataclasses.fields(run)]
 
 
+def counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 def test_linear_recursion_exact():
     c = np.array([1.0, -2.0])
     p = constant_gradient_problem(c)
     alphas = [0.3] * 6
     out = run_psgm(p, np.zeros(2), StepSchedule(alphas), 7)
+    full = run_averaged(p, np.zeros(2), StepSchedule(alphas), 7)
     traj = [np.zeros(2)]
     for a in alphas:
         traj.append(traj[-1] - a * c)
     np.testing.assert_array_equal(out.x_star, traj[out.t_star])
-    np.testing.assert_array_equal(out.x_last, traj[6])
-    np.testing.assert_allclose(out.mean, np.mean(traj[:6], axis=0), rtol=1e-15)
+    np.testing.assert_array_equal(full.x_last, traj[6])
+    np.testing.assert_allclose(full.mean, np.mean(traj[:6], axis=0), rtol=1e-15)
 
 
 def test_projection_clamp_hand_value():
     # x0 = 0.5, step 1, gradient 2, box [0, 1]: next iterate clamps to 0
     p = constant_gradient_problem([2.0], box_indicator(np.array([0.0]), np.array([1.0])))
+    full = run_averaged(p, np.array([0.5]), StepSchedule([1.0]), 0)
+    assert full.x_last == pytest.approx([0.0])
     out = run_psgm(p, np.array([0.5]), StepSchedule([1.0]), 0)
-    assert out.x_last == pytest.approx([0.0])
     assert out.t_star == 0 and out.x_star == pytest.approx([0.5])
 
 
@@ -130,9 +141,11 @@ def test_run_psgm_feasibility_and_bookkeeping():
     p = problem_from_id("robust_regression:12:2:3")
     sched = StepSchedule.constant(0.5, 40)
     out = run_psgm(p, np.zeros(2), sched, 123)
-    assert out.oracle_calls == 41
+    full = run_averaged(p, np.zeros(2), sched, 123)
+    assert full.oracle_calls == 41
+    assert out.oracle_calls == out.t_star
     # the box is convex, so the two means of feasible iterates are feasible
-    for z in (out.x_star, out.x_last, out.mean, out.weighted_mean):
+    for z in (out.x_star, full.x_last, full.mean, full.weighted_mean):
         assert z.shape == (2,)
         assert p.regularizer.value(z) == 0.0
     assert 0 <= out.t_star <= 40
@@ -142,10 +155,10 @@ def test_run_psgm_bit_identical_reruns():
     p = make_phase_retrieval(15, 4, 2)
     sched = StepSchedule.constant(0.05, 30)
     x0 = np.full(4, 0.5)  # origin is a stationary point, start off it
-    a = run_psgm(p, x0, sched, np.random.default_rng([4, 9]))
-    b = run_psgm(p, x0, sched, np.random.default_rng([4, 9]))
-    assert run_bytes(a) == run_bytes(b)
-    c = run_psgm(p, x0, sched, np.random.default_rng([5, 9]))
+    for run in (run_psgm, run_averaged):
+        a, b = (run(p, x0, sched, np.random.default_rng([4, 9])) for _ in range(2))
+        assert run_bytes(a) == run_bytes(b)
+    a, c = (run_averaged(p, x0, sched, np.random.default_rng([s, 9])) for s in (4, 5))
     assert a.x_last.tobytes() != c.x_last.tobytes()
 
 
@@ -164,72 +177,75 @@ def test_run_psgm_bytes_do_not_depend_on_chunk_length(monkeypatch, pid, past_chu
     p = problem_from_id(pid)
     x0 = default_x0(p)
     sched = StepSchedule.constant(0.05, 40 + past_chunk * DEFAULT_CHUNK)
-    runs = []
+    runs, fulls = [], []
     for chunk in (1, 7, DEFAULT_CHUNK):
         monkeypatch.setattr(solver_mod, "CHUNK", chunk)
         runs.append(run_psgm(p, x0, sched, np.random.default_rng(5)))
-    for r in runs:
-        assert r.x_last.tobytes() == runs[0].x_last.tobytes()
+        fulls.append(run_averaged(p, x0, sched, np.random.default_rng(5)))
+    for r, f in zip(runs, fulls):
+        assert f.x_last.tobytes() == fulls[0].x_last.tobytes()
         assert r.x_star.tobytes() == runs[0].x_star.tobytes()
         assert r.t_star == runs[0].t_star
         # the means sum the same iterates in other groupings
-        np.testing.assert_allclose(r.mean, runs[0].mean, rtol=1e-12)
-        np.testing.assert_allclose(r.weighted_mean, runs[0].weighted_mean, rtol=1e-12)
+        np.testing.assert_allclose(f.mean, fulls[0].mean, rtol=1e-12)
+        np.testing.assert_allclose(f.weighted_mean, fulls[0].weighted_mean, rtol=1e-12)
 
 
 @pytest.mark.parametrize("pid", FAMILY_IDS)
-@pytest.mark.parametrize("past_chunk", [False, True])
+@pytest.mark.parametrize("n_steps", [1, 41, 41 + DEFAULT_CHUNK],
+                         ids=["one_step", "in_chunk", "past_chunk"])
 @pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
-def test_run_psgm_step_contract_call_counts(monkeypatch, pid, past_chunk, chunk):
+@pytest.mark.parametrize("run", [run_averaged, run_psgm], ids=["averaged", "psgm"])
+def test_run_step_contract_call_counts(monkeypatch, pid, n_steps, chunk, run):
     # one sample and one prox call per step, one draw per chunk: the
-    # benchmark's traced step count is the number of sample calls;
-    # past_chunk: the run is longer than one default chunk
+    # benchmark's traced step count is the number of sample calls.  The
+    # averaged run takes all n_steps, run_psgm stops after t* of them; at
+    # n_steps = 1 that is t* = 0, no call at all, and x_star is x0
     p = problem_from_id(pid)
-    n_steps = 41 + past_chunk * DEFAULT_CHUNK
+    x0 = default_x0(p)
     calls = {"sample": 0, "draw": 0, "prox": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
     oracle = StochasticOracle(
-        sample=counted("sample", p.g_oracle.sample), draw=counted("draw", p.g_oracle.draw)
+        sample=counting(calls, "sample", p.g_oracle.sample),
+        draw=counting(calls, "draw", p.g_oracle.draw),
     )
-    monkeypatch.setattr(ProxFriendly, "prox", counted("prox", ProxFriendly.prox))
+    monkeypatch.setattr(ProxFriendly, "prox", counting(calls, "prox", ProxFriendly.prox))
     monkeypatch.setattr(solver_mod, "CHUNK", chunk)
-    out = run_psgm(
-        dataclasses.replace(p, g_oracle=oracle), default_x0(p),
+    out = run(
+        dataclasses.replace(p, g_oracle=oracle), x0,
         StepSchedule.constant(0.05, n_steps - 1), 3,
     )
-    assert out.oracle_calls == n_steps
-    assert calls == {"sample": n_steps, "draw": -(-n_steps // chunk), "prox": n_steps}
+    steps = n_steps if run is run_averaged else out.t_star
+    assert out.oracle_calls == steps
+    assert calls == {"sample": steps, "draw": -(-steps // chunk), "prox": steps}
+    if run is run_psgm and n_steps == 1:
+        assert out.x_star.tobytes() == x0.tobytes()
+
+
+def reference_trajectory(p, x0, sched, seed, n):
+    """t* and x_0..x_n rebuilt from the stream of a run seeded [seed, 21]:
+    t* from the spawned substream first, then the draws, which do not
+    depend on how they are split into chunks."""
+    rng = np.random.default_rng([seed, 21])
+    t_star = sample_tstar(sched.alphas, rng.spawn(1)[0])
+    traj = [x0]
+    for a, w in zip(sched.alphas[:n], p.g_oracle.draw(rng, n)):
+        x = traj[-1]
+        traj.append(p.regularizer.prox(x - a * p.g_oracle.sample(x, w), a))
+    return t_star, np.array(traj)
 
 
 @pytest.mark.parametrize("pid", ["robust_regression:9:2:4", "smooth_ls:15:2:6"])
 @pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
-def test_run_psgm_matches_a_reference_trajectory(monkeypatch, pid, chunk):
-    # rebuild x_0..x_{T+1} from the same stream: t* from the spawned
-    # substream first, then the draws, which do not depend on how they are
-    # split into chunks; T + 1 spans several chunks of either length
+def test_run_averaged_matches_a_reference_trajectory(monkeypatch, pid, chunk):
+    # x_0..x_{T+1}, where T + 1 spans several chunks of either length
     monkeypatch.setattr(solver_mod, "CHUNK", chunk)
     p = problem_from_id(pid)
     x0 = default_x0(p)
     sched = StepSchedule.constant(0.05, 3 * DEFAULT_CHUNK + 4)
     n = sched.alphas.size
     for seed in range(3):
-        out = run_psgm(p, x0, sched, np.random.default_rng([seed, 21]))
-        rng = np.random.default_rng([seed, 21])
-        t_star = sample_tstar(sched.alphas, rng.spawn(1)[0])
-        traj = [x0]
-        for a, w in zip(sched.alphas, p.g_oracle.draw(rng, n)):
-            x = traj[-1]
-            traj.append(p.regularizer.prox(x - a * p.g_oracle.sample(x, w), a))
-        traj = np.array(traj)
-        assert out.t_star == t_star
-        assert out.x_star.tobytes() == traj[t_star].tobytes()
+        out = run_averaged(p, x0, sched, np.random.default_rng([seed, 21]))
+        _, traj = reference_trajectory(p, x0, sched, seed, n)
         assert out.x_last.tobytes() == traj[n].tobytes()
         weights = np.arange(1.0, n + 1.0)
         np.testing.assert_allclose(out.mean, traj[:n].mean(axis=0), rtol=1e-12)
@@ -238,16 +254,37 @@ def test_run_psgm_matches_a_reference_trajectory(monkeypatch, pid, chunk):
         )
 
 
-def test_run_psgm_memory_does_not_grow_with_the_horizon():
+@pytest.mark.parametrize("pid", FAMILY_IDS)
+@pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+def test_run_psgm_matches_a_reference_trajectory(monkeypatch, pid, chunk):
+    # x_star is the reference's x_{t*}, reached after exactly t* sample
+    # calls; t* falls past the first default chunk about half the time
+    monkeypatch.setattr(solver_mod, "CHUNK", chunk)
+    p = problem_from_id(pid)
+    x0 = default_x0(p)
+    sched = StepSchedule.constant(0.05, 2 * DEFAULT_CHUNK + 4)
+    calls = {"sample": 0}
+    counted = dataclasses.replace(p, g_oracle=StochasticOracle(
+        sample=counting(calls, "sample", p.g_oracle.sample), draw=p.g_oracle.draw))
+    for seed in range(3):
+        calls["sample"] = 0
+        out = run_psgm(counted, x0, sched, np.random.default_rng([seed, 21]))
+        t_star, traj = reference_trajectory(p, x0, sched, seed, out.t_star)
+        assert out.t_star == t_star
+        assert calls["sample"] == out.oracle_calls == t_star
+        assert out.x_star.tobytes() == traj[t_star].tobytes()
+
+
+def test_run_averaged_memory_does_not_grow_with_the_horizon():
     # a stored trajectory at T = 50 000 in d = 50 holds 20 MB; a run keeps
     # one chunk of iterates and one chunk of draws at a time
     p = problem_from_id("smooth_ls:60:50:1")
     x0 = default_x0(p)
     sched = StepSchedule.constant(0.05, 50_000)
-    run_psgm(p, x0, StepSchedule.constant(0.05, 10), 0)  # warm numpy's caches
+    run_averaged(p, x0, StepSchedule.constant(0.05, 10), 0)  # warm numpy's caches
     tracemalloc.start()
     try:
-        run_psgm(p, x0, sched, 0)
+        run_averaged(p, x0, sched, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,9 +295,13 @@ def test_run_psgm_rejects_infeasible_start():
     p = problem_from_id("robust_regression:12:2:3")
     with pytest.raises(DomainError):
         run_psgm(p, np.array([99.0, 0.0]), StepSchedule.constant(0.1, 5), 0)
+    # at t* = 0 run_psgm would return a non-finite start as it is
+    for run in (run_psgm, run_averaged):
+        with pytest.raises(DomainError):
+            run(make_toy1d("abs"), np.array([np.nan]), StepSchedule([1.0]), 0)
 
 
-def test_run_psgm_flags_nonfinite_oracle():
+def test_run_flags_nonfinite_oracle():
     calls = {"n": 0}
 
     def sample(x, w):
@@ -272,11 +313,11 @@ def test_run_psgm_flags_nonfinite_oracle():
         rho=0.0, lipschitz_L=1.0,
     )
     with pytest.raises(OracleError, match="iteration 2"):
-        run_psgm(p, np.zeros(1), StepSchedule.constant(1.0, 10), 0)
+        run_averaged(p, np.zeros(1), StepSchedule.constant(1.0, 10), 0)
 
 
 @pytest.mark.parametrize("chunk_end", [False, True])
-def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, chunk_end):
+def test_run_flags_infinite_oracle_inside_a_box(monkeypatch, chunk_end):
     # the box clamps the step x - a * inf back onto its face, so the
     # iterates stay finite and only the per-step check can catch the draw;
     # with CHUNK = 4 step k = 8 opens the third chunk and k = 11 closes it
@@ -295,13 +336,13 @@ def test_run_psgm_flags_infinite_oracle_inside_a_box(monkeypatch, chunk_end):
         rho=0.0, lipschitz_L=2.0,
     )
     with pytest.raises(OracleError) as err:
-        run_psgm(p, np.zeros(2), StepSchedule.constant(0.1, 20), 0)
+        run_averaged(p, np.zeros(2), StepSchedule.constant(0.1, 20), 0)
     assert err.value.iteration == k
     assert calls["n"] == k + 1
 
 
 @pytest.mark.parametrize("chunk_end", [False, True])
-def test_run_psgm_flags_a_non_finite_last_iterate(monkeypatch, chunk_end):
+def test_run_flags_a_non_finite_last_iterate(monkeypatch, chunk_end):
     # a finite but huge last draw overflows the step to -inf, and the ball's
     # rescale turns that into inf * 0 = NaN; no later draw sees it, so only
     # the check on the final iterate can; with CHUNK = 4 the last of 11
@@ -319,7 +360,7 @@ def test_run_psgm_flags_a_non_finite_last_iterate(monkeypatch, chunk_end):
         regularizer=ball_indicator(np.zeros(2), 1.0), rho=0.0, lipschitz_L=2.0,
     )
     with np.errstate(over="ignore"), pytest.raises(OracleError) as err:
-        run_psgm(p, np.zeros(2), StepSchedule.constant(10.0, n - 1), 0)
+        run_averaged(p, np.zeros(2), StepSchedule.constant(10.0, n - 1), 0)
     assert err.value.iteration == n - 1
     assert calls["n"] == n
 
