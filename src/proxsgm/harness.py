@@ -103,10 +103,14 @@ def _need(inputs: BoundInputs, *names: str) -> None:
 
 
 def _sums(inputs: BoundInputs, cap: float = math.inf) -> tuple[float, float]:
-    """Sums of the steps and of their squares, each step at most ``cap``."""
+    """Sums of the steps and of their squares, each step at most ``cap``.
+
+    The squares of a stride-0 step array (a constant schedule's view) are
+    its one square, broadcast: the same sum without T + 1 squares."""
     a = _in_range("step sequence", np.asarray(inputs.alphas, dtype=float), 0.0, cap, "(]")
     _in_range("number of steps", a.size, 1, ends="[)")
-    return float(a.sum()), float((a**2).sum())
+    sq = np.broadcast_to(a[:1] ** 2, a.shape) if a.strides == (0,) else a**2
+    return float(a.sum()), float(sq.sum())
 
 
 def theoretical_bound(variant: str, inputs: BoundInputs) -> float:

@@ -256,7 +256,11 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, seed: int) -> CompositePr
         return _matvec(H, x) - c
 
     def draw(rng: np.random.Generator, n: int) -> Array:
-        return sigma * rng.standard_normal((n, d)) - c
+        # scaled and shifted in place: one (n, d) array per chunk
+        xi = rng.standard_normal((n, d))
+        xi *= sigma
+        xi -= c
+        return xi
 
     def sample(x: Array, xi: Array) -> Array:
         return _matvec(H, x) + xi

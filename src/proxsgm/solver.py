@@ -7,7 +7,8 @@ to the step sizes; all the convergence statements in `harness` are about
 that randomly selected iterate.  `run_psgm` draws its index t* first and
 stops there.  `run_averaged` runs the whole schedule and returns the last
 iterate and the plain and (t+1)-weighted means of the iterates, which the
-convex stages in `boost` start from.  Neither keeps a trajectory.
+convex stages in `boost` start from.  Neither keeps a trajectory: a run,
+t* included, holds O(CHUNK d) memory at every horizon.
 
 `check_descent_lemma` and `check_prox_identity` turn the two single-step
 facts the analysis rests on into Monte-Carlo / algebraic checks that run
@@ -52,9 +53,10 @@ class StepSchedule:
 
     ``StepSchedule(alphas)`` takes any finite positive steps (a sequence or
     array); ``constant`` builds the gamma / sqrt(T+1) schedule the
-    constant-step corollaries analyze.  When rho_hat is supplied, finite and
-    positive, the steps must not exceed 1/rho_hat, which the descent lemma
-    needs.
+    constant-step corollaries analyze as a read-only broadcast view of its
+    one step, so it takes O(1) memory at every horizon and writing to its
+    steps raises.  When rho_hat is supplied, finite and positive, the steps
+    must not exceed 1/rho_hat, which the descent lemma needs.
     """
 
     alphas: Array
@@ -78,7 +80,7 @@ class StepSchedule:
         _in_range("gamma", gamma)
         _in_range("T", T, 0, ends="[)")
         alpha = gamma / math.sqrt(T + 1)
-        return StepSchedule(alphas=np.full(T + 1, alpha), rho_hat=rho_hat)
+        return StepSchedule(alphas=np.broadcast_to(alpha, (T + 1,)), rho_hat=rho_hat)
 
 
 @dataclass(frozen=True)
@@ -110,31 +112,60 @@ class AveragedRun:
     oracle_calls: int
 
 
+def _partial_sums(a: Array):
+    """``np.cumsum(a)`` CHUNK entries at a time, with its bytes: each chunk's
+    scan starts from the running sum, so every partial sum is the same
+    left-to-right sum of floats."""
+    total = np.zeros(1)
+    for start in range(0, a.size, CHUNK):
+        cdf = np.cumsum(np.concatenate((total, a[start:start + CHUNK])))[1:]
+        total = cdf[-1:]
+        yield cdf
+
+
 def sample_tstar(alphas, rng: np.random.Generator, size: int | None = None) -> int | Array:
     """Index t with probability alpha_t / sum(alphas), by inverse CDF.
 
     Consumes one uniform variate per index drawn: ``size=None`` gives one
     ``int``, an integer ``size`` an array equal to that many such calls.
-    The steps must be finite and positive, and so must their sum.
+    The steps must be finite and positive, and so must their sum.  The
+    partial sums are scanned in chunks of CHUNK entries, once for the total
+    and once to count those at or below each variate, and have the bytes
+    of ``np.cumsum``, so the draw takes O(CHUNK + size) memory.
     """
     a = _in_range("steps", np.asarray(alphas, dtype=float))
     _in_range("number of steps", a.size, 1, ends="[)")
-    cdf = np.cumsum(a)
+    for cdf in _partial_sums(a):
+        pass  # the last chunk ends in the total
     _in_range("sum of steps", cdf[-1])
-    t = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size), side="right")
-    t = t.clip(0, a.size - 1)
-    return int(t) if size is None else t
+    u = rng.uniform(0.0, cdf[-1], size)
+    u_max = np.max(u, initial=0.0)
+    t = None
+    for cdf in _partial_sums(a):
+        # searchsorted counts the chunk's partial sums <= u; later chunks'
+        # counts add in place, so t stays one array beside u
+        n = np.searchsorted(cdf, u, side="right")
+        if t is None:
+            t = n
+        else:
+            t += n
+        if cdf[-1] > u_max:
+            break
+    if size is None:
+        return int(min(t, a.size - 1))
+    return np.minimum(t, a.size - 1, out=t)
 
 
-def _iterate(problem: CompositeProblem, x0, alphas: Array, rng, fold) -> Array:
+def _iterate(problem: CompositeProblem, x0, alphas: Array, rng, fold=None) -> Array:
     """The iterate after one step per entry of ``alphas``, from x0.
 
     Randomness (``g_oracle.draw``) and step sizes are prepared CHUNK steps
     at a time, and each step makes one ``g_oracle.sample`` call, one finite
     check and one prox call; the returned iterate gets one finite check of
-    its own.  ``fold(start, xs)`` receives each chunk's iterates
-    x_start..x_{start+n-1} before they are dropped, so the iterates held
-    take O(CHUNK d) memory at every horizon.
+    its own.  Given a ``fold``, ``fold(start, xs)`` receives each chunk's
+    iterates x_start..x_{start+n-1} before they are dropped; without one no
+    iterate is kept.  Either way the loop holds O(CHUNK d) memory at every
+    horizon.
     """
     x = np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
@@ -165,12 +196,16 @@ def _iterate(problem: CompositeProblem, x0, alphas: Array, rng, fold) -> Array:
             xs = []
             keep = xs.append
             for t, a, ar, w in zip(range(start, stop), steps.tolist(), rows, draw(rng, n)):
-                keep(x)
+                if fold:
+                    keep(x)
                 g = sample(x, w)
                 if not math.isfinite(g.dot(zero)):
                     raise OracleError(f"non-finite subgradient at iteration {t}", t)
                 x = prox(x - g * ar, a)
-            fold(start, xs)
+            if fold:
+                fold(start, xs)
+            # w, a row view, would keep this chunk's draws alive during the next draw
+            del w
         if not math.isfinite(x.dot(zero)):
             raise OracleError(f"non-finite iterate after iteration {n_iter - 1}", n_iter - 1)
     return x
@@ -195,7 +230,7 @@ def run_psgm(
     """
     rng = np.random.default_rng(rng_or_seed)
     t_star = sample_tstar(schedule.alphas, rng.spawn(1)[0])
-    x_star = _iterate(problem, x0, schedule.alphas[:t_star], rng, lambda start, xs: None)
+    x_star = _iterate(problem, x0, schedule.alphas[:t_star], rng)
     return RunResult(t_star=t_star, x_star=x_star, oracle_calls=t_star)
 
 

@@ -194,6 +194,29 @@ def test_1d_bracket_widens_to_a_far_kink(side, lam, x):
     assert pt.envelope_value == pytest.approx(grid.envelope_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("pid, x, lam, grid", [
+    # 2-D, the criteria 04/06 family
+    ("smooth_ls:30:2:6", [0.3, -0.4], 0.01, GridSpec(241, 1)),
+    # x left of the box [-2, 2]: the grid's first rows are infeasible
+    ("toy1d:absquad", [-3.5], 0.2, GridSpec(10_001, 2)),
+    # window +-255/256 in steps of 1/128: psi ties exactly at -+1/256, rows
+    # 127 and 128, and the first must win across a 128-row block edge
+    ("toy1d:abs", [0.0], 127 / 256, GridSpec(256, 0)),
+], ids=["2d", "infeasible_rows", "tie"])
+def test_grid_blocks_pick_the_whole_grid_minimum(monkeypatch, pid, x, lam, grid):
+    p = problem_from_id(pid)
+    default = moreau._GRID_BLOCK
+
+    def point_bytes(block):
+        monkeypatch.setattr(moreau, "_GRID_BLOCK", block)
+        pt = moreau_grid_oracle(p, np.array(x), lam, grid)
+        return [np.asarray(v).tobytes() for v in dataclasses.astuple(pt)]
+
+    whole = point_bytes(10**9)
+    for block in (7, 128, default):
+        assert point_bytes(block) == whole
+
+
 def test_grid_rejects_high_dimension():
     p = quadratic_problem(3)
     with pytest.raises(DimensionError):

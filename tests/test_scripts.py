@@ -5,10 +5,14 @@ import importlib.util
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from proxsgm.harness import parse_config_file
 from proxsgm.problems import problem_from_id
+from proxsgm.solver import run_averaged, run_psgm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,13 +49,17 @@ def test_shipped_config_files_parse():
         assert config.problem_id and config.horizons, path.name
 
 
-def test_step_cost_times_every_step_it_divides_by(monkeypatch):
-    # the script divides each run's time by STEPS + 1, so the run it times
-    # must make that many oracle calls, not stop at a drawn t*
+@pytest.mark.parametrize("run", [run_averaged, run_psgm], ids=["averaged", "psgm"])
+def test_step_cost_times_every_step_it_divides_by(monkeypatch, run):
+    # the script divides each run's time by its oracle calls: STEPS + 1 for
+    # run_averaged, t* for run_psgm, which stops at its drawn output index
     spec = importlib.util.spec_from_file_location("step_cost", ROOT / "scripts" / "step_cost.py")
     step_cost = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(step_cost)
     monkeypatch.setattr(step_cost, "REPEATS", 1)
+    # one second of process time per run, so the figure is 1e6 / divisor
+    clock = iter([0.0, 1.0])
+    monkeypatch.setattr(step_cost, "time", types.SimpleNamespace(process_time=lambda: next(clock)))
     p = problem_from_id("toy1d:abs")
     calls = []
 
@@ -59,6 +67,10 @@ def test_step_cost_times_every_step_it_divides_by(monkeypatch):
         calls.append(1)
         return p.g_oracle.sample(x, w)
 
-    step_cost.step_us(dataclasses.replace(p, g_oracle=dataclasses.replace(p.g_oracle,
-                                                                            sample=sample)))
-    assert len(calls) == step_cost.STEPS + 1
+    traced = dataclasses.replace(p, g_oracle=dataclasses.replace(p.g_oracle, sample=sample))
+    (us,) = step_cost.step_us(traced, run)
+    assert 1e6 / us == pytest.approx(len(calls), rel=1e-12)
+    if run is run_averaged:
+        assert len(calls) == step_cost.STEPS + 1
+    else:
+        assert 0 < len(calls) < step_cost.STEPS + 1

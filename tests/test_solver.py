@@ -275,20 +275,35 @@ def test_run_psgm_matches_a_reference_trajectory(monkeypatch, pid, chunk):
         assert out.x_star.tobytes() == traj[t_star].tobytes()
 
 
-def test_run_averaged_memory_does_not_grow_with_the_horizon():
+@pytest.mark.parametrize("run, bound", [(run_averaged, 8e6), (run_psgm, 3e6)],
+                         ids=["averaged", "psgm"])
+def test_run_memory_does_not_grow_with_the_horizon(run, bound):
     # a stored trajectory at T = 50 000 in d = 50 holds 20 MB; a run keeps
-    # one chunk of iterates and one chunk of draws at a time
+    # one chunk of draws at a time, and of iterates only to fold them.  The
+    # schedule is built inside the window: a constant one takes O(1) memory
     p = problem_from_id("smooth_ls:60:50:1")
     x0 = default_x0(p)
-    sched = StepSchedule.constant(0.05, 50_000)
-    run_averaged(p, x0, StepSchedule.constant(0.05, 10), 0)  # warm numpy's caches
+    run(p, x0, StepSchedule.constant(0.05, 10), 0)  # warm numpy's caches
     tracemalloc.start()
     try:
-        run_averaged(p, x0, sched, 0)
+        out = run(p, x0, StepSchedule.constant(0.05, 50_000), 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert out.oracle_calls > 10 * DEFAULT_CHUNK
+    assert peak < bound
+
+
+def test_constant_schedule_and_tstar_memory_does_not_grow_with_the_horizon():
+    # 10^7 + 1 steps, stored or cumulated whole, would take 80 MB each
+    tracemalloc.start()
+    try:
+        t = sample_tstar(StepSchedule.constant(0.5, 10**7).alphas, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 <= t <= 10**7
+    assert peak < 2e6
 
 
 def test_run_psgm_rejects_infeasible_start():
@@ -397,6 +412,69 @@ def test_sample_tstar_size_equals_scalar_calls():
     np.testing.assert_array_equal(batch, rows)
     # both consumed one uniform per index
     assert batch_rng.uniform() == row_rng.uniform()
+
+
+def reference_tstar(alphas, rng, size):
+    """The whole-array inverse CDF: one cumsum of every step."""
+    cdf = np.cumsum(alphas)
+    t = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size), side="right")
+    t = t.clip(0, alphas.size - 1)
+    return int(t) if size is None else t
+
+
+TSTAR_STEPS = {
+    "constant": lambda n: StepSchedule.constant(0.5, n - 1).alphas,
+    "uniform": lambda n: 1.0 - np.random.default_rng(n).random(n),
+    "harmonic": lambda n: 1.0 / np.arange(1.0, n + 1.0),
+    "tiny": lambda n: np.full(n, 1e-300),
+}
+
+
+@pytest.mark.parametrize("n", [1, DEFAULT_CHUNK - 1, DEFAULT_CHUNK, DEFAULT_CHUNK + 1,
+                               3 * DEFAULT_CHUNK + 5, 200_001])
+@pytest.mark.parametrize("kind", TSTAR_STEPS)
+@pytest.mark.parametrize("size", [None, 7, 1000])
+def test_sample_tstar_matches_the_whole_array_scan(n, kind, size):
+    alphas = TSTAR_STEPS[kind](n)
+    for seed in range(10):
+        got = sample_tstar(alphas, np.random.default_rng(seed), size)
+        want = reference_tstar(alphas, np.random.default_rng(seed), size)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
+
+class FixedUniform:
+    """Stands in for a generator whose uniform variates are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, low, high, size):
+        return np.asarray(self.u, dtype=float)
+
+
+@pytest.mark.parametrize("kind", [*TSTAR_STEPS, "absorbed"])
+def test_sample_tstar_counts_partial_sums_equal_to_u_across_chunks(kind):
+    # u at a chunk's last partial sum, its neighbours, 0 and the total,
+    # where the scan must go on past the chunk or clip to T.  "absorbed":
+    # every step after the first adds nothing, so all partial sums are 1.0
+    # and the ones in later chunks equal a u at the first chunk's last
+    n = 3 * DEFAULT_CHUNK + 5
+    if kind == "absorbed":
+        alphas = np.concatenate(([1.0], np.full(n - 1, 1e-300)))
+    else:
+        alphas = TSTAR_STEPS[kind](n)
+    cdf = np.cumsum(alphas)
+    edge = cdf[DEFAULT_CHUNK - 1]
+    us = [0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), cdf[-2], cdf[-1]]
+    got = sample_tstar(alphas, FixedUniform(us), len(us))
+    want = reference_tstar(alphas, FixedUniform(us), len(us))
+    np.testing.assert_array_equal(got, want)
+    assert got[-1] == n - 1
+    # one at a time, each u is the largest: the scan's stopping point
+    for u in us:
+        want = reference_tstar(alphas, FixedUniform(u), None)
+        assert sample_tstar(alphas, FixedUniform(u)) == want
 
 
 # ------------------------------------------------------------ lemma checks
