@@ -53,9 +53,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.T is not None and args.T < 0:
-        print(f"error: --T must be a nonnegative horizon, got {args.T}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         alphas = None
         # Cor22 and Cor27 read gamma and T, never the (T+1,) steps

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .boost import optimal_gamma
-from .core import _LENGTH_MAX, CompositeProblem, _formula, _in_range, _integer
+from .core import CompositeProblem, _formula, _in_range, _integer
 from .moreau import InnerAccuracyError, moreau_prox
 from .problems import default_x0, problem_from_id
 from .solver import StepSchedule, run_psgm
@@ -167,12 +167,14 @@ def _bound(variant: str, inputs: BoundInputs) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep; its .cfg keys are problem_id, horizons, gamma, output, n_seeds
+    and inner_tol.  rho_hat and lambda are derived, not keys (`_resolve_parameters`).
+    """
+
     problem_id: str
     horizons: tuple[int, ...]
     gamma: float | str  # positive real or "optimal"
     output: str = "sweep.csv"
-    rho_hat: float | None = None
-    lam: float | None = None
     n_seeds: int = 50
     inner_tol: float = 1e-6
     # No sweep reads this; it stays only because bench/workloads.py passes
@@ -198,8 +200,7 @@ class ExperimentConfig:
             raise ConfigError('gamma must be a positive real or "optimal"')
         # named as in a .cfg file
         for key, val in (("gamma", None if self.gamma == "optimal" else self.gamma),
-                         ("inner_tol", self.inner_tol), ("rho_hat", self.rho_hat),
-                         ("lambda", self.lam)):
+                         ("inner_tol", self.inner_tol)):
             # float(True) is 1.0: a bool would run as that value
             if isinstance(val, bool):
                 raise ConfigError(f"{key} must be a real number, got bool")
@@ -213,13 +214,9 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "horizons": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
     "gamma": lambda s: s if s == "optimal" else float(s),
     "output": str,
-    "rho_hat": float,
-    "lambda": float,
     "n_seeds": int,
     "inner_tol": float,
 }
-
-_CONFIG_ATTR = {"lambda": "lam"}
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
@@ -236,11 +233,10 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        attr = _CONFIG_ATTR.get(key, key)
-        if attr in values:
+        if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[attr] = _CONFIG_PARSERS[key](value)
+            values[key] = _CONFIG_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     for required in ("problem_id", "horizons", "gamma"):
@@ -316,15 +312,11 @@ class ExperimentReport:
 def _resolve_parameters(
     problem: CompositeProblem, config: ExperimentConfig
 ) -> tuple[float, float, float]:
-    """(gamma, rho_hat, lam) with defaults and admissibility checks."""
+    """(gamma, rho_hat, lam) with rho_hat = 2 rho (1 for convex g) and lam =
+    1/rho_hat: the constants at which Cor27 and SmoothCor29 are stated."""
     rho = problem.rho
-    rho_hat = config.rho_hat
-    if rho_hat is None:
-        rho_hat = 2.0 * rho if rho > 0 else 1.0
-    _in_range("rho_hat", rho_hat, rho, error=ConfigError)
-    lam = config.lam if config.lam is not None else 1.0 / rho_hat
-    _in_range("lambda", lam, 1.0 / _LENGTH_MAX, 1.0 / rho if rho > 0 else math.inf,
-              error=ConfigError)
+    rho_hat = 2.0 * rho if rho > 0 else 1.0
+    lam = 1.0 / rho_hat
 
     if config.gamma == "optimal":
         L, D = problem.lipschitz_L, problem.domain_diameter
@@ -344,17 +336,18 @@ def run_sweep(
 ) -> ExperimentReport:
     """Execute the sweep and (when configured) write the CSV report.
 
-    Each horizon T gets one constant schedule gamma / sqrt(T+1), built
-    before any solve: a step above 1/rho_hat raises ``ConfigError`` naming
-    gamma and T.  Every trial of that horizon runs it up to the trial's
-    output index t* (`run_psgm`), and the SmoothCor29 bound reads its
-    steps.  Trials run one after another in (T, seed) order, each with its
-    own generator keyed by (seed, T) and the instance's data seed (0
-    without ``meta``).  Inner-solver shortfalls are
-    recorded in inner_tol_achieved rather than aborting the sweep, and each
-    horizon counts them in ``n_inner_missed``.  ``clock`` exists so tests
-    can pin wall_ms; every other column is bit-deterministic for a fixed
-    config.
+    rho_hat and the envelope parameter lam = 1/rho_hat come from
+    `_resolve_parameters`.  Each horizon T gets one constant schedule
+    gamma / sqrt(T+1), built before any solve: a step above 1/rho_hat
+    raises ``ConfigError`` naming gamma and T.  Every trial of that
+    horizon runs it up to the trial's output index t* (`run_psgm`), and
+    the SmoothCor29 bound reads its steps.  Trials run one after another
+    in (T, seed) order, each with its own generator keyed by (seed, T) and
+    the instance's data seed (0 without ``meta``).  Inner-solver
+    shortfalls are recorded in inner_tol_achieved rather than aborting the
+    sweep, and each horizon counts them in ``n_inner_missed``.  ``clock``
+    exists so tests can pin wall_ms; every other column is
+    bit-deterministic for a fixed config.
     """
     if problem is None:
         problem = problem_from_id(config.problem_id)

@@ -25,11 +25,6 @@ Array = np.ndarray
 _FEAS_REL = 1e-9
 
 
-def prox_zero(x: Array, alpha: float) -> Array:
-    """Prox of r == 0: the identity."""
-    return np.array(x, dtype=float, copy=True)
-
-
 # proj_box(x, lo, hi): coordinatewise clamp onto the box [lo, hi], equal
 # byte for byte to np.minimum(np.maximum(x, lo), hi): NaN propagates and a
 # bound wins a tie, so a signed zero at a zero bound takes the bound's sign.
@@ -140,11 +135,10 @@ class ProxFriendly:
             return proj_box(x, self.lo, self.hi)
         if self.kind is ProxKind.BALL:
             return proj_ball(x, self.center, self.radius)
-        if alpha == 0:
-            # continuous limit: prox_{0.r} is the projection onto dom r
+        if alpha == 0 or self.kind is ProxKind.ZERO:
+            # continuous limit: prox_{0.r} is the projection onto dom r, and
+            # the prox of r == 0 is that identity at every alpha
             return self.project_domain(x)
-        if self.kind is ProxKind.ZERO:
-            return prox_zero(x, alpha)
         # the l1 and quadratic formulas give NaN once this product is not finite
         if not alpha * self.weight < math.inf:
             raise ValueError(f"alpha * weight must be finite, got {alpha} * {self.weight}")

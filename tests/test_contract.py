@@ -279,9 +279,7 @@ row("BoundInputs", "rho_hat", lambda v, P: bound("ProximalThm26", rho_hat=v),
     case="(ProximalThm26)")
 row("BoundInputs", "alphas", lambda v, P: bound("ProjectedThm21", alphas=np.array([0.2, v])),
     case="(ProjectedThm21)")
-for name in ("rho_hat", "lam", "inner_tol"):
-    row("ExperimentConfig", name, lambda v, P, name=name: run_small_sweep(P, **{name: v}),
-        ConfigError)
+row("ExperimentConfig", "inner_tol", lambda v, P: run_small_sweep(P, inner_tol=v), ConfigError)
 row("ExperimentConfig", "gamma", lambda v, P: run_small_sweep(P, gamma=v), ConfigError)
 row("fit_rate", "means", lambda v, P: fit_rate([10, 100, 1000], [1.0, v, 0.01]))
 row("fit_rate", "horizons", lambda v, P: fit_rate([10, v, 1000], [1.0, 0.1, 0.01]))

@@ -127,7 +127,7 @@ def test_cli_bounds_rejects_a_negative_horizon(capsys):
         assert cli.main(args + ["--T", str(T)]) == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: --T must be a nonnegative horizon, got {T}\n"
+        assert err == f"error: T must be finite and nonnegative, got {T}\n"
     assert cli.main(args + ["--T", "3"]) == cli.EXIT_OK
     value = theoretical_bound("Cor27", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=3))
     assert capsys.readouterr().out == f"Cor27: {value:.12g}\n"
@@ -250,7 +250,6 @@ def test_parse_config_file_roundtrip(tmp_path):
         "problem_id = robust_regression:20:1:5\n"
         "horizons = 50, 100, 200\n"
         "gamma = optimal\n"
-        "lambda = 0.9\n"
         "n_seeds = 3\n"
         "output = out.csv\n"
     )
@@ -258,7 +257,6 @@ def test_parse_config_file_roundtrip(tmp_path):
     assert cfg.problem_id == "robust_regression:20:1:5"
     assert cfg.horizons == (50, 100, 200)
     assert cfg.gamma == "optimal"
-    assert cfg.lam == 0.9
     assert cfg.n_seeds == 3
     assert cfg.output == "out.csv"
 
@@ -290,27 +288,46 @@ def test_parse_config_file_error_positions(tmp_path):
 
 
 NON_FINITE_CONFIG = [
-    ("rho_hat", "nan"), ("lambda", "nan"), ("lambda", "inf"), ("lambda", "-1"),
     ("gamma", "nan"), ("gamma", "inf"), ("inner_tol", "nan"), ("inner_tol", "inf"),
 ]
 
 
-@pytest.mark.parametrize("key, value", NON_FINITE_CONFIG)
-def test_config_rejects_a_non_finite_value(tmp_path, capsys, key, value):
-    # rho_hat or lambda = nan failed only after the x0 envelope solve with a
-    # message naming neither key; inner_tol = nan ran and reported no misses
-    from proxsgm import cli
-
+def _write_config(tmp_path, key, value):
     fields = {"problem_id": "toy1d:absquad", "horizons": "10, 20", "gamma": "0.3",
               "n_seeds": "2", "output": "", key: value}
     path = tmp_path / "bad.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    return path
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE_CONFIG)
+def test_config_rejects_a_non_finite_value(tmp_path, capsys, key, value):
+    # inner_tol = nan ran and reported no misses
+    from proxsgm import cli
+
+    path = _write_config(tmp_path, key, value)
     with pytest.raises(ConfigError, match=f"^{key} must be finite and positive"):
         parse_config_file(str(path))
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {key} must be finite and positive")
+
+
+@pytest.mark.parametrize("key", ["rho_hat", "lambda"])
+def test_config_has_no_key_for_the_derived_constants(tmp_path, capsys, key):
+    # a sweep derives rho_hat = 2 rho and lambda = 1/rho_hat, where its
+    # bounds are stated: at rho_hat < 2 rho Cor27 would read a modulus below
+    # rho, and at another lambda the bound is about a different envelope
+    from proxsgm import cli
+
+    path = _write_config(tmp_path, key, "1.5")
+    with pytest.raises(ConfigError, match=f"bad\\.cfg:6: unknown key '{key}'"):
+        parse_config_file(str(path))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:6: unknown key '{key}'\n"
 
 
 # ------------------------------------------------------------------ sweeps
@@ -350,25 +367,43 @@ def test_run_sweep_csv_columns_and_parse(tmp_path):
     assert by_T == {30, 60}
 
 
-def test_run_sweep_defaults_and_bound_recompute():
-    cfg = small_config()
+@pytest.mark.parametrize("pid, gamma, rho_hat, variant", [
+    ("toy1d:absquad", 0.3, None, "Cor27"),  # rho > 0: rho_hat = 2 rho
+    ("robust_regression:20:1:5", 0.3, 1.0, "Cor27"),  # convex g: rho_hat = 1
+    ("smooth_ls:15:2:3", 0.2, None, "SmoothCor29"),
+])
+def test_run_sweep_defaults_and_bound_recompute(monkeypatch, pid, gamma, rho_hat, variant):
+    # the sweep runs at the constants of its bound: rho_hat = 2 rho (1 for
+    # convex g), every envelope solve at lam = 1/rho_hat, and the printed
+    # bound is the theorem at (rho_hat/2, gamma, T) or (rho, rho_hat, steps)
+    from proxsgm import harness
+
+    lams = []
+    real = harness.moreau_prox
+
+    def record(problem, x, lam, tol):
+        lams.append(lam)
+        return real(problem, x, lam, tol)
+
+    monkeypatch.setattr(harness, "moreau_prox", record)
+    cfg = ExperimentConfig(problem_id=pid, horizons=(20, 40), gamma=gamma, n_seeds=2,
+                           output="")
     report = run_sweep(cfg, clock=lambda: 0.0)
-    p = problem_from_id("toy1d:absquad")
-    assert report.rho_hat == pytest.approx(2.0 * p.rho)
-    assert report.lam == pytest.approx(1.0 / report.rho_hat)
-    assert report.variant == "Cor27"
+    p = problem_from_id(pid)
+    assert report.rho_hat == (rho_hat if rho_hat is not None else 2.0 * p.rho)
+    assert report.lam == 1.0 / report.rho_hat
+    assert lams == [report.lam] * (1 + len(report.rows))
+    assert report.variant == variant
+    delta = max(report.envelope_value_x0 - report.phi_best, 0.0)
     for hs in report.per_horizon:
-        want = theoretical_bound(
-            "Cor27",
-            BoundInputs(
-                delta=report.envelope_value_x0 - report.phi_best,
-                rho=report.rho_hat / 2.0,
-                L=p.lipschitz_L,
-                gamma=report.gamma,
-                T=hs.T,
-            ),
-        )
-        assert hs.bound_value == pytest.approx(want, rel=1e-12)
+        if variant == "SmoothCor29":
+            steps = StepSchedule.constant(report.gamma, hs.T, rho_hat=report.rho_hat).alphas
+            inputs = BoundInputs(delta=delta, rho=p.rho, rho_hat=report.rho_hat,
+                                 sigma=p.sigma, alphas=steps)
+        else:
+            inputs = BoundInputs(delta=delta, rho=report.rho_hat / 2.0, L=p.lipschitz_L,
+                                 gamma=report.gamma, T=hs.T)
+        assert hs.bound_value == theoretical_bound(variant, inputs)
 
 
 def test_run_sweep_phi_best_pools_all_observations():
