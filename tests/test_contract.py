@@ -9,7 +9,9 @@ those calls.  The value set is finite, so the cross is exhaustive.
 import dataclasses
 import inspect
 import math
+import tempfile
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from proxsgm import (
     moreau_grid_oracle,
     moreau_prox,
     optimal_gamma,
+    parse_config_file,
     pipeline_budget,
     problem_from_id,
     prox_gradient_mapping,
@@ -168,6 +171,16 @@ def run_small_sweep(P, **kw):
     return run_sweep(sweep(**kw), problem=P("toy1d:absquad"), clock=lambda: 0.0)
 
 
+def run_small_sweep_file(P, key: str, v: float):
+    """The small sweep read from a .cfg that also sets key = v."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "sweep.cfg"
+        path.write_text("problem_id = toy1d:absquad\nhorizons = 3, 7\ngamma = 0.3\n"
+                        f"n_seeds = 2\noutput =\n{key} = {v!r}\n")
+        cfg = parse_config_file(path)
+    return run_sweep(cfg, problem=P("toy1d:absquad"), clock=lambda: 0.0)
+
+
 ROWS = []
 
 
@@ -279,6 +292,11 @@ row("BoundInputs", "rho_hat", lambda v, P: bound("ProximalThm26", rho_hat=v),
     case="(ProximalThm26)")
 row("BoundInputs", "alphas", lambda v, P: bound("ProjectedThm21", alphas=np.array([0.2, v])),
     case="(ProjectedThm21)")
+# a sweep derives rho_hat = 2 rho and lam = 1/rho_hat: a .cfg that sets
+# either (key lambda for lam) is refused at every value
+for name, key in (("rho_hat", "rho_hat"), ("lam", "lambda")):
+    row("ExperimentConfig", name, lambda v, P, key=key: run_small_sweep_file(P, key, v),
+        ConfigError)
 row("ExperimentConfig", "inner_tol", lambda v, P: run_small_sweep(P, inner_tol=v), ConfigError)
 row("ExperimentConfig", "gamma", lambda v, P: run_small_sweep(P, gamma=v), ConfigError)
 row("fit_rate", "means", lambda v, P: fit_rate([10, 100, 1000], [1.0, v, 0.01]))
