@@ -29,6 +29,10 @@ Areas (every input is fixed here, so the digests depend only on the code):
 * ``stationarity``: every ``stationarity_report`` field, the exact distance
   of zero to the subdifferential included, at sampled anchors of every
   one-dimensional family.
+* ``problems``: each family's start (``default_x0``), planted point and
+  constants, and ``g_value`` and ``g_full_subgradient`` on a fixed
+  ``(7, d)`` probe stack, for both toy kinds and, at two seeds each, every
+  seeded family with and without its id suffix.
 
 Takes a few seconds on one core.
 """
@@ -91,6 +95,18 @@ STATIONARITY_IDS = (
     "robust_regression:20:1:3",
     "phase_retrieval:20:1:2",
     "smooth_ls:20:1:4",
+)
+# the instances whose start and data the problems area hashes
+PROBLEM_IDS = ("toy1d:abs", "toy1d:absquad") + tuple(
+    f"{base}:{seed}{suffix}"
+    for base, suffix in (
+        ("phase_retrieval:30:4", ""),
+        ("robust_regression:40:3", ""),
+        ("robust_regression:40:3", ":outliers=0.3"),
+        ("smooth_ls:30:3", ""),
+        ("smooth_ls:30:3", ":sigma=0.2"),
+    )
+    for seed in (0, 5)
 )
 BOOST_ID = "robust_regression:40:2:1"  # convex, as the boost stages need
 SWEEPS = (  # id, horizons, gamma
@@ -255,6 +271,16 @@ def digest_stationarity() -> str:
     return dig.short()
 
 
+def digest_problems() -> str:
+    dig = Digest()
+    for pid in PROBLEM_IDS:
+        p = problem_from_id(pid)
+        probes = np.random.default_rng([p.dim, 29]).uniform(-1.5, 1.5, (7, p.dim))
+        dig.add(pid, default_x0(p), p.planted_point, p.rho, p.lipschitz_L, p.sigma,
+                p.domain_diameter, p.g_value(probes), p.g_full_subgradient(probes))
+    return dig.short()
+
+
 def main() -> int:
     areas = (
         ("run_psgm", digest_runs),
@@ -266,6 +292,7 @@ def main() -> int:
         ("prox_subdiff", digest_prox_subdiff),
         ("oracle_checks", digest_oracle_checks),
         ("stationarity", digest_stationarity),
+        ("problems", digest_problems),
     )
     for name, fn in areas:
         print(f"{name:<20} {fn()}", flush=True)

@@ -27,6 +27,7 @@ from .core import (
     CompositeProblem,
     StochasticOracle,
     _formula,
+    _generator,
     _in_range,
     point_value,
 )
@@ -237,7 +238,7 @@ def two_stage_convex(
     gamma2 = min(gamma2, math.sqrt(T + 1) / rho_hat)
     schedule2 = StepSchedule.constant(gamma2, T, rho_hat=rho_hat)
 
-    rng = np.random.default_rng(rng_or_seed)
+    rng = _generator(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
     x0 = base.regularizer.project_domain(np.zeros(base.dim))
     stage1_point = run_averaged(base, x0, schedule1, kid1).mean
@@ -340,7 +341,7 @@ def regularized_pipeline(
     gamma = min(gamma, math.sqrt(T + 1) / lam)
     schedule = StepSchedule.constant(gamma, T, rho_hat=lam)
 
-    rng = np.random.default_rng(rng_or_seed)
+    rng = _generator(rng_or_seed)
     kid1, kid2 = rng.spawn(2)
     y0 = strongly_convex_stage(reg, T, kid1)
     run = run_psgm(reg.problem, y0, schedule, kid2)

@@ -72,6 +72,13 @@ def _integer(name: str, v, error=ValueError):
     return v
 
 
+def _generator(rng_or_seed) -> np.random.Generator:
+    """``np.random.default_rng(rng_or_seed)``; None (fresh OS entropy) or a bool: ``TypeError``."""
+    if rng_or_seed is None or isinstance(rng_or_seed, (bool, np.bool_)):
+        raise TypeError(f"rng_or_seed must be a Generator or a seed, got {rng_or_seed!r}")
+    return np.random.default_rng(rng_or_seed)
+
+
 def _formula(name: str, formula: Callable[[], float]) -> float:
     """``formula()`` once finite, else ``ValueError`` naming ``name``: numpy's
     overflow gives inf, Python's float ``**`` raises ``OverflowError``, and a
@@ -200,7 +207,7 @@ class CompositeProblem:
     variance around the exact gradient when g is smooth; the bounds and
     schemes that need a constant check for it.  ``smooth`` declares that g
     is continuously differentiable and ``g_full_subgradient`` returns the
-    exact gradient.
+    exact gradient.  ``x0``, the family's start, is a finite ``(dim,)`` vector.
 
     ``g_value`` and ``g_full_subgradient`` are batch-first: a ``(d,)``
     point gives a ``float`` and a ``(d,)`` subgradient, an ``(n, d)`` stack
@@ -220,6 +227,7 @@ class CompositeProblem:
     domain_diameter: float | None = None
     smooth: bool = False
     planted_point: Array | None = None
+    x0: Array | None = None
     meta: ProblemMeta | None = None
 
     def __post_init__(self) -> None:
@@ -227,6 +235,8 @@ class CompositeProblem:
         for name in ("rho", "lipschitz_L", "sigma"):
             _in_range(name, getattr(self, name), ends="[)")
         _in_range("domain_diameter", self.domain_diameter)
+        if self.x0 is not None and np.shape(_in_range("x0", self.x0, -math.inf)) != (self.dim,):
+            raise ValueError(f"x0 must have shape ({self.dim},), got {np.shape(self.x0)}")
 
     def phi(self, x: Array) -> float:
         """Full objective g + r; inf outside dom r."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LENGTH_MAX, CapabilityError, CompositeProblem, _in_range, row_dots
+from .core import _LENGTH_MAX, CapabilityError, CompositeProblem, _in_range, point_value, row_dots
 
 Array = np.ndarray
 
@@ -126,12 +126,11 @@ def _validate_lam(problem: CompositeProblem, lam: float) -> None:
     _in_range("lam", lam, 1.0 / _LENGTH_MAX, hi, error=ParameterError)
 
 
-def _psi(problem: CompositeProblem, x: Array, lam: float, y: Array) -> float:
-    rv = problem.regularizer.value(y)
-    if math.isinf(rv):
-        return math.inf
+def _psi(problem: CompositeProblem, x: Array, lam: float, y: Array) -> float | Array:
+    """g(y) + r(y) + ||y - x||^2 / (2 lam): a float at a point, (n,) on a stack."""
     diff = y - x
-    return problem.g_value(y) + rv + float(diff.dot(diff)) / (2.0 * lam)
+    vals = problem.g_value(y) + problem.regularizer.value(y) + row_dots(diff, diff) / (2.0 * lam)
+    return point_value(vals)
 
 
 def _finish_point(
@@ -411,7 +410,9 @@ def _inner_smooth(
     gradient secants; a step that reveals more curvature than estimated is
     rejected and retried.  Estimates only grow, so the tail runs at a fixed
     step and converges linearly to machine precision, without the floating
-    point floor a value-based line search hits.
+    point floor a value-based line search hits.  At one estimate a step is a
+    function of y, so an accepted iterate equal to the current one or the
+    one before it repeats gaps already seen, and the solve stops.
     """
     r = problem.regularizer
     mu = 1.0 / lam - problem.rho
@@ -419,6 +420,7 @@ def _inner_smooth(
     y = r.project_domain(warm if warm is not None else x)
     grad = problem.g_full_subgradient(y) + (y - x) / lam
     best_y, best_gap = y, math.inf
+    recent = (y,)  # the last two accepted iterates since ell last grew
     k = 0
     while k < _SMOOTH_MAX_ITER:
         k += 1
@@ -430,7 +432,7 @@ def _inner_smooth(
         if denom > 1e-14 * (1.0 + float(np.linalg.norm(y))):
             ell_obs = float(np.linalg.norm(g_cand - grad)) / denom
             if ell_obs > ell:
-                ell = ell_obs
+                ell, recent = ell_obs, ()
                 continue
         y, grad = cand, g_cand
         s = r.subdiff_project(y, -grad, act_tol=1e-11 * (1.0 + float(np.max(np.abs(y)))))
@@ -439,6 +441,9 @@ def _inner_smooth(
             best_y, best_gap = y, gap
         if gap <= tol:
             return y, gap
+        if any(np.array_equal(y, z) for z in recent):
+            break
+        recent = (recent[-1], y) if recent else (y,)
     return best_y, best_gap
 
 
@@ -491,16 +496,13 @@ def _armijo_step(
     """Backtracking along -v, scored as one stack.
 
     The 40 trial points project_domain(y - t_k v), t_k = 2 t0 / 2^k, are
-    evaluated with one ``g_value`` and one ``value`` call; the first that
-    lowers psi by 1e-4 t_k res^2 is returned with its value, or None.  Stack
-    rows equal point calls bit for bit, so this picks the point a loop over
-    the same t_k would pick.
+    scored by one ``_psi`` call; the first that lowers psi by 1e-4 t_k res^2
+    is returned with its value, or None.  Stack rows equal point calls bit
+    for bit, so this picks the point a loop over the same t_k would pick.
     """
-    r = problem.regularizer
     ts = (2.0 * t0) * 0.5 ** np.arange(40)
-    cands = r.project_domain(y - ts[:, None] * v)
-    diff = cands - x
-    vals = problem.g_value(cands) + r.value(cands) + row_dots(diff, diff) / (2.0 * lam)
+    cands = problem.regularizer.project_domain(y - ts[:, None] * v)
+    vals = _psi(problem, x, lam, cands)
     ok = np.flatnonzero(vals < val - 1e-4 * ts * res * res)
     if ok.size == 0:
         return None
@@ -652,7 +654,6 @@ def moreau_grid_oracle(
     d = problem.dim
     n = grid.points_per_dim
     best = center
-    step = 2.0 * hw / (n - 1)
     for level in range(grid.n_refine + 1):
         axes = [np.linspace(best[j] - hw, best[j] + hw, n) for j in range(d)]
         if d == 1:

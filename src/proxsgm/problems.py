@@ -119,7 +119,7 @@ def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
     return A, x_sharp, b
 
 
-def _spectral_start(m: int, d: int, seed: int) -> Array:
+def _spectral_start(A: Array, b: Array) -> Array:
     """Leading eigenvector of the measurement-weighted covariance.
 
     Classical initializer for quadratic measurements: the top eigenvector
@@ -127,8 +127,7 @@ def _spectral_start(m: int, d: int, seed: int) -> Array:
     and sqrt(mean b) estimates its norm.  The sign is fixed by the largest
     entry so the start is deterministic.
     """
-    A, _, b = _phase_retrieval_data(m, d, np.random.default_rng(seed))
-    cov = (A.T * b) @ A / m
+    cov = (A.T * b) @ A / len(b)
     _, vecs = np.linalg.eigh(cov)
     v = vecs[:, -1]
     v = v * np.sign(v[np.argmax(np.abs(v))])
@@ -142,7 +141,8 @@ def make_phase_retrieval(m: int, d: int, seed: int) -> CompositeProblem:
     g(x) = mean_i |<a_i, x>^2 - b_i|.  The constraint is the Euclidean ball
     of radius 2, which contains the signal.  Certified constants:
     rho = 2 * max_i ||a_i||^2 and the oracle norm bound
-    L = 2 * radius * max_i ||a_i||^2.
+    L = 2 * radius * max_i ||a_i||^2.  Starts at the spectral estimate of
+    the signal from these A and b.
     """
     _in_range("(m, d)", (m, d), 1, ends="[)")
     # built first: it checks the seed before any data is drawn
@@ -156,13 +156,14 @@ def make_phase_retrieval(m: int, d: int, seed: int) -> CompositeProblem:
     return _finite_sum(
         A, b, lambda y, b: np.abs(y**2 - b), lambda y, b: 2.0 * np.sign(y**2 - b) * y,
         regularizer=ball_indicator(np.zeros(d), radius), rho=rho, lipschitz_L=L,
-        domain_diameter=2.0 * radius, planted_point=x_sharp, meta=meta,
+        domain_diameter=2.0 * radius, planted_point=x_sharp, x0=_spectral_start(A, b), meta=meta,
     )
 
 
-def _robust_regression_data(
+def _linear_data(
     rng: np.random.Generator, m: int, d: int, outlier_fraction: float
 ) -> tuple[Array, Array, Array]:
+    """Gaussian A, x_sharp ~ U[-0.5, 0.5]^d, b = A x_sharp plus outlier noise."""
     A = rng.standard_normal((m, d))
     x_sharp = rng.uniform(-0.5, 0.5, size=d)
     b = A @ x_sharp
@@ -181,19 +182,18 @@ def make_robust_regression(
     g(x) = mean_i |<a_i, x> - b_i| with Gaussian rows, b = A x_sharp plus
     large noise on a ceil(outlier_fraction * m) subset.  Convex (rho = 0),
     L = max_i ||a_i||, box constraint [-2, 2]^d with the signal interior.
+    Starts at the midpoint of the upper box corner, (1, ..., 1).
     """
     _in_range("(m, d)", (m, d), 1, ends="[)")
     # built first: it checks the seed and the fraction before any data is drawn
     meta = ProblemMeta("robust_regression", m, d, seed, outlier_fraction=float(outlier_fraction))
-    A, b, x_sharp = _robust_regression_data(
-        np.random.default_rng(seed), m, d, outlier_fraction
-    )
+    A, b, x_sharp = _linear_data(np.random.default_rng(seed), m, d, outlier_fraction)
     L = float(np.max(np.linalg.norm(A, axis=1)))
 
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return _finite_sum(
         A, b, lambda y, b: np.abs(y - b), lambda y, b: np.sign(y - b),
-        regularizer=box_indicator(lo, hi), rho=0.0, lipschitz_L=L,
+        regularizer=box_indicator(lo, hi), rho=0.0, lipschitz_L=L, x0=0.5 * hi,
         domain_diameter=float(np.linalg.norm(hi - lo)), planted_point=x_sharp, meta=meta,
     )
 
@@ -208,9 +208,7 @@ def exact_min_1d_robust_regression(problem: CompositeProblem) -> tuple[float, fl
     meta = problem.meta
     if meta is None or meta.family != "robust_regression" or problem.dim != 1:
         raise ValueError("exact minimum only for 1-D robust regression")
-    A, b, _ = _robust_regression_data(
-        np.random.default_rng(meta.seed), meta.m, meta.d, meta.outlier_fraction
-    )
+    A, b, _ = _linear_data(np.random.default_rng(meta.seed), meta.m, meta.d, meta.outlier_fraction)
     r = problem.regularizer
     lo, hi = float(r.lo[0]), float(r.hi[0])
     candidates = [lo, hi]
@@ -235,15 +233,12 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, seed: int) -> CompositePr
     each chunk of noise with one vectorised subtraction, so a solver step
     pays one gemv and one add.  At sigma = 0 a draw is exactly -c and a
     sample equals ``g_full_subgradient`` bit for bit.  The value keeps the
-    residual form, which does not cancel near the minimum.
+    residual form, which does not cancel near the minimum.  Starts at 0.
     """
     _in_range("(m, d)", (m, d), 1, ends="[)")
     # built first: it checks the seed and sigma before any data is drawn
     meta = ProblemMeta(family="smooth_ls", m=m, d=d, seed=seed, sigma=float(sigma))
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, d))
-    x_sharp = rng.uniform(-0.5, 0.5, size=d)
-    b = A @ x_sharp
+    A, b, x_sharp = _linear_data(np.random.default_rng(seed), m, d, 0.0)
     H = A.T @ A / m
     c = A.T @ b / m
     rho = float(np.linalg.eigvalsh(H)[-1])
@@ -277,6 +272,7 @@ def make_smooth_ls_noisy(m: int, d: int, sigma: float, seed: int) -> CompositePr
         domain_diameter=float(np.linalg.norm(hi - lo)),
         smooth=True,
         planted_point=x_sharp,
+        x0=np.zeros(d),
         meta=meta,
     )
 
@@ -288,6 +284,7 @@ def make_toy1d(kind: str) -> CompositeProblem:
     ``"absquad"``: g(x) = |x^2 - 1| on [-2, 2], rho = 2, L = 4.
 
     Both use a deterministic oracle (the subgradient selection itself).
+    "abs" starts at 0.5, "absquad" at 1.8.
     """
     if kind == "abs":
 
@@ -305,6 +302,7 @@ def make_toy1d(kind: str) -> CompositeProblem:
             g_value=g_value,
             g_full_subgradient=g_sub,
             lipschitz_L=1.0,
+            x0=np.array([0.5]),
             meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="abs"),
         )
 
@@ -327,6 +325,7 @@ def make_toy1d(kind: str) -> CompositeProblem:
             g_full_subgradient=g_sub,
             lipschitz_L=4.0,
             domain_diameter=4.0,
+            x0=np.array([1.8]),
             meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="absquad"),
         )
 
@@ -391,22 +390,8 @@ def problem_from_id(problem_id: str) -> CompositeProblem:
 
 
 def default_x0(problem: CompositeProblem) -> Array:
-    """Documented starting point per family.
-
-    phase_retrieval: spectral start recomputed from the data seed.
-    robust_regression:
-    midpoint of the upper box corner.  smooth_ls: the origin.  toy1d: 0.5
-    for "abs", 1.8 for "absquad".
-    """
-    meta = problem.meta
-    fam = meta.family if meta else ""
-    d = problem.dim
-    if fam == "phase_retrieval":
-        return _spectral_start(meta.m, meta.d, meta.seed)
-    if fam == "robust_regression":
-        return 0.5 * np.broadcast_to(np.asarray(problem.regularizer.hi, float), (d,)).copy()
-    if fam == "smooth_ls":
-        return np.zeros(d)
-    if fam == "toy1d":
-        return np.array([0.5]) if meta.detail == "abs" else np.array([1.8])
-    return problem.regularizer.project_domain(np.zeros(d))
+    """A copy of the start ``problem.x0`` its factory states, or the
+    projection of the origin onto dom r for a problem without one."""
+    if problem.x0 is None:
+        return problem.regularizer.project_domain(np.zeros(problem.dim))
+    return np.array(problem.x0, dtype=float)

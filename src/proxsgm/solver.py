@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompositeProblem, _in_range
+from .core import CompositeProblem, _generator, _in_range
 from .moreau import MoreauPoint, moreau_prox
 
 Array = np.ndarray
@@ -219,16 +219,16 @@ def run_psgm(
 ) -> RunResult:
     """Run the proximal stochastic subgradient method to its output x_{t*}.
 
-    Deterministic given (seed, problem data, x0, schedule).  The output
-    index t* is drawn first, from a substream spawned off the generator,
-    with probability alpha_t / sum(alphas) over t = 0..T; the run then
-    takes steps 0..t*-1 of the schedule from the generator itself and
-    stops (at t* = 0 it takes none and returns x0).  The steps after t*
-    would not change x_{t*}, and x_{t*} has the bytes it has in the full
-    run of `run_averaged` from the same generator.  The run makes t*
-    oracle calls.
+    Deterministic given (seed, problem data, x0, schedule); a None or bool
+    seed raises ``TypeError``.  The output index t* is drawn first, from a
+    substream spawned off the generator, with probability
+    alpha_t / sum(alphas) over t = 0..T; the run then takes steps 0..t*-1
+    of the schedule from the generator itself and stops (at t* = 0 it takes
+    none and returns x0).  The steps after t* would not change x_{t*}, and
+    x_{t*} has the bytes it has in the full run of `run_averaged` from the
+    same generator.  The run makes t* oracle calls.
     """
-    rng = np.random.default_rng(rng_or_seed)
+    rng = _generator(rng_or_seed)
     t_star = sample_tstar(schedule.alphas, rng.spawn(1)[0])
     x_star = _iterate(problem, x0, schedule.alphas[:t_star], rng)
     return RunResult(t_star=t_star, x_star=x_star, oracle_calls=t_star)
@@ -247,7 +247,7 @@ def run_averaged(
     runs from equal generators share their iterates.  Each chunk's
     iterates are folded into the two means and dropped.
     """
-    rng = np.random.default_rng(rng_or_seed)
+    rng = _generator(rng_or_seed)
     n_iter = schedule.alphas.size
     # row 0: the plain sum of x_0..x_T, row 1: the sum with weight t+1 on x_t
     sums = np.zeros((2, problem.dim))
@@ -314,7 +314,7 @@ def check_descent_lemma(
     needs.  At alpha = 0 estimate and bound are equal in exact arithmetic,
     so the verdict would be roundoff.
     """
-    rng = np.random.default_rng(rng_or_seed)
+    rng = _generator(rng_or_seed)
     variant = "smooth" if problem.smooth else "weakly_convex"
     # the weakly convex variant's contraction needs rho_hat <= 2 rho
     cap = 2 * problem.rho if variant == "weakly_convex" and problem.rho > 0 else math.inf
@@ -371,15 +371,17 @@ def check_prox_identity(
     is residual <= inner tolerance times a conditioning factor of 10.
 
     Pass ``point`` to reuse an already computed MoreauPoint (for example
-    from the grid oracle); it must have been evaluated at (x, 1/rho_hat).
-    Raises ``ValueError`` before any solve unless rho_hat exceeds rho and
-    alpha lies in (0, 1/rho_hat].
+    from the grid oracle); it must have been evaluated at (x, 1/rho_hat),
+    else ``ValueError``.  Raises ``ValueError`` before any solve unless
+    rho_hat exceeds rho and alpha lies in (0, 1/rho_hat].
     """
     _in_range("rho_hat", rho_hat, problem.rho)
     _in_range("alpha", alpha, 0.0, 1.0 / rho_hat, "(]")
     x = np.asarray(x, dtype=float)
     if point is None:
         point = moreau_prox(problem, x, 1.0 / rho_hat, inner_tol)
+    elif point.lam != 1.0 / rho_hat or not np.array_equal(point.x, x):
+        raise ValueError("point must be evaluated at (x, 1/rho_hat)")
     x_hat = point.x_hat
     arg = alpha * rho_hat * x - alpha * point.zeta_hat + (1.0 - alpha * rho_hat) * x_hat
     return float(np.linalg.norm(x_hat - problem.regularizer.prox(arg, alpha)))

@@ -163,6 +163,28 @@ def test_moreau_prox_rejects_an_unmeetable_tol_before_solving(pid, tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("pid, lam_rho", [
+    ("smooth_ls:60:5:2", 0.5),
+    ("smooth_ls:60:5:2", 0.99),
+    ("smooth_ls:30:3:7", 0.5),
+])
+def test_smooth_solve_stops_when_its_iterates_repeat(pid, lam_rho):
+    # a tol below the floating-point floor once spun all 1e6 prox-gradient
+    # steps (50 s) after the iterates had reached a fixed point or a 2-cycle
+    p = problem_from_id(pid)
+    calls = []
+
+    def counted(y, subgradient=p.g_full_subgradient):
+        calls.append(1)
+        return subgradient(y)
+
+    q = dataclasses.replace(p, g_full_subgradient=counted)
+    with pytest.raises(InnerAccuracyError) as exc:
+        moreau_prox(q, np.full(p.dim, 0.3), lam_rho / p.rho, tol=1e-300)
+    assert len(calls) < 1000
+    assert exc.value.point.inner_tol <= 1e-30
+
+
 def steep_abs_problem(center):
     """g(y) = 50 |y - center|, r = 0, L = 50: a kink far from the unit
     bracket around a small x, so the 1-D solve must widen its bracket."""

@@ -1,16 +1,18 @@
 """Benchmark factory tests: constants, determinism, and closed-form anchors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from proxsgm.boost import RegularizedProblem
-from proxsgm.core import ID_PARAMS, sample_domain_points
+from proxsgm.core import ID_PARAMS, CompositeProblem, sample_domain_points
 from proxsgm.problems import (
     SMOOTH_LS_DEFAULT_SIGMA,
     _phase_retrieval_data,
-    _robust_regression_data,
+    _linear_data,
     default_x0,
     exact_min_1d_robust_regression,
     make_phase_retrieval,
@@ -344,6 +346,62 @@ def test_default_x0_feasible_everywhere():
         assert p.regularizer.value(x0) == 0.0
 
 
+def _documented_start(pid):
+    """Each family's start as the family switch of default_x0 once spelled it,
+    the phase-retrieval data drawn a second time from the id's seed."""
+    p = problem_from_id(pid)
+    family = pid.split(":")[0]
+    if family == "phase_retrieval":
+        m, d, seed = (int(t) for t in pid.split(":")[1:4])
+        A, _, b = _phase_retrieval_data(m, d, np.random.default_rng(seed))
+        v = np.linalg.eigh((A.T * b) @ A / m)[1][:, -1]
+        v = v * np.sign(v[np.argmax(np.abs(v))])
+        return v * min(float(np.sqrt(b.mean())), 2.0)
+    if family == "robust_regression":
+        return 0.5 * np.broadcast_to(np.asarray(p.regularizer.hi, float), (p.dim,)).copy()
+    if family == "smooth_ls":
+        return np.zeros(p.dim)
+    return np.array([0.5]) if pid == "toy1d:abs" else np.array([1.8])
+
+
+@pytest.mark.parametrize("pid", [
+    "phase_retrieval:50:10:0", "phase_retrieval:7:3:4", "phase_retrieval:30:6:7",
+    "robust_regression:40:2:1", "robust_regression:9:4:3:outliers=0.3",
+    "smooth_ls:60:5:2", "smooth_ls:15:2:6:sigma=0.2", "toy1d:abs", "toy1d:absquad",
+])
+def test_each_factory_states_the_documented_start(pid):
+    p = problem_from_id(pid)
+    x0 = default_x0(p)
+    want = _documented_start(pid)
+    assert x0.dtype == want.dtype and x0.tobytes() == want.tobytes()
+    # a caller that steps its start in place leaves the problem's own
+    x0 += 1.0
+    assert default_x0(p).tobytes() == want.tobytes()
+
+
+def test_a_problem_without_a_start_starts_at_the_projected_origin():
+    # the box [0.5, 2]^2 leaves the origin out
+    p = make_robust_regression(10, 2, 1)
+    shifted = dataclasses.replace(p.regularizer, lo=np.full(2, 0.5))
+    p = dataclasses.replace(p, regularizer=shifted, x0=None)
+    np.testing.assert_array_equal(default_x0(p), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("x0, message", [
+    (np.zeros(3), "x0 must have shape"),
+    (np.zeros((1, 2)), "x0 must have shape"),
+    (0.0, "x0 must have shape"),
+    (np.array([0.0, np.nan]), "x0 must be finite"),
+    (np.array([np.inf, 0.0]), "x0 must be finite"),
+])
+def test_a_start_of_the_wrong_shape_or_not_finite_is_refused(x0, message):
+    p = make_smooth_ls_noisy(10, 2, 0.1, 1)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(p, x0=x0)
+    with pytest.raises(ValueError, match=message):
+        CompositeProblem(dim=2, g_oracle=p.g_oracle, regularizer=p.regularizer, rho=p.rho, x0=x0)
+
+
 # ------------------------------------------------------ oracle stream contract
 
 ORACLE_IDS = [
@@ -396,7 +454,7 @@ def _finite_sum_reference(pid):
             return coef[..., None] * rows
 
     else:
-        A, b, _ = _robust_regression_data(rng, m, d, ID_PARAMS[family].default)
+        A, b, _ = _linear_data(rng, m, d, ID_PARAMS[family].default)
 
         def subgradient(x, i):
             rows = A[i]

@@ -26,6 +26,7 @@ DIGEST_AREAS = [
     "prox_subdiff",
     "oracle_checks",
     "stationarity",
+    "problems",
 ]
 
 

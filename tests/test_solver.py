@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import proxsgm.solver as solver_mod
+from proxsgm.boost import regularized_pipeline, two_stage_convex
 from proxsgm.core import (
     CompositeProblem,
     StochasticOracle,
     deterministic_oracle,
     point_value,
 )
-from proxsgm.moreau import moreau_grid_oracle
+from proxsgm.moreau import moreau_grid_oracle, moreau_prox
 from proxsgm.problems import (
     default_x0,
     make_phase_retrieval,
@@ -549,6 +550,18 @@ def test_prox_identity_boxed_1d_grid_oracle():
     assert res <= 1e-6
 
 
+@pytest.mark.parametrize("x, lam", [(0.2, 0.25), (0.7, 0.1)], ids=["other_x", "other_lam"])
+def test_prox_identity_refuses_a_point_evaluated_elsewhere(x, lam):
+    # at (x, 1/rho_hat) = (0.7, 0.25) the residual is 0; a point solved at
+    # x = 0.2 once gave 0.2, and one solved at lam = 0.1 gave 0.105, unrefused
+    p = make_toy1d("absquad")
+    right = moreau_prox(p, np.array([0.7]), 0.25, 1e-12)
+    assert check_prox_identity(p, np.array([0.7]), 4.0, 0.1, point=right) == 0.0
+    elsewhere = moreau_prox(p, np.array([x]), lam, 1e-12)
+    with pytest.raises(ValueError, match="evaluated at"):
+        check_prox_identity(p, np.array([0.7]), 4.0, 0.1, point=elsewhere)
+
+
 def test_prox_identity_alpha_at_cap():
     # alpha = 1/rho_hat makes the two sides cancel structurally
     p = make_toy1d("absquad")
@@ -560,3 +573,43 @@ def test_prox_identity_zero_regularizer():
     p = make_toy1d("abs")
     res = check_prox_identity(p, np.array([0.5]), 2.0, 0.2, inner_tol=1e-12)
     assert res <= 1e-9
+
+
+# ------------------------------------------------------------- seed contract
+
+
+def _counted(problem, calls):
+    """``problem`` with every oracle and g callable appending to ``calls``."""
+    def count(fn):
+        return lambda *a: calls.append(1) or fn(*a)
+
+    oracle = problem.g_oracle
+    return dataclasses.replace(
+        problem,
+        g_oracle=dataclasses.replace(oracle, sample=count(oracle.sample), draw=count(oracle.draw)),
+        g_value=count(problem.g_value),
+        g_full_subgradient=count(problem.g_full_subgradient),
+    )
+
+
+SEEDED_ENTRIES = {
+    "run_psgm": lambda p, s: run_psgm(p, default_x0(p), StepSchedule.constant(0.05, 20), s),
+    "run_averaged": lambda p, s: run_averaged(p, default_x0(p), StepSchedule.constant(0.05, 20), s),
+    "check_descent_lemma": lambda p, s: check_descent_lemma(p, default_x0(p), 1.0, 0.1, 10, s),
+    "two_stage_convex": lambda p, s: two_stage_convex(p, 20, 1.0, s),
+    "regularized_pipeline": lambda p, s: regularized_pipeline(p, 0.5, 0.4, 20, s),
+}
+
+
+@pytest.mark.parametrize("seed", [None, True, False])
+@pytest.mark.parametrize("entry", SEEDED_ENTRIES)
+def test_runs_refuse_a_none_or_bool_seed(entry, seed):
+    # None drew fresh OS entropy (two runs stopped at t* = 410 and 401), and
+    # True ran as seed 1: neither names a reproducible stream
+    calls = []
+    p = _counted(problem_from_id("robust_regression:40:2:1"), calls)
+    with pytest.raises(TypeError, match="rng_or_seed"):
+        SEEDED_ENTRIES[entry](p, seed)
+    assert calls == []
+    SEEDED_ENTRIES[entry](p, 3)
+    assert calls
