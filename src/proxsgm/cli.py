@@ -16,6 +16,7 @@ import numpy as np
 from .checks import run_all_checks
 from .harness import (
     BOUND_VARIANTS,
+    COROLLARIES,
     BoundInputs,
     ConfigError,
     fit_rate_from_csv,
@@ -55,8 +56,8 @@ def _cmd_run(args) -> int:
 def _cmd_bounds(args) -> int:
     try:
         alphas = None
-        # Cor22 and Cor27 read gamma and T, never the (T+1,) steps
-        reads_steps = args.variant not in ("Cor22", "Cor27")
+        # a corollary reads gamma and T, never the (T+1,) steps
+        reads_steps = args.variant not in COROLLARIES
         if args.alphas:
             alphas = np.array([float(v) for v in args.alphas.split(",") if v.strip()])
         elif reads_steps and args.gamma is not None and args.T is not None:

@@ -29,6 +29,7 @@ from .boost import optimal_gamma
 from .core import CompositeProblem, _formula, _in_range, _integer
 from .moreau import InnerAccuracyError, moreau_prox
 from .problems import default_x0, problem_from_id
+from .prox import ProxKind
 from .solver import StepSchedule, run_psgm
 
 Array = np.ndarray
@@ -96,69 +97,60 @@ class BoundInputs:
         _in_range("step sequence", self.alphas)
 
 
-def _need(inputs: BoundInputs, *names: str) -> None:
-    missing = [n for n in names if getattr(inputs, n) is None]
-    if missing:
-        raise ValueError(f"bound variant needs {', '.join(missing)}")
-
-
-def _sums(inputs: BoundInputs, cap: float = math.inf) -> tuple[float, float]:
+def _sums(inputs: BoundInputs, cap: float, constant: bool) -> tuple[float, float]:
     """Sums of the steps and of their squares, each step at most ``cap``.
 
-    The squares of a stride-0 step array (a constant schedule's view) are
-    its one square, broadcast: the same sum without T + 1 squares."""
+    A corollary's ``constant`` steps, T + 1 of gamma/sqrt(T+1), sum in
+    closed form to gamma sqrt(T+1) and gamma^2: no step array.  The squares
+    of a stride-0 step array (a constant schedule's view) are its one
+    square, broadcast: the same sum without T + 1 squares."""
+    if constant:
+        g, root = inputs.gamma, math.sqrt(inputs.T + 1)
+        _in_range("step gamma/sqrt(T+1)", g / root, 0.0, cap, "(]")
+        return g * root, g * g
     a = _in_range("step sequence", np.asarray(inputs.alphas, dtype=float), 0.0, cap, "(]")
     _in_range("number of steps", a.size, 1, ends="[)")
     sq = np.broadcast_to(a[:1] ** 2, a.shape) if a.strides == (0,) else a**2
     return float(a.sum()), float(sq.sum())
 
 
+# theorem: (c, k, M, rho_hat at most 2 rho, steps at most 1/rho_hat) of its right
+# side c rho_hat/(rho_hat - rho) (delta + k rho_hat M^2 sum alpha^2) / sum alpha
+_THEOREMS = {
+    "ProjectedThm21": (1.0, 0.5, "L", False, False),
+    "ProximalThm26": (1.0, 1.0, "L", True, True),
+    "SmoothCor29": (2.0, 0.5, "sigma", False, True),
+}
+# corollary: its theorem at rho_hat = 2 rho and T + 1 steps gamma/sqrt(T+1)
+COROLLARIES = {"Cor22": "ProjectedThm21", "Cor27": "ProximalThm26"}
+
+
 def theoretical_bound(variant: str, inputs: BoundInputs) -> float:
     """Exact right side of the selected guarantee on E||grad envelope||^2.
 
-    Step-range preconditions are validated per variant.  The constant-step
-    corollaries state a horizon-free cap gamma <= 1/(2 rho); what their
-    parent theorem needs at a fixed horizon is alpha = gamma/sqrt(T+1) <=
-    1/(2 rho), and that weaker per-horizon form is what gets enforced, so
-    tuned step sizes with gamma above the cap remain admissible whenever
-    every actual step is.  A value beyond the floats raises ``ValueError``,
-    as ``BoundInputs`` does for a constant out of range.
+    A theorem reads rho_hat and the steps ``alphas``.  A corollary reads
+    gamma and T: it is its theorem at rho_hat = 2 rho > 0 and the steps
+    gamma/sqrt(T+1), whose preconditions it keeps (Cor27's step cap is
+    gamma/sqrt(T+1) <= 1/(2 rho); Cor22 has none).  A precondition that
+    fails, or a value beyond the floats, raises ``ValueError``.
     """
     return _formula(f"{variant} bound", lambda: _bound(variant, inputs))
 
 
 def _bound(variant: str, inputs: BoundInputs) -> float:
-    d = inputs.delta
-    rho = inputs.rho
-
-    if variant == "ProjectedThm21":
-        _need(inputs, "rho_hat", "L", "alphas")
-        rh = _in_range("rho_hat", inputs.rho_hat, rho)
-        s1, s2 = _sums(inputs)
-        return (rh / (rh - rho)) * (d + 0.5 * rh * inputs.L**2 * s2) / s1
-
-    if variant == "ProximalThm26":
-        _need(inputs, "rho_hat", "L", "alphas")
-        _in_range("rho", rho)
-        rh = _in_range("rho_hat", inputs.rho_hat, rho, 2.0 * rho + 1e-12, "(]")
-        s1, s2 = _sums(inputs, 1.0 / rh + 1e-15)
-        return (rh / (rh - rho)) * (d + rh * inputs.L**2 * s2) / s1
-
-    if variant in ("Cor22", "Cor27"):
-        _need(inputs, "L", "gamma", "T")
-        _in_range("rho", rho)
-        g, T = inputs.gamma, inputs.T
-        if variant == "Cor27":
-            _in_range("step gamma/sqrt(T+1)", g / math.sqrt(T + 1), 0.0, 0.5 / rho + 1e-15, "(]")
-        return 2.0 * (d + rho * inputs.L**2 * g * g) / (g * math.sqrt(T + 1))
-
-    if variant == "SmoothCor29":
-        _need(inputs, "rho_hat", "sigma", "alphas")
-        rh = _in_range("rho_hat", inputs.rho_hat, rho)
-        s1, s2 = _sums(inputs, 1.0 / rh + 1e-15)
-        return (2.0 * rh / (rh - rho)) * (d + 0.5 * rh * inputs.sigma**2 * s2) / s1
-
-    raise ValueError(f"unknown bound variant {variant!r}; expected one of {BOUND_VARIANTS}")
+    if variant not in BOUND_VARIANTS:
+        raise ValueError(f"unknown bound variant {variant!r}; expected one of {BOUND_VARIANTS}")
+    rho, corollary = inputs.rho, variant in COROLLARIES
+    c, k, m, rho_hat_capped, steps_capped = _THEOREMS[COROLLARIES.get(variant, variant)]
+    needs = (m, "gamma", "T") if corollary else (m, "rho_hat", "alphas")
+    missing = [n for n in needs if getattr(inputs, n) is None]
+    if missing:
+        raise ValueError(f"bound variant needs {', '.join(missing)}")
+    rh = _in_range("rho_hat = 2 rho" if corollary else "rho_hat",
+                   2.0 * rho if corollary else inputs.rho_hat,
+                   rho, 2.0 * rho if rho_hat_capped else math.inf, "(]")
+    s1, s2 = _sums(inputs, 1.0 / rh + 1e-15 if steps_capped else math.inf, corollary)
+    return (c * rh / (rh - rho)) * (inputs.delta + k * rh * getattr(inputs, m)**2 * s2) / s1
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +305,7 @@ def _resolve_parameters(
     problem: CompositeProblem, config: ExperimentConfig
 ) -> tuple[float, float, float]:
     """(gamma, rho_hat, lam) with rho_hat = 2 rho (1 for convex g) and lam =
-    1/rho_hat: the constants at which Cor27 and SmoothCor29 are stated."""
+    1/rho_hat: the constants at which the corollaries are stated."""
     rho = problem.rho
     rho_hat = 2.0 * rho if rho > 0 else 1.0
     lam = 1.0 / rho_hat
@@ -361,7 +353,8 @@ def run_sweep(
             raise ConfigError(f"gamma={gamma!r} at T={T}: {exc}") from None
     x0 = default_x0(problem)
 
-    variant = "SmoothCor29" if problem.smooth else "Cor27"
+    projected = problem.regularizer.kind in (ProxKind.ZERO, ProxKind.BOX, ProxKind.BALL)
+    variant = "SmoothCor29" if problem.smooth else "Cor22" if projected else "Cor27"
     envelope_x0 = moreau_prox(problem, x0, lam, config.inner_tol).envelope_value
     phi_x0 = problem.phi(x0)
 

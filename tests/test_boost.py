@@ -111,6 +111,23 @@ def test_iteration_bound_min_branch():
     assert iteration_bound(4.0, 1.0, 1.0, 1.0) == math.ceil(16.0 * 16.0 * 0.25)
 
 
+def test_iteration_bound_is_cor22_inverted():
+    # at the a-priori gap R = min(rho D^2, D L) and gamma = optimal_gamma, the
+    # budget is the least T + 1 at which Cor22 reaches eps^2
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        rho, L, D = rng.uniform(0.1, 5.0, 3)
+        eps = rng.uniform(0.05, 2.0)
+        n = iteration_bound(rho, L, D, eps)
+        R = min(rho * D * D, D * L)
+        g = optimal_gamma(R, rho, L)
+        cor22 = lambda T: theoretical_bound("Cor22", BoundInputs(delta=R, rho=rho, L=L,
+                                                                 gamma=g, T=T))
+        assert cor22(n - 1) <= eps**2 * (1 + 1e-12)
+        if n > 1:
+            assert cor22(n - 2) > eps**2 * (1 - 1e-12)
+
+
 def test_iteration_bound_validation():
     with pytest.raises(ValueError):
         iteration_bound(1.0, 1.0, 1.0, 0.0)

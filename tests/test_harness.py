@@ -21,6 +21,7 @@ from proxsgm.harness import (
 )
 from proxsgm.moreau import InnerAccuracyError, moreau_prox
 from proxsgm.problems import default_x0, problem_from_id
+from proxsgm.prox import l1_regularizer
 from proxsgm.solver import StepSchedule, sample_tstar
 
 
@@ -30,12 +31,6 @@ from proxsgm.solver import StepSchedule, sample_tstar
 def test_cor22_hand_value():
     got = theoretical_bound("Cor22", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=0))
     assert got == pytest.approx(4.0, rel=1e-15)
-
-
-def test_cor27_prints_same_value_as_cor22():
-    inp = BoundInputs(delta=0.7, rho=1.3, L=2.0, gamma=0.2, T=24)
-    assert theoretical_bound("Cor27", inp) == pytest.approx(
-        theoretical_bound("Cor22", inp), rel=1e-15)
 
 
 def test_cor27_step_cap():
@@ -56,16 +51,51 @@ def test_thm21_vs_thm26_noise_factor():
     assert t26 == pytest.approx(2.0 * t21, rel=1e-12)
 
 
-def test_cor22_is_thm21_at_doubled_parameter():
-    # Cor22 must coincide with its parent bound at rho_hat = 2 rho and a
-    # constant tuned schedule alpha = gamma/sqrt(T+1)
-    rho, L, gamma, T, delta = 1.3, 2.0, 0.25, 48, 0.7
+@pytest.mark.parametrize("cor, parent", [("Cor22", "ProjectedThm21"),
+                                         ("Cor27", "ProximalThm26")])
+@pytest.mark.parametrize("rho, L, gamma, T, delta", [
+    (1.3, 2.0, 0.25, 48, 0.7),
+    (0.05, 0.3, 10.0, 0, 3.0),  # one step, at the cap 1/(2 rho)
+    (40.0, 7.5, 0.01, 999, 0.0),
+    (1.0, 1.0, 1.0, 3, 1.0),
+])
+def test_corollary_is_its_parent_at_doubled_parameter(cor, parent, rho, L, gamma, T, delta):
+    # a corollary is its theorem at rho_hat = 2 rho and the constant steps
+    # alpha = gamma/sqrt(T+1), whose sums it takes in closed form
     sched = StepSchedule.constant(gamma, T)
-    parent = theoretical_bound(
-        "ProjectedThm21",
-        BoundInputs(delta=delta, rho=rho, rho_hat=2 * rho, L=L, alphas=tuple(sched.alphas)))
-    cor = theoretical_bound("Cor22", BoundInputs(delta=delta, rho=rho, L=L, gamma=gamma, T=T))
-    assert cor == pytest.approx(parent, rel=1e-12)
+    want = theoretical_bound(
+        parent, BoundInputs(delta=delta, rho=rho, rho_hat=2 * rho, L=L, alphas=sched.alphas))
+    got = theoretical_bound(cor, BoundInputs(delta=delta, rho=rho, L=L, gamma=gamma, T=T))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_cor27_caps_the_step_where_its_parent_does():
+    # a step just above 1/(2 rho) breaks Thm26 at rho_hat = 2 rho, so Cor27
+    # refuses it; Thm21 has no step cap, so Cor22 takes it
+    rho, T = 1.0, 3
+    step = 0.5 / rho + 1e-12
+    alphas = np.full(T + 1, step)
+    with pytest.raises(ValueError, match="step"):
+        theoretical_bound("ProximalThm26",
+                          BoundInputs(delta=1.0, rho=rho, rho_hat=2 * rho, L=1.0, alphas=alphas))
+    cor = BoundInputs(delta=1.0, rho=rho, L=1.0, gamma=2.0 * step, T=T)
+    with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\)"):
+        theoretical_bound("Cor27", cor)
+    assert theoretical_bound("Cor22", cor) == pytest.approx(
+        theoretical_bound("ProjectedThm21", BoundInputs(delta=1.0, rho=rho, rho_hat=2 * rho,
+                                                         L=1.0, alphas=alphas)), rel=1e-12)
+
+
+def test_theorems_at_rho_zero():
+    # Thm21 and SmoothCor29 hold for convex g; Thm26 needs rho < rho_hat <=
+    # 2 rho, and a corollary's rho_hat = 2 rho must exceed rho
+    inp = BoundInputs(delta=1.0, rho=0.0, rho_hat=1.0, L=1.0, sigma=1.0, alphas=(0.1, 0.1),
+                      gamma=0.1, T=1)
+    assert theoretical_bound("ProjectedThm21", inp) == pytest.approx(5.05, rel=1e-12)
+    assert theoretical_bound("SmoothCor29", inp) == pytest.approx(10.1, rel=1e-12)
+    for variant in ("ProximalThm26", "Cor22", "Cor27"):
+        with pytest.raises(ValueError):
+            theoretical_bound(variant, inp)
 
 
 def test_smooth_cor29_reduces_at_rho_hat_2rho():
@@ -91,6 +121,10 @@ def test_bound_validation_errors():
         theoretical_bound(
             "ProximalThm26",
             BoundInputs(delta=1.0, rho=1.0, rho_hat=2.5, L=1.0, alphas=alphas))
+    with pytest.raises(ValueError):  # also at a tiny rho: no absolute slack
+        theoretical_bound(
+            "ProximalThm26",
+            BoundInputs(delta=1.0, rho=1e-14, rho_hat=5e-13, L=1.0, alphas=alphas))
     with pytest.raises(ValueError):  # Thm26 step cap 1/rho_hat
         theoretical_bound(
             "ProximalThm26",
@@ -368,8 +402,8 @@ def test_run_sweep_csv_columns_and_parse(tmp_path):
 
 
 @pytest.mark.parametrize("pid, gamma, rho_hat, variant", [
-    ("toy1d:absquad", 0.3, None, "Cor27"),  # rho > 0: rho_hat = 2 rho
-    ("robust_regression:20:1:5", 0.3, 1.0, "Cor27"),  # convex g: rho_hat = 1
+    ("toy1d:absquad", 0.3, None, "Cor22"),  # rho > 0: rho_hat = 2 rho
+    ("robust_regression:20:1:5", 0.3, 1.0, "Cor22"),  # convex g: rho_hat = 1
     ("smooth_ls:15:2:3", 0.2, None, "SmoothCor29"),
 ])
 def test_run_sweep_defaults_and_bound_recompute(monkeypatch, pid, gamma, rho_hat, variant):
@@ -439,6 +473,24 @@ def test_run_sweep_smooth_problem_uses_smooth_bound():
     )
     report = run_sweep(cfg, clock=lambda: 0.0)
     assert report.variant == "SmoothCor29"
+
+
+def test_run_sweep_prints_cor27_for_a_regularizer_that_is_no_indicator():
+    # with r = 0.3 ||x||_1 the method is the proximal one, not the projected
+    # one, so the sweep prints Thm26 at rho_hat = 2 (rho_hat / 2) and the
+    # steps gamma/sqrt(T+1)
+    problem = dataclasses.replace(problem_from_id("toy1d:abs"), regularizer=l1_regularizer(0.3))
+    cfg = ExperimentConfig(problem_id="toy1d:abs", horizons=(20, 40), gamma=0.3, n_seeds=2,
+                           output="")
+    report = run_sweep(cfg, problem=problem, clock=lambda: 0.0)
+    assert report.variant == "Cor27"
+    assert report.rho_hat == 1.0
+    delta = max(report.envelope_value_x0 - report.phi_best, 0.0)
+    for hs in report.per_horizon:
+        steps = StepSchedule.constant(report.gamma, hs.T).alphas
+        want = theoretical_bound("ProximalThm26", BoundInputs(
+            delta=delta, rho=report.rho_hat / 2.0, rho_hat=report.rho_hat, L=1.0, alphas=steps))
+        assert hs.bound_value == pytest.approx(want, rel=1e-12)
 
 
 def test_run_sweep_rejects_oversized_steps(monkeypatch):
