@@ -266,10 +266,11 @@ class HorizonStats:
     """The trials of one horizon against the bound at that horizon.
 
     ``bound_value`` evaluates the bound at the surrogate gap Delta =
-    envelope(x0) - (least phi observed), clipped at 0, which lies at or
-    below the true gap envelope(x0) - min phi.  The bound grows with
-    Delta, so ``bound_value`` is at most the theorem's right side: a
-    stricter test than the theorem, not its bound.
+    envelope(x0) - eps(x0) - (least phi observed), clipped at 0, where
+    eps(x0) is the certified gap of the x0 envelope solve.  It lies at or
+    below the true gap phi_lam(x0) - min phi.  The bound grows with Delta,
+    so ``bound_value`` is at most the theorem's right side: a stricter
+    test than the theorem, not its bound.
     """
 
     T: int
@@ -355,7 +356,7 @@ def run_sweep(
 
     projected = problem.regularizer.kind in (ProxKind.ZERO, ProxKind.BOX, ProxKind.BALL)
     variant = "SmoothCor29" if problem.smooth else "Cor22" if projected else "Cor27"
-    envelope_x0 = moreau_prox(problem, x0, lam, config.inner_tol).envelope_value
+    at_x0 = moreau_prox(problem, x0, lam, config.inner_tol)
     phi_x0 = problem.phi(x0)
 
     problem_key = problem.meta.seed if problem.meta is not None else 0
@@ -384,9 +385,9 @@ def run_sweep(
     phi_best = min(min(r.phi_at_star for r in rows), phi_x0)
     if problem.planted_point is not None:
         phi_best = min(phi_best, problem.phi(problem.planted_point))
-    # the true gap envelope(x0) - min phi is >= 0 and this surrogate lies at
-    # or below it, so the clipped value does too
-    delta = max(envelope_x0 - phi_best, 0.0)
+    # envelope(x0) - eps(x0) <= phi_lam(x0), so this surrogate lies at or below
+    # the true gap phi_lam(x0) - min phi >= 0, and so does the clipped value
+    delta = max(at_x0.envelope_value - at_x0.inner_tol - phi_best, 0.0)
 
     per_horizon = []
     for T in config.horizons:
@@ -432,7 +433,7 @@ def run_sweep(
         rho_hat=rho_hat,
         lam=lam,
         variant=variant,
-        envelope_value_x0=envelope_x0,
+        envelope_value_x0=at_x0.envelope_value,
         phi_best=phi_best,
         rows=rows,
         per_horizon=per_horizon,

@@ -428,7 +428,8 @@ def test_run_sweep_defaults_and_bound_recompute(monkeypatch, pid, gamma, rho_hat
     assert report.lam == 1.0 / report.rho_hat
     assert lams == [report.lam] * (1 + len(report.rows))
     assert report.variant == variant
-    delta = max(report.envelope_value_x0 - report.phi_best, 0.0)
+    at_x0 = moreau_prox(p, default_x0(p), report.lam, cfg.inner_tol)
+    delta = max(report.envelope_value_x0 - at_x0.inner_tol - report.phi_best, 0.0)
     for hs in report.per_horizon:
         if variant == "SmoothCor29":
             steps = StepSchedule.constant(report.gamma, hs.T, rho_hat=report.rho_hat).alphas
@@ -438,6 +439,26 @@ def test_run_sweep_defaults_and_bound_recompute(monkeypatch, pid, gamma, rho_hat
             inputs = BoundInputs(delta=delta, rho=report.rho_hat / 2.0, L=p.lipschitz_L,
                                  gamma=report.gamma, T=hs.T)
         assert hs.bound_value == theoretical_bound(variant, inputs)
+
+
+def test_run_sweep_delta_discounts_the_gap_of_the_x0_solve():
+    # envelope_value_x0 lies up to the x0 solve's certified gap eps(x0) above
+    # phi_lam(x0); phase retrieval's phi_best reaches min phi = 0 at the
+    # planted point, so a Delta without eps(x0) exceeds the true gap there
+    pid = "phase_retrieval:20:4:1"
+    cfg = ExperimentConfig(problem_id=pid, horizons=(20, 40), gamma="optimal", n_seeds=2,
+                           output="")
+    report = run_sweep(cfg, clock=lambda: 0.0)
+    p = problem_from_id(pid)
+    at_x0 = moreau_prox(p, default_x0(p), report.lam, cfg.inner_tol)
+    assert at_x0.envelope_value == report.envelope_value_x0
+    assert report.phi_best == p.phi(p.planted_point) == 0.0
+    assert at_x0.inner_tol > 1e-8
+    delta = max(at_x0.envelope_value - at_x0.inner_tol - report.phi_best, 0.0)
+    for hs in report.per_horizon:
+        inputs = BoundInputs(delta=delta, rho=report.rho_hat / 2.0, L=p.lipschitz_L,
+                             gamma=report.gamma, T=hs.T)
+        assert hs.bound_value == theoretical_bound(report.variant, inputs)
 
 
 def test_run_sweep_phi_best_pools_all_observations():
@@ -485,7 +506,8 @@ def test_run_sweep_prints_cor27_for_a_regularizer_that_is_no_indicator():
     report = run_sweep(cfg, problem=problem, clock=lambda: 0.0)
     assert report.variant == "Cor27"
     assert report.rho_hat == 1.0
-    delta = max(report.envelope_value_x0 - report.phi_best, 0.0)
+    eps_x0 = moreau_prox(problem, default_x0(problem), 1.0, cfg.inner_tol).inner_tol
+    delta = max(report.envelope_value_x0 - eps_x0 - report.phi_best, 0.0)
     for hs in report.per_horizon:
         steps = StepSchedule.constant(report.gamma, hs.T).alphas
         want = theoretical_bound("ProximalThm26", BoundInputs(
