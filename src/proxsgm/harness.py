@@ -30,7 +30,7 @@ from .core import CompositeProblem, _formula, _in_range, _integer
 from .moreau import InnerAccuracyError, moreau_prox
 from .problems import default_x0, problem_from_id
 from .prox import ProxKind
-from .solver import StepSchedule, run_psgm
+from .solver import StepSchedule, run_psgm, step_cap
 
 Array = np.ndarray
 
@@ -149,7 +149,7 @@ def _bound(variant: str, inputs: BoundInputs) -> float:
     rh = _in_range("rho_hat = 2 rho" if corollary else "rho_hat",
                    2.0 * rho if corollary else inputs.rho_hat,
                    rho, 2.0 * rho if rho_hat_capped else math.inf, "(]")
-    s1, s2 = _sums(inputs, 1.0 / rh + 1e-15 if steps_capped else math.inf, corollary)
+    s1, s2 = _sums(inputs, step_cap(rh) if steps_capped else math.inf, corollary)
     return (c * rh / (rh - rho)) * (inputs.delta + k * rh * getattr(inputs, m)**2 * s2) / s1
 
 

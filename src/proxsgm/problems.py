@@ -10,7 +10,8 @@ certified constants:
 * ``toy1d``            -- one-dimensional sanity problems ("abs", "absquad").
 
 ``phase_retrieval`` and ``robust_regression`` are finite sums built by
-``_finite_sum`` from a loss and its one coefficient.  A draw is a row
+``_finite_sum`` from a loss and its one coefficient (``_PHASE``, ``_LAD``);
+the two toys are one-term sums of the same two losses.  A draw is a row
 index; a point call (a solver step) computes its row, a stack gathers
 from the table of the m component subgradients.
 A draw of ``smooth_ls`` is its Gaussian noise with the gradient's
@@ -46,7 +47,6 @@ from .core import (
     ProblemMeta,
     StochasticOracle,
     _in_range,
-    deterministic_oracle,
     point_value,
     row_dots,
 )
@@ -54,7 +54,6 @@ from .prox import ball_indicator, box_indicator, zero_regularizer
 
 Array = np.ndarray
 
-SMOOTH_LS_DEFAULT_SIGMA = ID_PARAMS["smooth_ls"].default
 DEFAULT_OUTLIER_FRACTION = ID_PARAMS["robust_regression"].default
 
 
@@ -91,7 +90,8 @@ def _finite_sum(
         return point_value(np.mean(loss(_matvec(A, x), b), axis=-1))
 
     def g_full_subgradient(x: Array) -> Array:
-        return _matvec(A.T, coef(_matvec(A, x), b)) / m
+        # + 0.0: a one-term point keeps a -0.0 that a stack's matmul sums to +0.0
+        return _matvec(A.T, coef(_matvec(A, x), b)) / m + 0.0
 
     def draw(rng: np.random.Generator, n: int) -> Array:
         return rng.integers(m, size=n)
@@ -109,6 +109,12 @@ def _finite_sum(
         g_full_subgradient=g_full_subgradient,
         **fields,
     )
+
+
+# (loss, coef) of each finite sum, y = <a_i, x>: least absolute deviations
+# and the quadratic measurements of phase retrieval
+_LAD = (lambda y, b: np.abs(y - b), lambda y, b: np.sign(y - b))
+_PHASE = (lambda y, b: np.abs(y**2 - b), lambda y, b: 2.0 * np.sign(y**2 - b) * y)
 
 
 def _phase_retrieval_data(m: int, d: int, rng: np.random.Generator):
@@ -154,8 +160,7 @@ def make_phase_retrieval(m: int, d: int, seed: int) -> CompositeProblem:
     L = 2.0 * radius * float(np.max(row_sq))
 
     return _finite_sum(
-        A, b, lambda y, b: np.abs(y**2 - b), lambda y, b: 2.0 * np.sign(y**2 - b) * y,
-        regularizer=ball_indicator(np.zeros(d), radius), rho=rho, lipschitz_L=L,
+        A, b, *_PHASE, regularizer=ball_indicator(np.zeros(d), radius), rho=rho, lipschitz_L=L,
         domain_diameter=2.0 * radius, planted_point=x_sharp, x0=_spectral_start(A, b), meta=meta,
     )
 
@@ -192,8 +197,7 @@ def make_robust_regression(
 
     lo, hi = -2.0 * np.ones(d), 2.0 * np.ones(d)
     return _finite_sum(
-        A, b, lambda y, b: np.abs(y - b), lambda y, b: np.sign(y - b),
-        regularizer=box_indicator(lo, hi), rho=0.0, lipschitz_L=L, x0=0.5 * hi,
+        A, b, *_LAD, regularizer=box_indicator(lo, hi), rho=0.0, lipschitz_L=L, x0=0.5 * hi,
         domain_diameter=float(np.linalg.norm(hi - lo)), planted_point=x_sharp, meta=meta,
     )
 
@@ -283,52 +287,21 @@ def make_toy1d(kind: str) -> CompositeProblem:
     ``"abs"``:     g(x) = |x|, r == 0, convex, L = 1.
     ``"absquad"``: g(x) = |x^2 - 1| on [-2, 2], rho = 2, L = 4.
 
-    Both use a deterministic oracle (the subgradient selection itself).
-    "abs" starts at 0.5, "absquad" at 1.8.
+    Each is a one-term finite sum with a = 1: "abs" is robust regression's
+    loss at b = 0, "absquad" phase retrieval's at b = 1.  A draw takes no
+    variates.  "abs" starts at 0.5, "absquad" at 1.8.
     """
+    meta = ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail=kind)
     if kind == "abs":
-
-        def g_value(x: Array) -> float | Array:
-            return point_value(np.abs(np.asarray(x, float)[..., 0]))
-
-        def g_sub(x: Array) -> Array:
-            return np.sign(np.asarray(x, float))
-
-        return CompositeProblem(
-            dim=1,
-            g_oracle=deterministic_oracle(g_sub),
-            regularizer=zero_regularizer(),
-            rho=0.0,
-            g_value=g_value,
-            g_full_subgradient=g_sub,
-            lipschitz_L=1.0,
-            x0=np.array([0.5]),
-            meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="abs"),
+        return _finite_sum(
+            np.ones((1, 1)), np.zeros(1), *_LAD, regularizer=zero_regularizer(),
+            rho=0.0, lipschitz_L=1.0, x0=np.array([0.5]), meta=meta,
         )
-
     if kind == "absquad":
-
-        def g_value(x: Array) -> float | Array:
-            v = np.asarray(x, float)[..., 0]
-            return point_value(np.abs(v * v - 1.0))
-
-        def g_sub(x: Array) -> Array:
-            v = np.asarray(x, float)
-            return 2.0 * v * np.sign(v * v - 1.0)
-
-        return CompositeProblem(
-            dim=1,
-            g_oracle=deterministic_oracle(g_sub),
-            regularizer=box_indicator(-2.0, 2.0),
-            rho=2.0,
-            g_value=g_value,
-            g_full_subgradient=g_sub,
-            lipschitz_L=4.0,
-            domain_diameter=4.0,
-            x0=np.array([1.8]),
-            meta=ProblemMeta(family="toy1d", m=0, d=1, seed=0, detail="absquad"),
+        return _finite_sum(
+            np.ones((1, 1)), np.ones(1), *_PHASE, regularizer=box_indicator(-2.0, 2.0),
+            rho=2.0, lipschitz_L=4.0, domain_diameter=4.0, x0=np.array([1.8]), meta=meta,
         )
-
     raise ValueError(f"unknown toy kind {kind!r}")
 
 

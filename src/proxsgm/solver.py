@@ -47,6 +47,13 @@ class OracleError(RuntimeError):
         self.iteration = iteration
 
 
+def step_cap(rho_hat: float) -> float:
+    """The largest step at rho_hat: 1/rho_hat, which the descent lemma needs,
+    times 1 + 4 eps.  The relative slack admits a capped step gamma/sqrt(T+1)
+    with gamma = sqrt(T+1)/rho_hat, which rounds up to 1 ulp above 1/rho_hat."""
+    return (1.0 / rho_hat) * (1.0 + 4.0 * np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step sizes for one run.
@@ -56,7 +63,7 @@ class StepSchedule:
     constant-step corollaries analyze as a read-only broadcast view of its
     one step, so it takes O(1) memory at every horizon and writing to its
     steps raises.  When rho_hat is supplied, finite and positive, the steps
-    must not exceed 1/rho_hat, which the descent lemma needs.
+    must not exceed ``step_cap(rho_hat)``.
     """
 
     alphas: Array
@@ -66,8 +73,8 @@ class StepSchedule:
         a = np.asarray(self.alphas, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("schedule needs a nonempty 1-D array of steps")
-        cap = math.inf if self.rho_hat is None else 1.0 / _in_range("rho_hat", self.rho_hat)
-        _in_range("steps", a, 0.0, cap + 1e-15, "(]")
+        cap = math.inf if self.rho_hat is None else step_cap(_in_range("rho_hat", self.rho_hat))
+        _in_range("steps", a, 0.0, cap, "(]")
         object.__setattr__(self, "alphas", a)
 
     @property
@@ -310,16 +317,16 @@ def check_descent_lemma(
     its 95% confidence half-width exceeds the bound.
 
     Raises ``ValueError`` before any solve unless rho_hat exceeds rho,
-    alpha lies in (0, 1/rho_hat] and n_samples >= 2, which the half-width
-    needs.  At alpha = 0 estimate and bound are equal in exact arithmetic,
-    so the verdict would be roundoff.
+    alpha lies in (0, step_cap(rho_hat)] and n_samples >= 2, which the
+    half-width needs.  At alpha = 0 estimate and bound are equal in exact
+    arithmetic, so the verdict would be roundoff.
     """
     rng = _generator(rng_or_seed)
     variant = "smooth" if problem.smooth else "weakly_convex"
     # the weakly convex variant's contraction needs rho_hat <= 2 rho
     cap = 2 * problem.rho if variant == "weakly_convex" and problem.rho > 0 else math.inf
     _in_range("rho_hat", rho_hat, problem.rho, cap, "(]")
-    _in_range("alpha", alpha, 0.0, 1.0 / rho_hat, "(]")
+    _in_range("alpha", alpha, 0.0, step_cap(rho_hat), "(]")
     _in_range("n_samples", n_samples, 2, ends="[)")
     x_t = np.asarray(x_t, dtype=float)
 
@@ -373,10 +380,10 @@ def check_prox_identity(
     Pass ``point`` to reuse an already computed MoreauPoint (for example
     from the grid oracle); it must have been evaluated at (x, 1/rho_hat),
     else ``ValueError``.  Raises ``ValueError`` before any solve unless
-    rho_hat exceeds rho and alpha lies in (0, 1/rho_hat].
+    rho_hat exceeds rho and alpha lies in (0, step_cap(rho_hat)].
     """
     _in_range("rho_hat", rho_hat, problem.rho)
-    _in_range("alpha", alpha, 0.0, 1.0 / rho_hat, "(]")
+    _in_range("alpha", alpha, 0.0, step_cap(rho_hat), "(]")
     x = np.asarray(x, dtype=float)
     if point is None:
         point = moreau_prox(problem, x, 1.0 / rho_hat, inner_tol)

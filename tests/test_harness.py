@@ -22,7 +22,7 @@ from proxsgm.harness import (
 from proxsgm.moreau import InnerAccuracyError, moreau_prox
 from proxsgm.problems import default_x0, problem_from_id
 from proxsgm.prox import l1_regularizer
-from proxsgm.solver import StepSchedule, sample_tstar
+from proxsgm.solver import StepSchedule, check_prox_identity, sample_tstar
 
 
 # ------------------------------------------------------------ bound values
@@ -84,6 +84,32 @@ def test_cor27_caps_the_step_where_its_parent_does():
     assert theoretical_bound("Cor22", cor) == pytest.approx(
         theoretical_bound("ProjectedThm21", BoundInputs(delta=1.0, rho=rho, rho_hat=2 * rho,
                                                          L=1.0, alphas=alphas)), rel=1e-12)
+
+
+def test_the_step_cap_is_relative_at_every_rho_hat():
+    # at rho_hat = 2e15 the cap 1/rho_hat is 5e-16: a step of 1e-15, twice
+    # the cap, is refused by every reader of the cap (an absolute slack of
+    # 1e-15 let it through)
+    alphas = np.full(2, 1e-15)
+    with pytest.raises(ValueError, match="step sequence"):
+        theoretical_bound("ProximalThm26", BoundInputs(delta=1.0, rho=1e15, rho_hat=2e15,
+                                                       L=1.0, alphas=alphas))
+    with pytest.raises(ValueError, match="step sequence"):
+        theoretical_bound("SmoothCor29", BoundInputs(delta=1.0, rho=1e15, rho_hat=2e15,
+                                                     sigma=1.0, alphas=alphas))
+    with pytest.raises(ValueError, match="steps must lie in"):
+        StepSchedule(alphas, rho_hat=2e15)
+    with pytest.raises(ValueError, match="alpha"):
+        check_prox_identity(problem_from_id("toy1d:absquad"), np.array([0.5]), 2e15, 1e-15)
+    # the capped constant step of the boost stages, gamma = sqrt(T+1)/rho_hat,
+    # rounds up to 1 ulp above 1/rho_hat and stays admissible
+    rng = np.random.default_rng(4)
+    for rho_hat, T in zip(10.0 ** rng.uniform(-15, 15, 200), rng.integers(0, 10**9, 200)):
+        # Cor27 is Thm26 at rho_hat = 2 rho, its steps summed in closed form
+        assert theoretical_bound("Cor27", BoundInputs(
+            delta=1.0, rho=rho_hat / 2.0, L=1.0, gamma=math.sqrt(T + 1) / rho_hat, T=int(T))) > 0
+        T = int(T) % 1000  # a schedule checks each of its T + 1 steps
+        StepSchedule.constant(math.sqrt(T + 1) / rho_hat, T, rho_hat=rho_hat)
 
 
 def test_theorems_at_rho_zero():

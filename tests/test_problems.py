@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from proxsgm.boost import RegularizedProblem
 from proxsgm.core import ID_PARAMS, CompositeProblem, sample_domain_points
 from proxsgm.problems import (
-    SMOOTH_LS_DEFAULT_SIGMA,
     _phase_retrieval_data,
     _linear_data,
     default_x0,
@@ -44,6 +43,43 @@ def test_toy_absquad_values_and_subgradients():
     assert p.g_full_subgradient(np.array([0.5])) == pytest.approx([-1.0])
     # at the kink x = 1 the selection is the zero element of [-2, 2]
     assert p.g_full_subgradient(np.ones(1)) == [0.0]
+
+
+# the toys' closed forms as written out before they became one-term finite sums
+TOY_CLOSED_FORMS = {
+    "abs": (lambda v: np.abs(v[..., 0]), np.sign),
+    "absquad": (lambda v: np.abs(v[..., 0] * v[..., 0] - 1.0),
+                lambda v: 2.0 * v * np.sign(v * v - 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOY_CLOSED_FORMS))
+def test_toy_is_its_closed_form(kind):
+    value, subgradient = TOY_CLOSED_FORMS[kind]
+    p = make_toy1d(kind)
+    pts = np.concatenate([
+        np.linspace(-2.0, 2.0, 4001), [0.0, -0.0, 1.0, -1.0, 2.0, -2.0],
+        np.random.default_rng(0).uniform(-3.0, 3.0, 1000),
+    ])[:, None]
+    assert p.g_value(pts).tobytes() == value(pts).tobytes()
+    assert np.array([p.g_value(x) for x in pts]).tobytes() == value(pts).tobytes()
+    want = subgradient(pts)
+    for got in (p.g_full_subgradient(pts), np.stack([p.g_full_subgradient(x) for x in pts])):
+        np.testing.assert_array_equal(got, want)
+        # bytes agree wherever the value is nonzero; a zero is now +0.0
+        # everywhere, where the closed form gave -0.0 for absquad at x = +0.0
+        # and x = -1
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert not np.signbit(got[~nonzero]).any()
+    # the one row is the only draw: no variates, and the oracle is the selection
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    draws = p.g_oracle.draw(rng, 4096)
+    assert rng.bit_generator.state == state
+    for x in pts[::50]:
+        np.testing.assert_array_equal(p.g_oracle.sample(x, draws), np.tile(subgradient(x), (4096, 1)))
+        np.testing.assert_array_equal(p.g_oracle.sample(x, draws[0]), subgradient(x))
 
 
 def test_toy_kinds_rejected():
@@ -221,7 +257,7 @@ def test_problem_from_id_roundtrip(pid):
 
 def test_problem_from_id_uses_default_sigma():
     p = problem_from_id("smooth_ls:20:3:5")
-    assert p.sigma == pytest.approx(SMOOTH_LS_DEFAULT_SIGMA * np.sqrt(3))
+    assert p.sigma == pytest.approx(ID_PARAMS["smooth_ls"].default * np.sqrt(3))
 
 
 def test_non_default_parameters_ride_on_the_id():
@@ -504,6 +540,7 @@ def test_finite_sum_oracle_forms_match_the_row_reference(pid):
 
 BATCH_IDS = ORACLE_IDS + [
     "phase_retrieval:50:10:0",
+    "phase_retrieval:1:1:0",
     "phase_retrieval:30:1:4",
     "robust_regression:25:1:3",
     "smooth_ls:20:1:5",
