@@ -16,7 +16,6 @@ from .core import (
     check_oracle_unbiasedness,
     check_second_moment,
     check_weak_convexity,
-    deterministic_oracle,
 )
 from .prox import (
     ProxFriendly,
@@ -90,7 +89,6 @@ __all__ = [
     "check_oracle_unbiasedness",
     "check_second_moment",
     "check_weak_convexity",
-    "deterministic_oracle",
     "ProxFriendly",
     "ball_indicator",
     "box_indicator",

@@ -102,11 +102,6 @@ def row_dots(U: Array, V: Array) -> Array:
     return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
 
 
-def no_draws(rng: np.random.Generator, n: int) -> Array:
-    """Randomness of a deterministic oracle: n empty rows, no variates."""
-    return np.empty((n, 0))
-
-
 @dataclass(frozen=True)
 class StochasticOracle:
     """Sampling access to subgradients of g, split into randomness and map.
@@ -127,17 +122,7 @@ class StochasticOracle:
     """
 
     sample: Callable[[Array, Array], Array]
-    draw: Callable[[np.random.Generator, int], Array] = no_draws
-
-
-def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOracle:
-    """Oracle that returns the subgradient selection itself and draws nothing."""
-
-    def sample(x: Array, w: Array) -> Array:
-        v = subgradient(x)
-        return v if w.ndim == 1 else np.tile(v, (len(w), 1))
-
-    return StochasticOracle(sample=sample)
+    draw: Callable[[np.random.Generator, int], Array]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ subgradient warm-up.  The polish certifies the gap on its own; the
 warm-up only moves its start off x.
 ``moreau_grid_oracle`` brute-forces low-dimensional subproblems on a
 refined grid and exists so the iterative path can be cross-checked against
-an implementation that shares none of its code.
+an implementation that shares none of its search code.
 
 Each polish round probes g-subgradients at y and at y + delta u_j in one
 stacked call and finds the min-norm point v of their convex hull plus the
@@ -634,8 +634,9 @@ def moreau_grid_oracle(
 
     Minimizes the subproblem over a grid covering a dom-r window around x
     whose radius is lam * L plus the distance from x to dom r, then
-    refines around the best cell.  Shares no code with the iterative path on
-    purpose; it is the cross-check oracle.
+    refines around the best cell.  Shares no search code with the iterative
+    path on purpose, only ``_validate_lam`` and ``_finish_point``; it is the
+    cross-check oracle.
     """
     problem.require_deterministic()
     _validate_lam(problem, lam)
@@ -691,9 +692,7 @@ def moreau_grid_oracle(
 # derived checks
 
 
-def stationarity_report(
-    point: MoreauPoint, problem: CompositeProblem | None = None
-) -> StationarityReport:
+def stationarity_report(point: MoreauPoint, problem: CompositeProblem) -> StationarityReport:
     """Near-stationarity summary of a proximal point.
 
     ``grad_norm`` is the envelope gradient norm, which upper-bounds the
@@ -710,7 +709,7 @@ def stationarity_report(
     """
     gn = float(np.linalg.norm(point.envelope_grad))
     exact = None
-    if problem is not None and problem.dim == 1:
+    if problem.dim == 1:
         r = problem.regularizer
         y = float(np.atleast_1d(point.x_hat)[0])
         mu = 1.0 / point.lam - problem.rho

@@ -54,8 +54,6 @@ from .prox import ball_indicator, box_indicator, zero_regularizer
 
 Array = np.ndarray
 
-DEFAULT_OUTLIER_FRACTION = ID_PARAMS["robust_regression"].default
-
 
 def _matvec(M: Array, x: Array) -> Array:
     """``M @ x`` for a point, ``M @ x[i]`` in row i for an ``(n, k)`` stack.
@@ -180,7 +178,7 @@ def _linear_data(
 
 
 def make_robust_regression(
-    m: int, d: int, seed: int, outlier_fraction: float = DEFAULT_OUTLIER_FRACTION
+    m: int, d: int, seed: int, outlier_fraction: float = ID_PARAMS["robust_regression"].default
 ) -> CompositeProblem:
     """Least absolute deviations with sparse outliers in the responses.
 
@@ -200,28 +198,6 @@ def make_robust_regression(
         A, b, *_LAD, regularizer=box_indicator(lo, hi), rho=0.0, lipschitz_L=L, x0=0.5 * hi,
         domain_diameter=float(np.linalg.norm(hi - lo)), planted_point=x_sharp, meta=meta,
     )
-
-
-def exact_min_1d_robust_regression(problem: CompositeProblem) -> tuple[float, float]:
-    """Exact minimizer and value of a one-dimensional robust regression.
-
-    mean_i |a_i x - b_i| restricted to the box is piecewise linear; the
-    minimum sits at a breakpoint b_i / a_i or a box endpoint, so scanning
-    the breakpoints is exact.
-    """
-    meta = problem.meta
-    if meta is None or meta.family != "robust_regression" or problem.dim != 1:
-        raise ValueError("exact minimum only for 1-D robust regression")
-    A, b, _ = _linear_data(np.random.default_rng(meta.seed), meta.m, meta.d, meta.outlier_fraction)
-    r = problem.regularizer
-    lo, hi = float(r.lo[0]), float(r.hi[0])
-    candidates = [lo, hi]
-    a = A[:, 0]
-    nz = np.abs(a) > 0
-    candidates.extend(np.clip(b[nz] / a[nz], lo, hi).tolist())
-    vals = [problem.g_value(np.array([c])) for c in candidates]
-    k = int(np.argmin(vals))
-    return candidates[k], vals[k]
 
 
 def make_smooth_ls_noisy(m: int, d: int, sigma: float, seed: int) -> CompositeProblem:

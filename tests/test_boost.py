@@ -28,13 +28,14 @@ from proxsgm.core import (
 from proxsgm.harness import BoundInputs, fit_rate, theoretical_bound
 from proxsgm.moreau import moreau_prox
 from proxsgm.problems import (
-    exact_min_1d_robust_regression,
     make_robust_regression,
     make_toy1d,
     problem_from_id,
 )
 from proxsgm.prox import box_indicator
 from proxsgm.solver import StepSchedule, run_averaged
+
+from builders import exact_min_1d_robust_regression
 
 
 def noisy_linear_problem(c, noise, lo, hi, seed_norm=None):
@@ -159,6 +160,8 @@ def test_regularized_problem_validation():
     wc = make_toy1d("absquad")
     with pytest.raises(ValueError):
         RegularizedProblem(wc, 0.5, np.zeros(1))
+    with pytest.raises(ValueError, match="anchor outside dom r"):
+        RegularizedProblem(base, 0.5, np.array([3.0, 0.0]))
 
 
 def test_regularized_second_moment_certified():

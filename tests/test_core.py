@@ -15,7 +15,6 @@ from proxsgm.core import (
     check_oracle_unbiasedness,
     check_second_moment,
     check_weak_convexity,
-    deterministic_oracle,
     point_value,
     sample_domain_points,
 )
@@ -27,6 +26,8 @@ from proxsgm.problems import (
     problem_from_id,
 )
 from proxsgm.prox import box_indicator, zero_regularizer
+
+from builders import deterministic_oracle
 
 
 def constant_oracle(c):

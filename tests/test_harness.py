@@ -346,6 +346,11 @@ def test_parse_config_file_error_positions(tmp_path):
     with pytest.raises(ConfigError, match=r"badval\.cfg:3: bad value for gamma"):
         parse_config_file(str(badval))
 
+    noeq = tmp_path / "noeq.cfg"
+    noeq.write_text("problem_id = toy1d:abs\nhorizons 10\n")
+    with pytest.raises(ConfigError, match=r"noeq\.cfg:2: expected key=value, got 'horizons 10'"):
+        parse_config_file(str(noeq))
+
 
 NON_FINITE_CONFIG = [
     ("gamma", "nan"), ("gamma", "inf"), ("inner_tol", "nan"), ("inner_tol", "inf"),
@@ -508,6 +513,9 @@ def test_run_sweep_optimal_gamma_resolution():
     L, D = p.lipschitz_L, p.domain_diameter
     R = min(0.5 * D * D, D * L)
     assert report.gamma == pytest.approx(optimal_gamma(R, 0.5, L))
+    # smooth_ls certifies sigma, not lipschitz_L
+    with pytest.raises(ConfigError, match='gamma="optimal" needs lipschitz_L and domain_diameter'):
+        run_sweep(dataclasses.replace(cfg, problem_id="smooth_ls:20:2:1"))
 
 
 def test_run_sweep_smooth_problem_uses_smooth_bound():
@@ -635,6 +643,36 @@ def test_run_sweep_counts_inner_solver_misses(tmp_path, monkeypatch, capsys):
     ]
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert tuple(header.split(",")) == CSV_COLUMNS
+
+
+def test_run_sweep_survives_a_missed_solve_at_x0(tmp_path, capsys):
+    # at inner_tol = 1e-13 the x0 solve certifies only ~9e-13: the sweep
+    # keeps that point, as it keeps a trial's, and Delta subtracts its gap
+    from proxsgm import cli
+
+    pid, tol = "phase_retrieval:20:4:3", 1e-13
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"problem_id = {pid}\nhorizons = 10, 20\ngamma = 0.01\nn_seeds = 2\n"
+                   f"inner_tol = {tol}\noutput =\n")
+    report = run_sweep(parse_config_file(cfg), clock=lambda: 0.0)
+    p = problem_from_id(pid)
+    with pytest.raises(InnerAccuracyError) as miss:
+        moreau_prox(p, default_x0(p), report.lam, tol)
+    at_x0 = miss.value.point
+    assert at_x0.inner_tol > tol
+    assert report.envelope_value_x0 == at_x0.envelope_value
+    delta = max(at_x0.envelope_value - at_x0.inner_tol - report.phi_best, 0.0)
+    for hs in report.per_horizon:
+        inputs = BoundInputs(delta=delta, rho=report.rho_hat / 2.0, L=p.lipschitz_L,
+                             gamma=report.gamma, T=hs.T)
+        assert hs.bound_value == theoretical_bound(report.variant, inputs)
+
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    horizon_lines = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [(ln[0], ln[-1]) for ln in horizon_lines] == [
+        ("T=10", "inner_missed=2"),
+        ("T=20", "inner_missed=2"),
+    ]
 
 
 # --------------------------------------------------------------- rate fits

@@ -10,7 +10,6 @@ from proxsgm import moreau
 from proxsgm.checks import check_envelope_basics
 from proxsgm.core import (
     CompositeProblem,
-    deterministic_oracle,
     point_value,
     row_dots,
     sample_domain_points,
@@ -34,6 +33,8 @@ from proxsgm.problems import (
     problem_from_id,
 )
 from proxsgm.prox import box_indicator, l1_regularizer, zero_regularizer
+
+from builders import deterministic_oracle
 
 FINE_1D = GridSpec(points_per_dim=100_001, n_refine=2)
 
@@ -243,6 +244,13 @@ def test_grid_rejects_high_dimension():
     p = quadratic_problem(3)
     with pytest.raises(DimensionError):
         moreau_grid_oracle(p, np.zeros(3), 0.5)
+
+
+def test_grid_refuses_a_window_without_a_finite_value():
+    # a NaN value is the whole grid's argmin: the scan stops at it
+    p = dataclasses.replace(make_toy1d("abs"), g_value=lambda x: np.full(len(x), np.nan))
+    with pytest.raises(ValueError, match="grid window contains no feasible point"):
+        moreau_grid_oracle(p, np.array([0.5]), 0.5)
 
 
 def test_grid_agreement_random_draws_absquad():
@@ -520,6 +528,34 @@ def test_min_norm_qp_matches_or_beats_lsq_linear(qp_cases):
         ref = _lsq_linear_residual(Z, t, G, lo, hi)
         res = float(np.linalg.norm(v))
         assert res <= ref * (1.0 + 1e-6) + 1e-13 * (1.0 + float(np.linalg.norm(t)))
+
+
+def test_bvls_ends_where_the_entering_variable_would_move_the_wrong_way(monkeypatch):
+    # column 0 is ~1e-8 beside columns of 1e4 and 1e7: its gradient clears
+    # the entry threshold by roundoff alone, and freed with the other two it
+    # would leave its lower bound downwards, so the loop ends there
+    from scipy.optimize import lsq_linear
+
+    E = np.array([[-3.3e-9, 1.19e4, 9.53e6],
+                  [-1.08e-8, 6.44e4, -2.67e7],
+                  [-8.88e-9, 5.86e4, -3.92e7]])
+    b = np.array([5.71e7, 1.69e7, -6.66e7])
+    solves = []
+    real = np.linalg.lstsq
+
+    def recorded(A, rhs, rcond=None):
+        out = real(A, rhs, rcond=rcond)
+        solves.append((A.shape[1], out[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    x, steps = moreau._bvls(E, b, np.zeros(3), np.full(3, np.inf))
+    assert steps == len(solves) == 3
+    n_free, z = solves[-1]
+    assert n_free == 3 and z[0] < 0.0
+    assert x[0] == 0.0
+    ref = lsq_linear(E, b, bounds=(0.0, np.inf), method="bvls", tol=1e-14).x
+    np.testing.assert_allclose(x, ref, rtol=1e-9)
 
 
 def _armijo_loop(problem, x, lam, y, v, val, res, t0):

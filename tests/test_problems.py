@@ -13,13 +13,14 @@ from proxsgm.problems import (
     _phase_retrieval_data,
     _linear_data,
     default_x0,
-    exact_min_1d_robust_regression,
     make_phase_retrieval,
     make_robust_regression,
     make_smooth_ls_noisy,
     make_toy1d,
     problem_from_id,
 )
+
+from builders import exact_min_1d_robust_regression
 
 
 # ---------------------------------------------------------------- toy 1-D
@@ -335,6 +336,11 @@ def test_problem_from_id_rejects_malformed(bad):
 def test_problem_from_id_names_the_id_and_the_bad_field(bad, message):
     with pytest.raises(ValueError, match=f"problem id '{bad}': {message}"):
         problem_from_id(bad)
+
+
+def test_problem_from_id_refuses_sizes_on_a_toy():
+    with pytest.raises(ValueError, match="toy1d ids look like 'toy1d:abs' or 'toy1d:absquad'"):
+        problem_from_id("toy1d:abs:1")
 
 
 FACTORIES = {

@@ -11,7 +11,6 @@ from proxsgm.boost import regularized_pipeline, two_stage_convex
 from proxsgm.core import (
     CompositeProblem,
     StochasticOracle,
-    deterministic_oracle,
     point_value,
 )
 from proxsgm.moreau import moreau_grid_oracle, moreau_prox
@@ -33,6 +32,8 @@ from proxsgm.solver import (
     run_psgm,
     sample_tstar,
 )
+
+from builders import deterministic_oracle, no_draws
 
 
 def constant_gradient_problem(c, reg=None):
@@ -317,6 +318,12 @@ def test_run_psgm_rejects_infeasible_start():
             run(make_toy1d("abs"), np.array([np.nan]), StepSchedule([1.0]), 0)
 
 
+@pytest.mark.parametrize("run", [run_psgm, run_averaged])
+def test_run_rejects_a_start_of_the_wrong_shape(run):
+    with pytest.raises(DomainError, match=r"x0 has shape \(2,\), problem dim 1"):
+        run(make_toy1d("abs"), np.zeros(2), StepSchedule.constant(0.1, 5), 0)
+
+
 def test_run_flags_nonfinite_oracle():
     calls = {"n": 0}
 
@@ -325,7 +332,7 @@ def test_run_flags_nonfinite_oracle():
         return np.array([np.nan]) if calls["n"] == 3 else np.array([1.0])
 
     p = CompositeProblem(
-        dim=1, g_oracle=StochasticOracle(sample=sample), regularizer=zero_regularizer(),
+        dim=1, g_oracle=StochasticOracle(sample=sample, draw=no_draws), regularizer=zero_regularizer(),
         rho=0.0, lipschitz_L=1.0,
     )
     with pytest.raises(OracleError, match="iteration 2"):
@@ -348,7 +355,7 @@ def test_run_flags_infinite_oracle_inside_a_box(monkeypatch, chunk_end):
     box = box_indicator(-np.ones(2), np.ones(2))
     assert np.isfinite(box.prox(np.zeros(2) - 0.1 * np.array([np.inf, 1.0]), 0.1)).all()
     p = CompositeProblem(
-        dim=2, g_oracle=StochasticOracle(sample=sample), regularizer=box,
+        dim=2, g_oracle=StochasticOracle(sample=sample, draw=no_draws), regularizer=box,
         rho=0.0, lipschitz_L=2.0,
     )
     with pytest.raises(OracleError) as err:
@@ -372,7 +379,7 @@ def test_run_flags_a_non_finite_last_iterate(monkeypatch, chunk_end):
         return np.full(2, 1e308) if calls["n"] == n else np.array([0.5, 1.0])
 
     p = CompositeProblem(
-        dim=2, g_oracle=StochasticOracle(sample=sample),
+        dim=2, g_oracle=StochasticOracle(sample=sample, draw=no_draws),
         regularizer=ball_indicator(np.zeros(2), 1.0), rho=0.0, lipschitz_L=2.0,
     )
     with np.errstate(over="ignore"), pytest.raises(OracleError) as err:
@@ -504,6 +511,16 @@ def test_descent_lemma_validation():
         check_descent_lemma(p, np.array([0.5]), p.rho, 0.1, 100, 0)  # rho_hat <= rho
     with pytest.raises(ValueError):
         check_descent_lemma(p, np.array([0.5]), 4.0, 0.3, 100, 0)  # alpha > 1/rho_hat
+
+
+@pytest.mark.parametrize("pid, field, message", [
+    ("toy1d:absquad", "lipschitz_L", "weakly convex variant needs a certified lipschitz_L"),
+    ("smooth_ls:25:3:4", "sigma", "smooth variant needs a certified sigma"),
+])
+def test_descent_lemma_needs_the_constant_of_its_variant(pid, field, message):
+    p = dataclasses.replace(problem_from_id(pid), **{field: None})
+    with pytest.raises(ValueError, match=message):
+        check_descent_lemma(p, default_x0(p), 2.0 * p.rho, 1.0 / (4.0 * p.rho), 100, 0)
 
 
 @pytest.mark.parametrize(
