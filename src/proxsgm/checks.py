@@ -118,22 +118,15 @@ def check_certifications() -> list[CheckResult]:
     for pid in CERTIFICATION_IDS:
         problem = problem_from_id(pid)
         radius = (problem.domain_diameter or 4.0) / 2.0
-        wc = check_weak_convexity(problem, 1_000, radius, np.random.default_rng(2))
-        hm = check_hypomonotonicity(problem, 1_000, radius, np.random.default_rng(3))
-        out.append(
-            CheckResult(
-                name=f"weak_convexity[{pid}]",
-                passed=not wc.violated,
-                detail=f"max violation {wc.max_violation:.2e} (tol {wc.tolerance:.1e})",
+        for check, seed in ((check_weak_convexity, 2), (check_hypomonotonicity, 3)):
+            rep = check(problem, 1_000, radius, np.random.default_rng(seed))
+            out.append(
+                CheckResult(
+                    name=f"{rep.check}[{pid}]",
+                    passed=not rep.violated,
+                    detail=f"max violation {rep.max_violation:.2e} (tol {rep.tolerance:.1e})",
+                )
             )
-        )
-        out.append(
-            CheckResult(
-                name=f"hypomonotonicity[{pid}]",
-                passed=not hm.violated,
-                detail=f"max violation {hm.max_violation:.2e} (tol {hm.tolerance:.1e})",
-            )
-        )
     return out
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .checks import run_all_checks
 from .harness import (
     BOUND_VARIANTS,
-    COROLLARIES,
     BoundInputs,
     ConfigError,
     fit_rate_from_csv,
@@ -24,7 +23,6 @@ from .harness import (
     run_sweep,
     theoretical_bound,
 )
-from .solver import StepSchedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,6 +39,9 @@ def _cmd_run(args) -> int:
     print(f"problem {config.problem_id}  gamma={report.gamma:.6g}  "
           f"rho_hat={report.rho_hat:.6g}  lambda={report.lam:.6g}  "
           f"bound variant {report.variant}")
+    if report.inner_tol_x0 > config.inner_tol:
+        print(f"  x0 envelope solve gap={report.inner_tol_x0:.4g} > "
+              f"inner_tol={config.inner_tol:.4g}")
     for h in report.per_horizon:
         flag = "ok" if h.bound_satisfied else "VIOLATED"
         print(f"  T={h.T:<8d} mean={h.mean:.6g}  ci95=+-{h.ci_half_width:.3g}  "
@@ -55,13 +56,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        alphas = None
-        # a corollary reads gamma and T, never the (T+1,) steps
-        reads_steps = args.variant not in COROLLARIES
-        if args.alphas:
-            alphas = np.array([float(v) for v in args.alphas.split(",") if v.strip()])
-        elif reads_steps and args.gamma is not None and args.T is not None:
-            alphas = StepSchedule.constant(args.gamma, args.T).alphas
+        # constant steps reach every variant as gamma and T, never as (T+1,) steps
+        alphas = (np.array([float(v) for v in args.alphas.split(",") if v.strip()])
+                  if args.alphas else None)
         inputs = BoundInputs(
             delta=args.delta,
             rho=args.rho,

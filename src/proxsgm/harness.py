@@ -70,8 +70,9 @@ class ConfigError(ValueError):
 class BoundInputs:
     """Constants a bound formula may consume.
 
-    ``delta`` upper-bounds envelope(x0) - min phi.  Constant-step variants
-    need gamma and T; the general variants need the explicit step sequence.
+    ``delta`` upper-bounds envelope(x0) - min phi.  Every variant reads the
+    constant steps gamma/sqrt(T+1) as gamma and T; a theorem reads explicit
+    ``alphas`` instead when given.
     A negative or non-finite delta, rho, rho_hat, L or sigma, a gamma or
     step that is not finite and positive, or a T that is negative or not an
     integer raises ``ValueError``.
@@ -100,18 +101,15 @@ class BoundInputs:
 def _sums(inputs: BoundInputs, cap: float, constant: bool) -> tuple[float, float]:
     """Sums of the steps and of their squares, each step at most ``cap``.
 
-    A corollary's ``constant`` steps, T + 1 of gamma/sqrt(T+1), sum in
-    closed form to gamma sqrt(T+1) and gamma^2: no step array.  The squares
-    of a stride-0 step array (a constant schedule's view) are its one
-    square, broadcast: the same sum without T + 1 squares."""
+    ``constant`` steps, T + 1 of gamma/sqrt(T+1), sum in closed form to
+    gamma sqrt(T+1) and gamma^2: no step array, at any T."""
     if constant:
         g, root = inputs.gamma, math.sqrt(inputs.T + 1)
         _in_range("step gamma/sqrt(T+1)", g / root, 0.0, cap, "(]")
         return g * root, g * g
     a = _in_range("step sequence", np.asarray(inputs.alphas, dtype=float), 0.0, cap, "(]")
     _in_range("number of steps", a.size, 1, ends="[)")
-    sq = np.broadcast_to(a[:1] ** 2, a.shape) if a.strides == (0,) else a**2
-    return float(a.sum()), float(sq.sum())
+    return float(a.sum()), float((a**2).sum())
 
 
 # theorem: (c, k, M, rho_hat at most 2 rho, steps at most 1/rho_hat) of its right
@@ -128,11 +126,12 @@ COROLLARIES = {"Cor22": "ProjectedThm21", "Cor27": "ProximalThm26"}
 def theoretical_bound(variant: str, inputs: BoundInputs) -> float:
     """Exact right side of the selected guarantee on E||grad envelope||^2.
 
-    A theorem reads rho_hat and the steps ``alphas``.  A corollary reads
-    gamma and T: it is its theorem at rho_hat = 2 rho > 0 and the steps
-    gamma/sqrt(T+1), whose preconditions it keeps (Cor27's step cap is
-    gamma/sqrt(T+1) <= 1/(2 rho); Cor22 has none).  A precondition that
-    fails, or a value beyond the floats, raises ``ValueError``.
+    A theorem reads rho_hat and the steps: ``alphas`` when given, else the
+    T + 1 constant steps gamma/sqrt(T+1), summed in closed form.  A
+    corollary reads gamma and T: it is its theorem at rho_hat = 2 rho > 0
+    and those constant steps, whose preconditions it keeps (Cor27's step
+    cap is gamma/sqrt(T+1) <= 1/(2 rho); Cor22 has none).  A precondition
+    that fails, or a value beyond the floats, raises ``ValueError``.
     """
     return _formula(f"{variant} bound", lambda: _bound(variant, inputs))
 
@@ -142,14 +141,15 @@ def _bound(variant: str, inputs: BoundInputs) -> float:
         raise ValueError(f"unknown bound variant {variant!r}; expected one of {BOUND_VARIANTS}")
     rho, corollary = inputs.rho, variant in COROLLARIES
     c, k, m, rho_hat_capped, steps_capped = _THEOREMS[COROLLARIES.get(variant, variant)]
-    needs = (m, "gamma", "T") if corollary else (m, "rho_hat", "alphas")
+    constant = corollary or inputs.alphas is None
+    needs = [m] + ([] if corollary else ["rho_hat"]) + (["gamma", "T"] if constant else [])
     missing = [n for n in needs if getattr(inputs, n) is None]
     if missing:
         raise ValueError(f"bound variant needs {', '.join(missing)}")
     rh = _in_range("rho_hat = 2 rho" if corollary else "rho_hat",
                    2.0 * rho if corollary else inputs.rho_hat,
                    rho, 2.0 * rho if rho_hat_capped else math.inf, "(]")
-    s1, s2 = _sums(inputs, step_cap(rh) if steps_capped else math.inf, corollary)
+    s1, s2 = _sums(inputs, step_cap(rh) if steps_capped else math.inf, constant)
     return (c * rh / (rh - rho)) * (inputs.delta + k * rh * getattr(inputs, m)**2 * s2) / s1
 
 
@@ -292,6 +292,7 @@ class ExperimentReport:
     lam: float
     variant: str
     envelope_value_x0: float
+    inner_tol_x0: float
     phi_best: float
     rows: tuple[TrialRow, ...]
     per_horizon: tuple[HorizonStats, ...]
@@ -331,14 +332,14 @@ def run_sweep(
     gamma / sqrt(T+1), built before any solve: a step above 1/rho_hat
     raises ``ConfigError`` naming gamma and T.  Every trial of that
     horizon runs it up to the trial's output index t* (`run_psgm`), and
-    the SmoothCor29 bound reads its steps.  Trials run one after another
+    its bound reads the same gamma and T.  Trials run one after another
     in (T, seed) order, each with its own generator keyed by (seed, T) and
     the instance's data seed (0 without ``meta``).  Inner-solver
     shortfalls, at x0 as at a trial's output, do not abort the sweep: a
     trial records its own in inner_tol_achieved, each horizon counts them
     in ``n_inner_missed``, and Delta subtracts the x0 solve's certified
-    gap.  ``clock`` exists so tests can pin wall_ms; every other column is
-    bit-deterministic for a fixed config.
+    gap, ``inner_tol_x0``.  ``clock`` exists so tests can pin wall_ms;
+    every other column is bit-deterministic for a fixed config.
     """
     if problem is None:
         problem = problem_from_id(config.problem_id)
@@ -354,6 +355,8 @@ def run_sweep(
 
     projected = problem.regularizer.kind in (ProxKind.ZERO, ProxKind.BOX, ProxKind.BALL)
     variant = "SmoothCor29" if problem.smooth else "Cor22" if projected else "Cor27"
+    # a corollary derives rho_hat = 2 rho, so it reads rho_hat / 2 (1/2 for convex g)
+    rho = problem.rho if problem.smooth else rho_hat / 2.0
 
     # a solve that misses inner_tol still returns its point and certified gap
     def envelope_point(x: Array) -> MoreauPoint:
@@ -398,13 +401,9 @@ def run_sweep(
         vals = np.array([r.grad_norm_sq for r in horizon_rows])
         mean = float(vals.mean())
         sem = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        if variant == "SmoothCor29":
-            inputs = BoundInputs(delta=delta, rho=problem.rho, rho_hat=rho_hat,
-                                 sigma=problem.sigma, alphas=schedules[T].alphas)
-        else:
-            inputs = BoundInputs(delta=delta, rho=rho_hat / 2.0, L=problem.lipschitz_L,
-                                 gamma=gamma, T=T)
-        bound = theoretical_bound(variant, inputs)
+        bound = theoretical_bound(variant, BoundInputs(
+            delta=delta, rho=rho, rho_hat=rho_hat, L=problem.lipschitz_L,
+            sigma=problem.sigma, gamma=gamma, T=T))
         per_horizon.append(
             HorizonStats(
                 T=T,
@@ -437,6 +436,7 @@ def run_sweep(
         lam=lam,
         variant=variant,
         envelope_value_x0=at_x0.envelope_value,
+        inner_tol_x0=at_x0.inner_tol,
         phi_best=phi_best,
         rows=rows,
         per_horizon=per_horizon,

@@ -13,8 +13,8 @@ Two oracles are provided.  ``moreau_prox`` solves the subproblem
 iteratively: bisection on the subgradient selection in one dimension,
 proximal gradient for smooth g, and otherwise a subdifferential-sampling
 polish, started on a cold solve after a 50-step deterministic proximal
-subgradient warm-up.  The polish certifies the gap on its own; the
-warm-up only moves its start off x.
+subgradient warm-up.  The polish and the proximal gradient certify the
+gap with one bound, `_cert_gap`; the warm-up only moves its start off x.
 ``moreau_grid_oracle`` brute-forces low-dimensional subproblems on a
 refined grid and exists so the iterative path can be cross-checked against
 an implementation that shares none of its search code.
@@ -312,7 +312,8 @@ def _cert_gap(res: float, mu: float, rho: float, delta: float, grad_scale: float
 
     where rho delta <u_j, w> is the term linear in w that the probe offset
     leaves and err <= 2 grad_scale delta + rho delta^2.  Minimizing over w
-    bounds the gap by (||v|| + rho delta)^2 / (2 mu) + err.
+    bounds the gap by (||v|| + rho delta)^2 / (2 mu) + err.  The smooth
+    path's residual is exact: at delta = 0 the bound is ||v||^2 / (2 mu).
     """
     offset_err = 2.0 * grad_scale * delta + rho * delta * delta
     return (res + rho * delta) ** 2 / (2.0 * mu) + offset_err
@@ -353,25 +354,21 @@ def _inner_1d(problem: CompositeProblem, x: Array, lam: float) -> tuple[Array, f
         c = float(np.atleast_1d(r.center)[0])
         dom_lo, dom_hi = c - r.radius, c + r.radius
 
-    t = max(1.0, lam) * (1.0 + abs(x0))
-    a, b = x0 - t, x0 + t
-    for _ in range(200):
-        if a <= dom_lo:
-            a = dom_lo
-            break
-        if slope(a) <= 0:
-            break
-        a -= t
-        t *= 2.0
-    t = max(1.0, lam) * (1.0 + abs(x0))
-    for _ in range(200):
-        if b >= dom_hi:
-            b = dom_hi
-            break
-        if slope(b) >= 0:
-            break
-        b += t
-        t *= 2.0
+    # step out from x0, doubling, until the slope changes sign or dom r ends
+    ends = []
+    for sign, end in ((-1.0, dom_lo), (1.0, dom_hi)):
+        t = max(1.0, lam) * (1.0 + abs(x0))
+        e = x0 + sign * t
+        for _ in range(200):
+            if sign * e >= sign * end:
+                e = end
+                break
+            if sign * slope(e) >= 0:
+                break
+            e += sign * t
+            t *= 2.0
+        ends.append(e)
+    a, b = ends
     # endpoint optima: normal cone absorbs the remaining slope
     if a == dom_lo and slope(a) >= 0:
         return np.array([a]), 0.0
@@ -412,7 +409,9 @@ def _inner_smooth(
     step and converges linearly to machine precision, without the floating
     point floor a value-based line search hits.  At one estimate a step is a
     function of y, so an accepted iterate equal to the current one or the
-    one before it repeats gaps already seen, and the solve stops.
+    one before it repeats gaps already seen, and the solve stops.  Each
+    accepted y is certified by `_cert_gap` at delta = 0 of ||grad + s||,
+    grad = grad g(y) + (y - x)/lam and s the r-subgradient nearest -grad.
     """
     r = problem.regularizer
     mu = 1.0 / lam - problem.rho
@@ -436,7 +435,7 @@ def _inner_smooth(
                 continue
         y, grad = cand, g_cand
         s = r.subdiff_project(y, -grad, act_tol=1e-11 * (1.0 + float(np.max(np.abs(y)))))
-        gap = float(np.linalg.norm(grad + s)) ** 2 / (2.0 * mu)
+        gap = _cert_gap(float(np.linalg.norm(grad + s)), mu, problem.rho, 0.0, 0.0)
         if gap < best_gap:
             best_y, best_gap = y, gap
         if gap <= tol:
@@ -455,15 +454,15 @@ def _inner_subgradient_phase(
     """``_WARMUP_STEPS`` steps of deterministic proximal subgradient with
     weighted averaging, to start a cold polish.
 
-    Steps 2 / ((1/lam - rho) (k + 2)); returns the best of the final
-    weighted average and the best visited iterate.
+    Steps 2 / ((1/lam - rho) (k + 2)); returns the best of the start, every
+    20th iterate, the final weighted average and the last iterate.
     """
     r = problem.regularizer
     mu = 1.0 / lam - problem.rho
     y = r.project_domain(x)
     acc = np.zeros_like(y)
     acc_w = 0.0
-    best, best_val = y, _psi(problem, x, lam, y)
+    cands = [y]
     for k in range(_WARMUP_STEPS):
         step = 2.0 / (mu * (k + 2))
         v = problem.g_full_subgradient(y) + (y - x) / lam
@@ -472,15 +471,14 @@ def _inner_subgradient_phase(
         acc += w * y
         acc_w += w
         if k % 20 == 19:
-            val = _psi(problem, x, lam, y)
-            if val < best_val:
-                best, best_val = y, val
-    avg = acc / acc_w
-    for cand in (avg, y):
-        val = _psi(problem, x, lam, cand)
-        if val < best_val:
-            best, best_val = cand, val
-    return best
+            cands.append(y)
+    cands += [acc / acc_w, y]
+    vals = _psi(problem, x, lam, np.stack(cands))
+    # a scan keeping strictly lower values: the first least value wins, a
+    # NaN never does, and nothing replaces a NaN start
+    if math.isnan(vals[0]):
+        return cands[0]
+    return cands[int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))]
 
 
 def _armijo_step(
@@ -555,17 +553,16 @@ def _inner_polish(
         # cannot lower it much: shrink the radius even after a step
         if step is None or gap * mu > res * res:
             delta = max(delta / 16.0, delta_min)
-    d_fin = max(delta, delta_min)
-    res, _, gscale = _residual_qp(problem, x, lam, y, d_fin, dirs)
-    best_gap = min(best_gap, _cert_gap(res, mu, problem.rho, d_fin, gscale))
-    # the best round's probes straddled the kinks near its point, and the
-    # next radius, 16 times smaller, may not have: try the radii between.
-    # Steps only lower psi, so a gap certified there also holds at y.
-    for k in (2.0, 4.0, 8.0):
-        if best_gap <= tol or best_delta / k < delta_min:
+    # certify y at its last radius; then the best round's probes straddled
+    # the kinks near its point, and the next radius, 16 times smaller, may
+    # not have: try the radii between.  Steps only lower psi, so a gap
+    # certified there also holds at y.  No round met tol: y is always probed.
+    probes = [(y, max(delta, delta_min))] + [(best_y, best_delta / k) for k in (2.0, 4.0, 8.0)]
+    for pt, rad in probes:
+        if best_gap <= tol or rad < delta_min:
             break
-        res, _, gscale = _residual_qp(problem, x, lam, best_y, best_delta / k, dirs)
-        best_gap = min(best_gap, _cert_gap(res, mu, problem.rho, best_delta / k, gscale))
+        res, _, gscale = _residual_qp(problem, x, lam, pt, rad, dirs)
+        best_gap = min(best_gap, _cert_gap(res, mu, problem.rho, rad, gscale))
     return y, best_gap
 
 
@@ -657,11 +654,7 @@ def moreau_grid_oracle(
     best = center
     for level in range(grid.n_refine + 1):
         axes = [np.linspace(best[j] - hw, best[j] + hw, n) for j in range(d)]
-        if d == 1:
-            pts = axes[0][:, None]
-        else:
-            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
+        pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         # rows are independent, so a block's values are the whole grid's;
         # a later block wins only below the minimum so far, and a NaN (the
         # whole grid's argmin) ends the scan, as np.argmin picks the first
@@ -677,6 +670,8 @@ def moreau_grid_oracle(
                 k, v_best = row + j, float(vals[j])
             if math.isnan(v_best):
                 break
+        if math.isnan(v_best):
+            raise ValueError(f"subproblem value is NaN at grid point {pts[k]}")
         if not math.isfinite(v_best):
             raise ValueError("grid window contains no feasible point")
         best = pts[k]

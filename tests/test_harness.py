@@ -124,6 +124,24 @@ def test_theorems_at_rho_zero():
             theoretical_bound(variant, inp)
 
 
+@pytest.mark.parametrize("variant", ["ProjectedThm21", "ProximalThm26", "SmoothCor29"])
+@pytest.mark.parametrize("T", [0, 1, 7, 1000])
+def test_a_theorem_sums_constant_steps_in_closed_form(variant, T):
+    # without alphas a theorem reads gamma and T: the same value as the
+    # explicit T + 1 steps gamma/sqrt(T+1), which win when both are given
+    gamma = 0.3
+    consts = dict(delta=0.7, rho=1.3, rho_hat=2.1, L=2.0, sigma=0.4)
+    closed = theoretical_bound(variant, BoundInputs(**consts, gamma=gamma, T=T))
+    steps = np.full(T + 1, gamma / math.sqrt(T + 1))
+    assert closed == pytest.approx(
+        theoretical_bound(variant, BoundInputs(**consts, alphas=steps)), rel=1e-14, abs=0.0)
+    half = BoundInputs(**consts, alphas=steps / 2)
+    assert theoretical_bound(variant, dataclasses.replace(half, gamma=gamma, T=T)) == \
+        theoretical_bound(variant, half) != closed
+    with pytest.raises(ValueError, match="bound variant needs gamma, T"):
+        theoretical_bound(variant, BoundInputs(**consts))
+
+
 def test_smooth_cor29_reduces_at_rho_hat_2rho():
     rho, sigma, gamma, T, delta = 0.8, 0.3, 0.5, 63, 1.2
     sched = StepSchedule.constant(gamma, T)
@@ -193,10 +211,16 @@ def test_cli_bounds_rejects_a_negative_horizon(capsys):
     assert capsys.readouterr().out == f"Cor27: {value:.12g}\n"
 
 
-@pytest.mark.parametrize("variant", ["Cor22", "Cor27"])
+# what each variant reads besides delta, rho, L, gamma and T
+EXTRA_CONSTANTS = {"Cor22": {}, "Cor27": {}, "ProjectedThm21": {"rho_hat": 2.0},
+                   "ProximalThm26": {"rho_hat": 2.0},
+                   "SmoothCor29": {"rho_hat": 2.0, "sigma": 1.0}}
+
+
+@pytest.mark.parametrize("variant", list(EXTRA_CONSTANTS))
 def test_cli_bounds_builds_no_step_array_for_a_constant_step_corollary(capsys, variant):
-    # the corollaries read gamma and T only: the (T+1,) step array at
-    # T = 10**12 would take 8 TB
+    # every variant reads constant steps as gamma and T: the (T+1,) step
+    # array at T = 10**12 would take 8 TB (a theorem scanned it, 5.8 s at 10**9)
     import tracemalloc
 
     from proxsgm import cli
@@ -204,13 +228,17 @@ def test_cli_bounds_builds_no_step_array_for_a_constant_step_corollary(capsys, v
     T = 10**12
     args = ["bounds", "--variant", variant, "--delta", "1", "--rho", "1", "--L", "1"]
     args += ["--gamma", "1", "--T", str(T)]
+    consts = EXTRA_CONSTANTS[variant]
+    for name, v in consts.items():
+        args += [f"--{name.replace('_', '-')}", str(v)]
     tracemalloc.start()
     try:
         assert cli.main(args) == cli.EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    value = theoretical_bound(variant, BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=T))
+    value = theoretical_bound(variant, BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=T,
+                                                   **consts))
     assert capsys.readouterr().out == f"{variant}: {value:.12g}\n"
     assert peak < 2**20
 
@@ -440,7 +468,8 @@ def test_run_sweep_csv_columns_and_parse(tmp_path):
 def test_run_sweep_defaults_and_bound_recompute(monkeypatch, pid, gamma, rho_hat, variant):
     # the sweep runs at the constants of its bound: rho_hat = 2 rho (1 for
     # convex g), every envelope solve at lam = 1/rho_hat, and the printed
-    # bound is the theorem at (rho_hat/2, gamma, T) or (rho, rho_hat, steps)
+    # bound reads the schedule the trials ran, as gamma and T: the corollary
+    # at rho_hat / 2 or SmoothCor29 at (rho, rho_hat)
     from proxsgm import harness
 
     lams = []
@@ -461,14 +490,10 @@ def test_run_sweep_defaults_and_bound_recompute(monkeypatch, pid, gamma, rho_hat
     assert report.variant == variant
     at_x0 = moreau_prox(p, default_x0(p), report.lam, cfg.inner_tol)
     delta = max(report.envelope_value_x0 - at_x0.inner_tol - report.phi_best, 0.0)
+    rho = p.rho if variant == "SmoothCor29" else report.rho_hat / 2.0
     for hs in report.per_horizon:
-        if variant == "SmoothCor29":
-            steps = StepSchedule.constant(report.gamma, hs.T, rho_hat=report.rho_hat).alphas
-            inputs = BoundInputs(delta=delta, rho=p.rho, rho_hat=report.rho_hat,
-                                 sigma=p.sigma, alphas=steps)
-        else:
-            inputs = BoundInputs(delta=delta, rho=report.rho_hat / 2.0, L=p.lipschitz_L,
-                                 gamma=report.gamma, T=hs.T)
+        inputs = BoundInputs(delta=delta, rho=rho, rho_hat=report.rho_hat, L=p.lipschitz_L,
+                             sigma=p.sigma, gamma=report.gamma, T=hs.T)
         assert hs.bound_value == theoretical_bound(variant, inputs)
 
 
@@ -561,19 +586,20 @@ def test_run_sweep_rejects_oversized_steps(monkeypatch):
 
 
 def test_run_sweep_bounds_the_schedule_its_trials_ran(monkeypatch):
-    # one schedule per horizon: every trial of it runs that schedule, and the
-    # SmoothCor29 bound reads that schedule's steps
+    # every trial of a horizon runs the steps gamma/sqrt(T+1), and the
+    # SmoothCor29 bound of that horizon reads the same gamma and T
     from proxsgm import harness
 
     ran, bounded = {}, {}
     real_run, real_bound = harness.run_psgm, harness.theoretical_bound
 
     def run(problem, x0, schedule, rng):
-        ran.setdefault(schedule.horizon, set()).add(id(schedule.alphas))
+        ran.setdefault(schedule.horizon, set()).update(schedule.alphas.tolist())
         return real_run(problem, x0, schedule, rng)
 
     def bound(variant, inputs):
-        bounded[inputs.alphas.size - 1] = {id(inputs.alphas)}
+        assert inputs.alphas is None
+        bounded[inputs.T] = {inputs.gamma / math.sqrt(inputs.T + 1)}
         return real_bound(variant, inputs)
 
     monkeypatch.setattr(harness, "run_psgm", run)
@@ -667,8 +693,13 @@ def test_run_sweep_survives_a_missed_solve_at_x0(tmp_path, capsys):
                              gamma=report.gamma, T=hs.T)
         assert hs.bound_value == theoretical_bound(report.variant, inputs)
 
+    assert report.inner_tol_x0 == at_x0.inner_tol
+
+    # the run prints the x0 solve's miss, which Delta absorbs, under its header
     assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
-    horizon_lines = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"  x0 envelope solve gap={at_x0.inner_tol:.4g} > inner_tol=1e-13"
+    horizon_lines = [ln.split() for ln in lines[2:]]
     assert [(ln[0], ln[-1]) for ln in horizon_lines] == [
         ("T=10", "inner_missed=2"),
         ("T=20", "inner_missed=2"),

@@ -247,10 +247,44 @@ def test_grid_rejects_high_dimension():
 
 
 def test_grid_refuses_a_window_without_a_finite_value():
-    # a NaN value is the whole grid's argmin: the scan stops at it
+    # a NaN value is the whole grid's argmin: the scan stops at it and names
+    # the NaN; a window of infinite values has no feasible point
     p = dataclasses.replace(make_toy1d("abs"), g_value=lambda x: np.full(len(x), np.nan))
+    with pytest.raises(ValueError, match=r"subproblem value is NaN at grid point \[-?\d"):
+        moreau_grid_oracle(p, np.array([0.5]), 0.5)
+    p = dataclasses.replace(p, g_value=lambda x: np.full(len(x), np.inf))
     with pytest.raises(ValueError, match="grid window contains no feasible point"):
         moreau_grid_oracle(p, np.array([0.5]), 0.5)
+
+
+@pytest.mark.parametrize("vals", [
+    [1.0, 2.0, 0.5, 0.5, 3.0],
+    [1.0, math.nan, 0.5, math.nan, 0.7],
+    [math.nan, 0.0, -1.0, 0.0, 0.0],
+    [math.inf, math.inf, math.nan, math.inf, math.inf],
+    [2.0, 0.0, -0.0, 1.0, 0.0],
+    [0.3, 0.1, math.nan, 0.2, -math.inf],
+])
+def test_warmup_keeps_the_candidate_a_strict_scan_keeps(monkeypatch, vals):
+    # the warm-up scores its start, iterates 20 and 40, the weighted mean and
+    # the last iterate in one stack; the pick is that of a scan replacing its
+    # incumbent on a strictly lower value only
+    stacks = []
+
+    def psi(problem, x, lam, ys):
+        stacks.append(ys)
+        return np.array(vals)
+
+    monkeypatch.setattr(moreau, "_psi", psi)
+    p = make_phase_retrieval(20, 2, 51)
+    y = moreau._inner_subgradient_phase(p, np.array([0.7, -1.2]), 0.05)
+    keep = 0
+    for i, v in enumerate(vals):
+        if v < vals[keep]:
+            keep = i
+    assert len(stacks) == 1 and stacks[0].shape == (5, 2)
+    assert len({row.tobytes() for row in stacks[0]}) == 5  # a pick names one row
+    assert np.array_equal(y, stacks[0][keep])
 
 
 def test_grid_agreement_random_draws_absquad():
