@@ -33,12 +33,17 @@ Areas (every input is fixed here, so the digests depend only on the code):
   constants, and ``g_value`` and ``g_full_subgradient`` on a fixed
   ``(7, d)`` probe stack, for both toy kinds and, at two seeds each, every
   seeded family with and without its id suffix.
+* ``bounds``: ``theoretical_bound`` of all five variants over a fixed grid
+  of (delta, rho, rho_hat, L, sigma, gamma, T), T up to 10**12, with the
+  error type in place of the value where a variant refuses its inputs, and
+  the error type of each ``BoundInputs`` refused at construction.
 
 Takes a few seconds on one core.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -55,7 +60,12 @@ from proxsgm.boost import (  # noqa: E402
 )
 from proxsgm.checks import oracle_reports, run_all_checks  # noqa: E402
 from proxsgm.core import sample_domain_points  # noqa: E402
-from proxsgm.harness import ExperimentConfig, run_sweep  # noqa: E402
+from proxsgm.harness import (  # noqa: E402
+    BoundInputs,
+    ExperimentConfig,
+    run_sweep,
+    theoretical_bound,
+)
 from proxsgm.moreau import (  # noqa: E402
     GridSpec,
     moreau_grid_oracle,
@@ -109,6 +119,23 @@ PROBLEM_IDS = ("toy1d:abs", "toy1d:absquad") + tuple(
     for seed in (0, 5)
 )
 BOOST_ID = "robust_regression:40:2:1"  # convex, as the boost stages need
+VARIANTS = ("ProjectedThm21", "ProximalThm26", "Cor22", "Cor27", "SmoothCor29")
+# (delta, rho, rho_hat, L, sigma, gamma, T): admissible and refused corners
+BOUND_GRID = (
+    (0.0, 1.5),
+    (0.0, 0.3, 2.0),
+    (0.4, 1.0, 4.0),
+    (0.5, 3.0),
+    (0.2, 1.0),
+    (0.01, 0.5, 40.0),
+    (0, 1, 7, 10**9, 10**12),
+)
+# BoundInputs fields each refused at construction
+BOUND_REFUSED = (
+    ("delta", -1.0), ("delta", float("nan")), ("rho", float("inf")), ("rho_hat", -1.0),
+    ("L", float("nan")), ("sigma", float("-inf")), ("gamma", 0.0), ("gamma", float("nan")),
+    ("gamma", float("inf")), ("T", -1), ("T", True), ("T", 2.0), ("T", "3"),
+)
 SWEEPS = (  # id, horizons, gamma
     ("toy1d:absquad", (50, 100), 0.2),
     ("phase_retrieval:20:4:3", (20, 200), "optimal"),
@@ -281,6 +308,32 @@ def digest_problems() -> str:
     return dig.short()
 
 
+def digest_bounds() -> str:
+    dig = Digest()
+    names = ("delta", "rho", "rho_hat", "L", "sigma", "gamma", "T")
+    for values in itertools.product(*BOUND_GRID):
+        inputs = BoundInputs(**dict(zip(names, values)))
+        for variant in VARIANTS:
+            try:
+                dig.add(variant, values, theoretical_bound(variant, inputs))
+            except ValueError as exc:
+                dig.add(variant, values, type(exc).__name__)
+    # a variant missing a constant it reads
+    for variant in VARIANTS:
+        try:
+            dig.add(variant, theoretical_bound(variant, BoundInputs(delta=1.0, rho=1.0)))
+        except ValueError as exc:
+            dig.add(variant, type(exc).__name__)
+    kw = dict(delta=1.0, rho=1.0, rho_hat=1.5, L=1.0, sigma=1.0, gamma=0.5, T=3)
+    for name, bad in BOUND_REFUSED:
+        try:
+            BoundInputs(**{**kw, name: bad})
+            dig.add(name, bad, "accepted")
+        except ValueError as exc:
+            dig.add(name, bad, type(exc).__name__)
+    return dig.short()
+
+
 def main() -> int:
     areas = (
         ("run_psgm", digest_runs),
@@ -293,6 +346,7 @@ def main() -> int:
         ("oracle_checks", digest_oracle_checks),
         ("stationarity", digest_stationarity),
         ("problems", digest_problems),
+        ("bounds", digest_bounds),
     )
     for name, fn in areas:
         print(f"{name:<20} {fn()}", flush=True)

@@ -29,6 +29,7 @@ from .core import (
     _formula,
     _generator,
     _in_range,
+    _integer,
     point_value,
 )
 from .moreau import moreau_prox
@@ -271,7 +272,7 @@ def strongly_convex_stage(
     x_0..x_T with weight t+1 on x_t, whose expected objective gap on the
     regularized problem is at most `strongly_convex_gap_bound`.
     """
-    alphas = 2.0 / (reg.mu * (np.arange(T + 1) + 1.0))
+    alphas = 2.0 / (reg.mu * (np.arange(_integer("T", T) + 1) + 1.0))
     return run_averaged(reg.problem, reg.x_c, StepSchedule(alphas), rng_or_seed).weighted_mean
 
 
@@ -329,7 +330,7 @@ def regularized_pipeline(
     with coefficient 2 rho.  Requires eps <= 2 rho D.
     """
     L, D, mu, lam = _pipeline_constants(base, rho, eps)
-    _in_range("T", T, 0, ends="[)")
+    _in_range("T", _integer("T", T), 0, ends="[)")
     x_c = base.regularizer.project_domain(np.zeros(base.dim))
     reg = RegularizedProblem(base, mu, x_c)
     # the main run's schedule is built, and so checked, before either stage runs

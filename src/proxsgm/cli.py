@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .checks import run_all_checks
 from .harness import (
     BOUND_VARIANTS,
@@ -56,19 +54,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        # constant steps reach every variant as gamma and T, never as (T+1,) steps
-        alphas = (np.array([float(v) for v in args.alphas.split(",") if v.strip()])
-                  if args.alphas else None)
-        inputs = BoundInputs(
-            delta=args.delta,
-            rho=args.rho,
-            rho_hat=args.rho_hat,
-            L=args.L,
-            sigma=args.sigma,
-            gamma=args.gamma,
-            T=args.T,
-            alphas=alphas,
-        )
+        inputs = BoundInputs(delta=args.delta, rho=args.rho, rho_hat=args.rho_hat, L=args.L,
+                             sigma=args.sigma, gamma=args.gamma, T=args.T)
         value = theoretical_bound(args.variant, inputs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -127,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--sigma", type=float)
     p_bounds.add_argument("--gamma", type=float)
     p_bounds.add_argument("--T", type=int)
-    p_bounds.add_argument("--alphas", help="comma-separated explicit step sizes")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_check = sub.add_parser("check", help="run the invariant suites")

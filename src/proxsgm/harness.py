@@ -30,32 +30,33 @@ from .core import CompositeProblem, _formula, _in_range, _integer
 from .moreau import InnerAccuracyError, MoreauPoint, moreau_prox
 from .problems import default_x0, problem_from_id
 from .prox import ProxKind
-from .solver import StepSchedule, run_psgm, step_cap
+from .solver import StepSchedule, constant_step, run_psgm
 
 Array = np.ndarray
 
-CSV_COLUMNS = (
-    "problem_id",
-    "family",
-    "d",
-    "m",
-    "T",
-    "seed",
-    "gamma",
-    "rho",
-    "rho_hat",
-    "lambda",
-    "grad_norm_sq",
-    "envelope_value_x0",
-    "phi_best",
-    "bound_value",
-    "bound_satisfied",
-    "oracle_calls",
-    "inner_tol_achieved",
-    "wall_ms",
+# each column of a sweep CSV and its cell, read from the report, a trial's row
+# r and the stats h of its horizon; floats are written as their repr
+_CSV_CELLS = (
+    ("problem_id", lambda rep, r, h: rep.config.problem_id),
+    ("family", lambda rep, r, h: rep.family),
+    ("d", lambda rep, r, h: rep.d),
+    ("m", lambda rep, r, h: rep.m),
+    ("T", lambda rep, r, h: r.T),
+    ("seed", lambda rep, r, h: r.seed),
+    ("gamma", lambda rep, r, h: repr(rep.gamma)),
+    ("rho", lambda rep, r, h: repr(rep.rho)),
+    ("rho_hat", lambda rep, r, h: repr(rep.rho_hat)),
+    ("lambda", lambda rep, r, h: repr(rep.lam)),
+    ("grad_norm_sq", lambda rep, r, h: repr(r.grad_norm_sq)),
+    ("envelope_value_x0", lambda rep, r, h: repr(rep.envelope_value_x0)),
+    ("phi_best", lambda rep, r, h: repr(rep.phi_best)),
+    ("bound_value", lambda rep, r, h: repr(h.bound_value)),
+    ("bound_satisfied", lambda rep, r, h: h.bound_satisfied),
+    ("oracle_calls", lambda rep, r, h: r.oracle_calls),
+    ("inner_tol_achieved", lambda rep, r, h: repr(r.inner_tol_achieved)),
+    ("wall_ms", lambda rep, r, h: repr(r.wall_ms)),
 )
-
-BOUND_VARIANTS = ("ProjectedThm21", "ProximalThm26", "Cor22", "Cor27", "SmoothCor29")
+CSV_COLUMNS = tuple(name for name, _ in _CSV_CELLS)
 
 
 class ConfigError(ValueError):
@@ -70,12 +71,11 @@ class ConfigError(ValueError):
 class BoundInputs:
     """Constants a bound formula may consume.
 
-    ``delta`` upper-bounds envelope(x0) - min phi.  Every variant reads the
-    constant steps gamma/sqrt(T+1) as gamma and T; a theorem reads explicit
-    ``alphas`` instead when given.
-    A negative or non-finite delta, rho, rho_hat, L or sigma, a gamma or
-    step that is not finite and positive, or a T that is negative or not an
-    integer raises ``ValueError``.
+    ``delta`` upper-bounds envelope(x0) - min phi.  Every variant reads its
+    steps as gamma and T: the T + 1 constant steps gamma/sqrt(T+1).
+    A negative or non-finite delta, rho, rho_hat, L or sigma, a gamma that
+    is not finite and positive, or a T that is negative or not an integer
+    raises ``ValueError``.
     """
 
     delta: float
@@ -85,7 +85,6 @@ class BoundInputs:
     sigma: float | None = None
     gamma: float | None = None
     T: int | None = None
-    alphas: Array | None = None
 
     def __post_init__(self) -> None:
         # a negative or non-finite constant makes a formula's value no bound
@@ -95,21 +94,6 @@ class BoundInputs:
         if self.T is not None:
             _integer("T", self.T)
         _in_range("T", self.T, 0, ends="[)")
-        _in_range("step sequence", self.alphas)
-
-
-def _sums(inputs: BoundInputs, cap: float, constant: bool) -> tuple[float, float]:
-    """Sums of the steps and of their squares, each step at most ``cap``.
-
-    ``constant`` steps, T + 1 of gamma/sqrt(T+1), sum in closed form to
-    gamma sqrt(T+1) and gamma^2: no step array, at any T."""
-    if constant:
-        g, root = inputs.gamma, math.sqrt(inputs.T + 1)
-        _in_range("step gamma/sqrt(T+1)", g / root, 0.0, cap, "(]")
-        return g * root, g * g
-    a = _in_range("step sequence", np.asarray(inputs.alphas, dtype=float), 0.0, cap, "(]")
-    _in_range("number of steps", a.size, 1, ends="[)")
-    return float(a.sum()), float((a**2).sum())
 
 
 # theorem: (c, k, M, rho_hat at most 2 rho, steps at most 1/rho_hat) of its right
@@ -121,17 +105,19 @@ _THEOREMS = {
 }
 # corollary: its theorem at rho_hat = 2 rho and T + 1 steps gamma/sqrt(T+1)
 COROLLARIES = {"Cor22": "ProjectedThm21", "Cor27": "ProximalThm26"}
+BOUND_VARIANTS = (*_THEOREMS, *COROLLARIES)
 
 
 def theoretical_bound(variant: str, inputs: BoundInputs) -> float:
     """Exact right side of the selected guarantee on E||grad envelope||^2.
 
-    A theorem reads rho_hat and the steps: ``alphas`` when given, else the
-    T + 1 constant steps gamma/sqrt(T+1), summed in closed form.  A
-    corollary reads gamma and T: it is its theorem at rho_hat = 2 rho > 0
-    and those constant steps, whose preconditions it keeps (Cor27's step
-    cap is gamma/sqrt(T+1) <= 1/(2 rho); Cor22 has none).  A precondition
-    that fails, or a value beyond the floats, raises ``ValueError``.
+    Every variant reads the T + 1 constant steps gamma/sqrt(T+1) as gamma
+    and T, and sums them in closed form, gamma sqrt(T+1) and gamma^2, so no
+    step array is built at any T.  A theorem also reads rho_hat.  A
+    corollary is its theorem at rho_hat = 2 rho > 0, whose preconditions it
+    keeps (Cor27's step cap is gamma/sqrt(T+1) <= 1/(2 rho); Cor22 has
+    none).  A precondition that fails, or a value beyond the floats, raises
+    ``ValueError``.
     """
     return _formula(f"{variant} bound", lambda: _bound(variant, inputs))
 
@@ -141,15 +127,16 @@ def _bound(variant: str, inputs: BoundInputs) -> float:
         raise ValueError(f"unknown bound variant {variant!r}; expected one of {BOUND_VARIANTS}")
     rho, corollary = inputs.rho, variant in COROLLARIES
     c, k, m, rho_hat_capped, steps_capped = _THEOREMS[COROLLARIES.get(variant, variant)]
-    constant = corollary or inputs.alphas is None
-    needs = [m] + ([] if corollary else ["rho_hat"]) + (["gamma", "T"] if constant else [])
+    needs = [m] + ([] if corollary else ["rho_hat"]) + ["gamma", "T"]
     missing = [n for n in needs if getattr(inputs, n) is None]
     if missing:
         raise ValueError(f"bound variant needs {', '.join(missing)}")
     rh = _in_range("rho_hat = 2 rho" if corollary else "rho_hat",
                    2.0 * rho if corollary else inputs.rho_hat,
                    rho, 2.0 * rho if rho_hat_capped else math.inf, "(]")
-    s1, s2 = _sums(inputs, step_cap(rh) if steps_capped else math.inf, constant)
+    g, T = inputs.gamma, inputs.T
+    constant_step(g, T, rh if steps_capped else None)
+    s1, s2 = g * math.sqrt(T + 1), g * g
     return (c * rh / (rh - rho)) * (inputs.delta + k * rh * getattr(inputs, m)**2 * s2) / s1
 
 
@@ -338,9 +325,14 @@ def run_sweep(
     shortfalls, at x0 as at a trial's output, do not abort the sweep: a
     trial records its own in inner_tol_achieved, each horizon counts them
     in ``n_inner_missed``, and Delta subtracts the x0 solve's certified
-    gap, ``inner_tol_x0``.  ``clock`` exists so tests can pin wall_ms;
-    every other column is bit-deterministic for a fixed config.
+    gap, ``inner_tol_x0``.  An ``output`` whose directory does not exist
+    raises ``ConfigError`` before any solve; one that cannot be written
+    (permissions, a full disk) raises ``OSError`` at the write, after the
+    trials.  ``clock`` exists so tests can pin wall_ms; every other column
+    is bit-deterministic for a fixed config.
     """
+    if config.output and not Path(config.output).parent.is_dir():
+        raise ConfigError(f"output directory {str(Path(config.output).parent)!r} does not exist")
     if problem is None:
         problem = problem_from_id(config.problem_id)
     problem.require_deterministic()
@@ -454,29 +446,7 @@ def write_csv(report: ExperimentReport, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in report.rows:
-            h = stats[r.T]
-            writer.writerow(
-                [
-                    report.config.problem_id,
-                    report.family,
-                    report.d,
-                    report.m,
-                    r.T,
-                    r.seed,
-                    repr(report.gamma),
-                    repr(report.rho),
-                    repr(report.rho_hat),
-                    repr(report.lam),
-                    repr(r.grad_norm_sq),
-                    repr(report.envelope_value_x0),
-                    repr(report.phi_best),
-                    repr(h.bound_value),
-                    h.bound_satisfied,
-                    r.oracle_calls,
-                    repr(r.inner_tol_achieved),
-                    repr(r.wall_ms),
-                ]
-            )
+            writer.writerow([cell(report, r, stats[r.T]) for _, cell in _CSV_CELLS])
 
 
 # ---------------------------------------------------------------------------

@@ -670,10 +670,11 @@ def moreau_grid_oracle(
                 k, v_best = row + j, float(vals[j])
             if math.isnan(v_best):
                 break
-        if math.isnan(v_best):
-            raise ValueError(f"subproblem value is NaN at grid point {pts[k]}")
-        if not math.isfinite(v_best):
+        if v_best == math.inf:
             raise ValueError("grid window contains no feasible point")
+        if not math.isfinite(v_best):
+            what = "NaN" if math.isnan(v_best) else "unbounded below (-inf)"
+            raise ValueError(f"subproblem value is {what} at grid point {pts[k]}")
         best = pts[k]
         step = 2.0 * hw / (n - 1)
         # conditioning of the subproblem can put the true minimizer up to

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompositeProblem, _generator, _in_range
+from .core import CompositeProblem, _generator, _in_range, _integer
 from .moreau import MoreauPoint, moreau_prox
 
 Array = np.ndarray
@@ -52,6 +52,18 @@ def step_cap(rho_hat: float) -> float:
     times 1 + 4 eps.  The relative slack admits a capped step gamma/sqrt(T+1)
     with gamma = sqrt(T+1)/rho_hat, which rounds up to 1 ulp above 1/rho_hat."""
     return (1.0 / rho_hat) * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def constant_step(gamma: float, T: int, rho_hat: float | None = None) -> float:
+    """The step gamma/sqrt(T+1) of the T + 1 constant steps the corollaries
+    analyze, once gamma is finite and positive, T is a nonnegative integer
+    and, when rho_hat is given, the step is at most ``step_cap(rho_hat)``;
+    else ``ValueError``.  The one check of a constant schedule, for a run
+    (`StepSchedule.constant`) and for its bound (`harness.theoretical_bound`)."""
+    _in_range("gamma", gamma)
+    _in_range("T", _integer("T", T), 0, ends="[)")
+    cap = math.inf if rho_hat is None else step_cap(_in_range("rho_hat", rho_hat))
+    return _in_range("step gamma/sqrt(T+1)", gamma / math.sqrt(T + 1), 0.0, cap, "(]")
 
 
 @dataclass(frozen=True)
@@ -84,9 +96,7 @@ class StepSchedule:
 
     @staticmethod
     def constant(gamma: float, T: int, rho_hat: float | None = None) -> "StepSchedule":
-        _in_range("gamma", gamma)
-        _in_range("T", T, 0, ends="[)")
-        alpha = gamma / math.sqrt(T + 1)
+        alpha = constant_step(gamma, T, rho_hat)
         return StepSchedule(alphas=np.broadcast_to(alpha, (T + 1,)), rho_hat=rho_hat)
 
 

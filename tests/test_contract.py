@@ -53,6 +53,7 @@ from proxsgm import (
     regularized_pipeline,
     run_sweep,
     sample_tstar,
+    strongly_convex_stage,
     theoretical_bound,
     two_stage_convex,
     zero_regularizer,
@@ -157,8 +158,7 @@ def envelope(problem: CompositeProblem, x, lam: float, tol: float = 1e-10):
 
 
 def bound(variant: str, **kw):
-    base = dict(delta=1.0, rho=1.0, rho_hat=1.5, L=1.0, sigma=1.0, gamma=0.5, T=3,
-                alphas=np.full(4, 0.25))
+    base = dict(delta=1.0, rho=1.0, rho_hat=1.5, L=1.0, sigma=1.0, gamma=0.5, T=3)
     return theoretical_bound(variant, BoundInputs(**{**base, **kw}))
 
 
@@ -290,7 +290,7 @@ for name in ("rho_hat", "sigma"):
         case="(SmoothCor29)")
 row("BoundInputs", "rho_hat", lambda v, P: bound("ProximalThm26", rho_hat=v),
     case="(ProximalThm26)")
-row("BoundInputs", "alphas", lambda v, P: bound("ProjectedThm21", alphas=np.array([0.2, v])),
+row("BoundInputs", "gamma", lambda v, P: bound("ProjectedThm21", gamma=v),
     case="(ProjectedThm21)")
 # a sweep derives rho_hat = 2 rho and lam = 1/rho_hat: a .cfg that sets
 # either (key lambda for lam) is refused at every value
@@ -301,6 +301,36 @@ row("ExperimentConfig", "inner_tol", lambda v, P: run_small_sweep(P, inner_tol=v
 row("ExperimentConfig", "gamma", lambda v, P: run_small_sweep(P, gamma=v), ConfigError)
 row("fit_rate", "means", lambda v, P: fit_rate([10, 100, 1000], [1.0, v, 0.01]))
 row("fit_rate", "horizons", lambda v, P: fit_rate([10, v, 1000], [1.0, 0.1, 0.01]))
+
+
+# every public horizon T, called with a value that is no integer: each run
+# used to take True as T = 1 and 2.0 as a float horizon, or to die in numpy
+HORIZONS = {
+    "StepSchedule.constant": lambda T, P: StepSchedule.constant(0.5, T),
+    "BoundInputs": lambda T, P: bound("Cor27", T=T),
+    "two_stage_convex": lambda T, P: two_stage_convex(P(RR), T, 1.0, 0),
+    "regularized_pipeline": lambda T, P: regularized_pipeline(P(RR), 1.0, 0.5, T, 0),
+    "strongly_convex_stage":
+        lambda T, P: strongly_convex_stage(RegularizedProblem(P(RR), 0.5, np.zeros(2)), T, 0),
+}
+
+
+@pytest.mark.parametrize("T", [True, 2.0, "3"], ids=repr)
+@pytest.mark.parametrize("entry", HORIZONS)
+def test_every_horizon_refuses_a_value_that_is_not_an_integer_first(entry, T):
+    problems = Problems()
+    with pytest.raises(ValueError, match="T must be an integer"):
+        HORIZONS[entry](T, problems)
+    assert problems.calls == 0, f"{entry} raised after {problems.calls} g or oracle calls"
+
+
+def test_every_public_horizon_is_in_the_table():
+    entries = {"StepSchedule.constant": StepSchedule.constant}
+    entries.update({name: getattr(proxsgm, name) for name in proxsgm.__all__
+                    if inspect.isfunction(getattr(proxsgm, name))
+                    or dataclasses.is_dataclass(getattr(proxsgm, name))})
+    with_T = {name for name, obj in entries.items() if "T" in inspect.signature(obj).parameters}
+    assert with_T == set(HORIZONS)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)

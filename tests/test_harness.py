@@ -27,6 +27,19 @@ from proxsgm.solver import StepSchedule, check_prox_identity, sample_tstar
 
 # ------------------------------------------------------------ bound values
 
+# (c, k, M) of each theorem's right side
+# c rho_hat/(rho_hat - rho) (delta + k rho_hat M^2 sum alpha^2) / sum alpha
+THEOREMS = {"ProjectedThm21": (1.0, 0.5, "L"), "ProximalThm26": (1.0, 1.0, "L"),
+            "SmoothCor29": (2.0, 0.5, "sigma")}
+
+
+def summed(variant, steps, delta, rho, rho_hat, L=None, sigma=None):
+    """A theorem's right side at an explicit step array, summed entry by entry."""
+    c, k, m = THEOREMS[variant]
+    noise = L if m == "L" else sigma
+    a = np.asarray(steps, dtype=float)
+    return c * rho_hat / (rho_hat - rho) * (delta + k * rho_hat * noise**2 * (a**2).sum()) / a.sum()
+
 
 def test_cor22_hand_value():
     got = theoretical_bound("Cor22", BoundInputs(delta=1.0, rho=1.0, L=1.0, gamma=1.0, T=0))
@@ -43,11 +56,9 @@ def test_cor27_step_cap():
 
 def test_thm21_vs_thm26_noise_factor():
     # with delta = 0 the two differ exactly by the factor on L^2 sum alpha^2
-    alphas = tuple([0.1] * 8)
-    t21 = theoretical_bound(
-        "ProjectedThm21", BoundInputs(delta=0.0, rho=1.0, rho_hat=2.0, L=1.5, alphas=alphas))
-    t26 = theoretical_bound(
-        "ProximalThm26", BoundInputs(delta=0.0, rho=1.0, rho_hat=2.0, L=1.5, alphas=alphas))
+    inputs = BoundInputs(delta=0.0, rho=1.0, rho_hat=2.0, L=1.5, gamma=0.1 * math.sqrt(8), T=7)
+    t21 = theoretical_bound("ProjectedThm21", inputs)
+    t26 = theoretical_bound("ProximalThm26", inputs)
     assert t26 == pytest.approx(2.0 * t21, rel=1e-12)
 
 
@@ -63,10 +74,10 @@ def test_corollary_is_its_parent_at_doubled_parameter(cor, parent, rho, L, gamma
     # a corollary is its theorem at rho_hat = 2 rho and the constant steps
     # alpha = gamma/sqrt(T+1), whose sums it takes in closed form
     sched = StepSchedule.constant(gamma, T)
-    want = theoretical_bound(
-        parent, BoundInputs(delta=delta, rho=rho, rho_hat=2 * rho, L=L, alphas=sched.alphas))
     got = theoretical_bound(cor, BoundInputs(delta=delta, rho=rho, L=L, gamma=gamma, T=T))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == theoretical_bound(
+        parent, BoundInputs(delta=delta, rho=rho, rho_hat=2 * rho, L=L, gamma=gamma, T=T))
+    assert got == pytest.approx(summed(parent, sched.alphas, delta, rho, 2 * rho, L), rel=1e-12)
 
 
 def test_cor27_caps_the_step_where_its_parent_does():
@@ -74,16 +85,12 @@ def test_cor27_caps_the_step_where_its_parent_does():
     # refuses it; Thm21 has no step cap, so Cor22 takes it
     rho, T = 1.0, 3
     step = 0.5 / rho + 1e-12
-    alphas = np.full(T + 1, step)
-    with pytest.raises(ValueError, match="step"):
-        theoretical_bound("ProximalThm26",
-                          BoundInputs(delta=1.0, rho=rho, rho_hat=2 * rho, L=1.0, alphas=alphas))
     cor = BoundInputs(delta=1.0, rho=rho, L=1.0, gamma=2.0 * step, T=T)
-    with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\)"):
-        theoretical_bound("Cor27", cor)
-    assert theoretical_bound("Cor22", cor) == pytest.approx(
-        theoretical_bound("ProjectedThm21", BoundInputs(delta=1.0, rho=rho, rho_hat=2 * rho,
-                                                         L=1.0, alphas=alphas)), rel=1e-12)
+    thm = dataclasses.replace(cor, rho_hat=2 * rho)
+    for variant, inputs in (("ProximalThm26", thm), ("Cor27", cor)):
+        with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\) must lie in"):
+            theoretical_bound(variant, inputs)
+    assert theoretical_bound("Cor22", cor) == theoretical_bound("ProjectedThm21", thm)
 
 
 def test_the_step_cap_is_relative_at_every_rho_hat():
@@ -91,12 +98,13 @@ def test_the_step_cap_is_relative_at_every_rho_hat():
     # the cap, is refused by every reader of the cap (an absolute slack of
     # 1e-15 let it through)
     alphas = np.full(2, 1e-15)
-    with pytest.raises(ValueError, match="step sequence"):
-        theoretical_bound("ProximalThm26", BoundInputs(delta=1.0, rho=1e15, rho_hat=2e15,
-                                                       L=1.0, alphas=alphas))
-    with pytest.raises(ValueError, match="step sequence"):
-        theoretical_bound("SmoothCor29", BoundInputs(delta=1.0, rho=1e15, rho_hat=2e15,
-                                                     sigma=1.0, alphas=alphas))
+    inputs = BoundInputs(delta=1.0, rho=1e15, rho_hat=2e15, L=1.0, sigma=1.0,
+                         gamma=1e-15 * math.sqrt(2), T=1)
+    for variant in ("ProximalThm26", "SmoothCor29"):
+        with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\)"):
+            theoretical_bound(variant, inputs)
+    with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\)"):
+        StepSchedule.constant(1e-15 * math.sqrt(2), 1, rho_hat=2e15)
     with pytest.raises(ValueError, match="steps must lie in"):
         StepSchedule(alphas, rho_hat=2e15)
     with pytest.raises(ValueError, match="alpha"):
@@ -115,10 +123,10 @@ def test_the_step_cap_is_relative_at_every_rho_hat():
 def test_theorems_at_rho_zero():
     # Thm21 and SmoothCor29 hold for convex g; Thm26 needs rho < rho_hat <=
     # 2 rho, and a corollary's rho_hat = 2 rho must exceed rho
-    inp = BoundInputs(delta=1.0, rho=0.0, rho_hat=1.0, L=1.0, sigma=1.0, alphas=(0.1, 0.1),
-                      gamma=0.1, T=1)
-    assert theoretical_bound("ProjectedThm21", inp) == pytest.approx(5.05, rel=1e-12)
-    assert theoretical_bound("SmoothCor29", inp) == pytest.approx(10.1, rel=1e-12)
+    # four steps of 0.2/sqrt(4) = 0.1: sum 0.4, sum of squares 0.04
+    inp = BoundInputs(delta=1.0, rho=0.0, rho_hat=1.0, L=1.0, sigma=1.0, gamma=0.2, T=3)
+    assert theoretical_bound("ProjectedThm21", inp) == pytest.approx(2.55, rel=1e-12)
+    assert theoretical_bound("SmoothCor29", inp) == pytest.approx(5.1, rel=1e-12)
     for variant in ("ProximalThm26", "Cor22", "Cor27"):
         with pytest.raises(ValueError):
             theoretical_bound(variant, inp)
@@ -127,55 +135,49 @@ def test_theorems_at_rho_zero():
 @pytest.mark.parametrize("variant", ["ProjectedThm21", "ProximalThm26", "SmoothCor29"])
 @pytest.mark.parametrize("T", [0, 1, 7, 1000])
 def test_a_theorem_sums_constant_steps_in_closed_form(variant, T):
-    # without alphas a theorem reads gamma and T: the same value as the
-    # explicit T + 1 steps gamma/sqrt(T+1), which win when both are given
+    # a theorem reads gamma and T: the value of the explicit T + 1 steps
+    # gamma/sqrt(T+1), summed entry by entry
     gamma = 0.3
     consts = dict(delta=0.7, rho=1.3, rho_hat=2.1, L=2.0, sigma=0.4)
     closed = theoretical_bound(variant, BoundInputs(**consts, gamma=gamma, T=T))
     steps = np.full(T + 1, gamma / math.sqrt(T + 1))
-    assert closed == pytest.approx(
-        theoretical_bound(variant, BoundInputs(**consts, alphas=steps)), rel=1e-14, abs=0.0)
-    half = BoundInputs(**consts, alphas=steps / 2)
-    assert theoretical_bound(variant, dataclasses.replace(half, gamma=gamma, T=T)) == \
-        theoretical_bound(variant, half) != closed
+    assert closed == pytest.approx(summed(variant, steps, **consts), rel=1e-14, abs=0.0)
     with pytest.raises(ValueError, match="bound variant needs gamma, T"):
         theoretical_bound(variant, BoundInputs(**consts))
 
 
 def test_smooth_cor29_reduces_at_rho_hat_2rho():
     rho, sigma, gamma, T, delta = 0.8, 0.3, 0.5, 63, 1.2
-    sched = StepSchedule.constant(gamma, T)
     got = theoretical_bound(
-        "SmoothCor29",
-        BoundInputs(delta=delta, rho=rho, rho_hat=2 * rho, sigma=sigma,
-                    alphas=tuple(sched.alphas)))
+        "SmoothCor29", BoundInputs(delta=delta, rho=rho, rho_hat=2 * rho, sigma=sigma,
+                                   gamma=gamma, T=T))
     want = 4.0 * (delta + rho * sigma**2 * gamma**2) / (gamma * math.sqrt(T + 1))
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bound_validation_errors():
-    alphas = (0.1, 0.1, 0.1)
+    steps = dict(gamma=0.2, T=3)  # four steps of 0.1
     with pytest.raises(ValueError):
         theoretical_bound("Cor22", BoundInputs(delta=1.0, rho=0.0, L=1.0, gamma=1.0, T=0))
     with pytest.raises(ValueError):  # rho_hat must exceed rho
         theoretical_bound(
             "ProjectedThm21",
-            BoundInputs(delta=1.0, rho=1.0, rho_hat=1.0, L=1.0, alphas=alphas))
+            BoundInputs(delta=1.0, rho=1.0, rho_hat=1.0, L=1.0, **steps))
     with pytest.raises(ValueError):  # Thm26 needs rho_hat <= 2 rho
         theoretical_bound(
             "ProximalThm26",
-            BoundInputs(delta=1.0, rho=1.0, rho_hat=2.5, L=1.0, alphas=alphas))
+            BoundInputs(delta=1.0, rho=1.0, rho_hat=2.5, L=1.0, **steps))
     with pytest.raises(ValueError):  # also at a tiny rho: no absolute slack
         theoretical_bound(
             "ProximalThm26",
-            BoundInputs(delta=1.0, rho=1e-14, rho_hat=5e-13, L=1.0, alphas=alphas))
+            BoundInputs(delta=1.0, rho=1e-14, rho_hat=5e-13, L=1.0, **steps))
     with pytest.raises(ValueError):  # Thm26 step cap 1/rho_hat
         theoretical_bound(
             "ProximalThm26",
-            BoundInputs(delta=1.0, rho=1.0, rho_hat=2.0, L=1.0, alphas=(0.6,)))
+            BoundInputs(delta=1.0, rho=1.0, rho_hat=2.0, L=1.0, gamma=0.6, T=0))
     with pytest.raises(ValueError):  # missing noise constant
         theoretical_bound(
-            "SmoothCor29", BoundInputs(delta=1.0, rho=1.0, rho_hat=2.0, alphas=alphas))
+            "SmoothCor29", BoundInputs(delta=1.0, rho=1.0, rho_hat=2.0, **steps))
     with pytest.raises(ValueError):  # steps unspecified
         theoretical_bound("Cor22", BoundInputs(delta=1.0, rho=1.0, L=1.0))
     with pytest.raises(ValueError):
@@ -252,8 +254,6 @@ NON_BOUNDS = [
     (["--gamma", "inf"], "gamma"),
     (["--variant", "SmoothCor29", "--rho-hat", "nan", "--sigma", "1"], "rho_hat"),
     (["--variant", "SmoothCor29", "--rho-hat", "2", "--sigma", "inf"], "sigma"),
-    (["--variant", "SmoothCor29", "--rho-hat", "2", "--sigma", "1", "--alphas", "0.1,inf"],
-     "step sequence"),
 ]
 
 
@@ -269,6 +269,23 @@ def test_cli_bounds_rejects_a_non_bound(capsys, flags, field):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {field} must be")
+
+
+def test_cli_bounds_reads_steps_as_gamma_and_T_only(capsys):
+    # every variant reads its steps as gamma and T: an explicit step list is
+    # an unknown flag, and a step above the cap is refused as gamma/sqrt(T+1)
+    from proxsgm import cli
+
+    args = ["bounds", "--variant", "ProximalThm26", "--delta", "1", "--rho", "1",
+            "--rho-hat", "2", "--L", "1", "--T", "3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--gamma", "0.5", "--alphas", "0.1"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --alphas 0.1" in capsys.readouterr().err
+    assert cli.main(args + ["--gamma", "4"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: step gamma/sqrt(T+1) must lie in (0.0, 0.5")
 
 
 # -------------------------------------------------------------- config file
@@ -452,6 +469,10 @@ def test_run_sweep_csv_columns_and_parse(tmp_path):
     with open(tmp_path / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert tuple(rows[0].keys()) == CSV_COLUMNS
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == (
+        "problem_id,family,d,m,T,seed,gamma,rho,rho_hat,lambda,grad_norm_sq,"
+        "envelope_value_x0,phi_best,bound_value,bound_satisfied,oracle_calls,"
+        "inner_tol_achieved,wall_ms")
     assert len(rows) == 6
     # repr round trip: the parsed floats equal the report values exactly
     assert float(rows[0]["rho"]) == report.rho
@@ -568,10 +589,25 @@ def test_run_sweep_prints_cor27_for_a_regularizer_that_is_no_indicator():
     eps_x0 = moreau_prox(problem, default_x0(problem), 1.0, cfg.inner_tol).inner_tol
     delta = max(report.envelope_value_x0 - eps_x0 - report.phi_best, 0.0)
     for hs in report.per_horizon:
-        steps = StepSchedule.constant(report.gamma, hs.T).alphas
         want = theoretical_bound("ProximalThm26", BoundInputs(
-            delta=delta, rho=report.rho_hat / 2.0, rho_hat=report.rho_hat, L=1.0, alphas=steps))
-        assert hs.bound_value == pytest.approx(want, rel=1e-12)
+            delta=delta, rho=report.rho_hat / 2.0, rho_hat=report.rho_hat, L=1.0,
+            gamma=report.gamma, T=hs.T))
+        assert hs.bound_value == want
+
+
+def test_run_sweep_refuses_a_missing_output_directory_first(tmp_path):
+    # the CSV is written after the last trial: a directory that does not
+    # exist is refused before the x0 solve, with no g or oracle call
+    def fail(*args):
+        pytest.fail("g or its oracle was called")
+
+    p = problem_from_id("toy1d:absquad")
+    p = dataclasses.replace(p, g_value=fail, g_full_subgradient=fail,
+                            g_oracle=dataclasses.replace(p.g_oracle, sample=fail, draw=fail))
+    missing = tmp_path / "missing"
+    with pytest.raises(ConfigError, match=f"output directory {str(missing)!r} does not exist"):
+        run_sweep(small_config(output=str(missing / "sweep.csv")), problem=p)
+    assert not missing.exists()
 
 
 def test_run_sweep_rejects_oversized_steps(monkeypatch):
@@ -581,7 +617,7 @@ def test_run_sweep_rejects_oversized_steps(monkeypatch):
 
     monkeypatch.setattr(harness, "moreau_prox", lambda *a: pytest.fail("solved"))
     cfg = small_config(gamma=50.0)
-    with pytest.raises(ConfigError, match=r"gamma=50\.0 at T=30: steps must lie in"):
+    with pytest.raises(ConfigError, match=r"gamma=50\.0 at T=30: step gamma/sqrt\(T\+1\) must"):
         run_sweep(cfg, clock=lambda: 0.0)
 
 
@@ -598,7 +634,6 @@ def test_run_sweep_bounds_the_schedule_its_trials_ran(monkeypatch):
         return real_run(problem, x0, schedule, rng)
 
     def bound(variant, inputs):
-        assert inputs.alphas is None
         bounded[inputs.T] = {inputs.gamma / math.sqrt(inputs.T + 1)}
         return real_bound(variant, inputs)
 

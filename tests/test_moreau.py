@@ -248,9 +248,16 @@ def test_grid_rejects_high_dimension():
 
 def test_grid_refuses_a_window_without_a_finite_value():
     # a NaN value is the whole grid's argmin: the scan stops at it and names
-    # the NaN; a window of infinite values has no feasible point
+    # the NaN; a g that is -inf on part of the window leaves the subproblem
+    # unbounded below, named at the first such point; a window of +inf
+    # values has no feasible point
     p = dataclasses.replace(make_toy1d("abs"), g_value=lambda x: np.full(len(x), np.nan))
     with pytest.raises(ValueError, match=r"subproblem value is NaN at grid point \[-?\d"):
+        moreau_grid_oracle(p, np.array([0.5]), 0.5)
+    abs_g = make_toy1d("abs").g_value
+    p = dataclasses.replace(p, g_value=lambda x: np.where(x[:, 0] > 0.7, -np.inf, abs_g(x)))
+    with pytest.raises(ValueError, match=r"subproblem value is unbounded below \(-inf\) at grid "
+                                         r"point \[0\.7\d"):
         moreau_grid_oracle(p, np.array([0.5]), 0.5)
     p = dataclasses.replace(p, g_value=lambda x: np.full(len(x), np.inf))
     with pytest.raises(ValueError, match="grid window contains no feasible point"):

@@ -27,6 +27,7 @@ DIGEST_AREAS = [
     "oracle_checks",
     "stationarity",
     "problems",
+    "bounds",
 ]
 
 

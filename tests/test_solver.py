@@ -1,6 +1,7 @@
 """Solver loop: recursion exactness, t* sampling, descent lemma checks."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,35 @@ def test_schedule_respects_rho_hat_cap():
     with pytest.raises(ValueError):
         StepSchedule([0.6], rho_hat=2.0)
     StepSchedule([0.5], rho_hat=2.0)  # boundary is fine
+
+
+def test_one_check_gives_the_constant_step_of_a_run_and_of_its_bound(monkeypatch):
+    # StepSchedule.constant and every bound variant take gamma/sqrt(T+1) from
+    # solver.constant_step, which checks gamma, T and the cap step_cap(rho_hat)
+    from proxsgm import harness
+
+    assert solver_mod.constant_step(2.0, 3) == 1.0
+    assert StepSchedule.constant(0.3, 8).alphas[0] == solver_mod.constant_step(0.3, 8)
+    gamma = math.sqrt(5) / 7.0  # the step 1/7 at T = 4, on the cap at rho_hat = 7
+    assert solver_mod.constant_step(gamma, 4, rho_hat=7.0) <= solver_mod.step_cap(7.0)
+    with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\) must lie in \(0\.0, 0\.5"):
+        solver_mod.constant_step(1.0, 0, rho_hat=2.0)
+    with pytest.raises(ValueError, match=r"step gamma/sqrt\(T\+1\) must lie in \(0\.0, 0\.5"):
+        StepSchedule.constant(1.0, 0, rho_hat=2.0)
+    calls = []
+
+    def record(gamma, T, rho_hat=None):
+        calls.append((gamma, T, rho_hat))
+        return solver_mod.constant_step(gamma, T, rho_hat)
+
+    monkeypatch.setattr(harness, "constant_step", record)
+    inputs = harness.BoundInputs(delta=1.0, rho=1.0, rho_hat=1.5, L=1.0, sigma=1.0, gamma=0.5,
+                                 T=3)
+    for variant in harness.BOUND_VARIANTS:
+        harness.theoretical_bound(variant, inputs)
+    assert dict(zip(harness.BOUND_VARIANTS, calls)) == {
+        "ProjectedThm21": (0.5, 3, None), "ProximalThm26": (0.5, 3, 1.5),
+        "SmoothCor29": (0.5, 3, 1.5), "Cor22": (0.5, 3, None), "Cor27": (0.5, 3, 2.0)}
 
 
 # ------------------------------------------------------------ trajectories
