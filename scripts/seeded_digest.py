@@ -37,6 +37,10 @@ Areas (every input is fixed here, so the digests depend only on the code):
   of (delta, rho, rho_hat, L, sigma, gamma, T), T up to 10**12, with the
   error type in place of the value where a variant refuses its inputs, and
   the error type of each ``BoundInputs`` refused at construction.
+* ``descent_lemma``: every ``LemmaReport`` field and the verdict of
+  ``check_descent_lemma`` at the 50 anchors of acceptance criterion 03 (ten
+  per benchmark family, rho_hat = 2 rho or 1, alpha = 1/(2 rho_hat),
+  100 000 draws) at its seeds.
 
 Takes a few seconds on one core.
 """
@@ -135,6 +139,14 @@ BOUND_REFUSED = (
     ("delta", -1.0), ("delta", float("nan")), ("rho", float("inf")), ("rho_hat", -1.0),
     ("L", float("nan")), ("sigma", float("-inf")), ("gamma", 0.0), ("gamma", float("nan")),
     ("gamma", float("inf")), ("T", -1), ("T", True), ("T", 2.0), ("T", "3"),
+)
+# acceptance criterion 03's benchmark families, in its order
+LEMMA_IDS = (
+    "phase_retrieval:50:10:0",
+    "robust_regression:40:2:1",
+    "toy1d:abs",
+    "toy1d:absquad",
+    "smooth_ls:60:5:2",
 )
 SWEEPS = (  # id, horizons, gamma
     ("toy1d:absquad", (50, 100), 0.2),
@@ -334,6 +346,20 @@ def digest_bounds() -> str:
     return dig.short()
 
 
+def digest_descent_lemma() -> str:
+    dig = Digest()
+    for k, pid in enumerate(LEMMA_IDS):
+        problem = problem_from_id(pid)
+        rho_hat = 2.0 * problem.rho if problem.rho > 0 else 1.0
+        radius = 0.5 * problem.domain_diameter if problem.domain_diameter else 2.0
+        anchors = sample_domain_points(problem, 10, radius, np.random.default_rng([17, k]))
+        for j, x in enumerate(anchors):
+            rep = solver.check_descent_lemma(problem, x, rho_hat, 0.5 / rho_hat, 100_000,
+                                             np.random.default_rng([23, k, j]), inner_tol=1e-10)
+            dig.add(pid, j, *(getattr(rep, f.name) for f in dataclasses.fields(rep)), rep.violated)
+    return dig.short()
+
+
 def main() -> int:
     areas = (
         ("run_psgm", digest_runs),
@@ -347,6 +373,7 @@ def main() -> int:
         ("stationarity", digest_stationarity),
         ("problems", digest_problems),
         ("bounds", digest_bounds),
+        ("descent_lemma", digest_descent_lemma),
     )
     for name, fn in areas:
         print(f"{name:<20} {fn()}", flush=True)

@@ -43,13 +43,16 @@ def _in_range(name: str, v, lo=0.0, hi=math.inf, ends: str = "()", error=ValueEr
     """``v`` as a float (a list or array as a float array) once lo < v < hi,
     with <= at an end that ``ends`` closes ("[" or "]"); else ``error`` names
     ``name``, the range and the value, or an array's first bad entry.  The one
-    range check of every public entry: its comparison is False for NaN, and
-    an infinite end is open.  None, an optional parameter left unset, passes."""
+    range check of every public entry: NaN and an integer beyond the floats lie
+    in no range, an infinite end is open, and None, a parameter left unset, passes."""
     if v is None:
         return None
     ends = ("(" if lo == -math.inf else ends[0]) + (")" if hi == math.inf else ends[1])
     arr = isinstance(v, (np.ndarray, list, tuple))
-    a = np.asarray(v, dtype=float) if arr else float(v)
+    try:
+        a = np.asarray(v, dtype=float) if arr else float(v)
+    except OverflowError:
+        a, arr, v = math.nan, False, "an integer too large for a float"
     def within(b):
         return (lo < b if ends[0] == "(" else lo <= b) & (b < hi if ends[1] == ")" else b <= hi)
     # an array lies in range when its least and largest entries do, and a NaN
@@ -290,8 +293,8 @@ def _on_stack(problem: CompositeProblem, name: str, xs: Array) -> Array:
 def _violation_report(
     check: str, gap: Array, g_ys: Array, xs: Array, ys: Array
 ) -> ViolationReport:
-    """Flag every pair whose gap exceeds 1e-9 * (1 + |g(y)|); the worst
-    pair is the first one of largest gap."""
+    """Flag every pair whose gap is not at most 1e-9 * (1 + |g(y)|), a NaN gap
+    included; the worst pair is the first one of largest gap, or the first NaN."""
     tol = 1e-9 * (1.0 + np.abs(g_ys))
     k = int(np.argmax(gap))
     return ViolationReport(
@@ -299,7 +302,7 @@ def _violation_report(
         n_pairs=len(gap),
         max_violation=float(gap[k]),
         tolerance=float(tol[k]),
-        violated=bool(np.any(gap > tol)),
+        violated=not np.all(gap <= tol),
         worst_pair=(xs[k], ys[k]),
     )
 

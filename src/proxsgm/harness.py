@@ -29,8 +29,7 @@ from .boost import optimal_gamma
 from .core import CompositeProblem, _formula, _in_range, _integer
 from .moreau import InnerAccuracyError, MoreauPoint, moreau_prox
 from .problems import default_x0, problem_from_id
-from .prox import ProxKind
-from .solver import StepSchedule, constant_step, run_psgm
+from .solver import LEMMAS, StepSchedule, constant_step, lemma_of, run_psgm
 
 Array = np.ndarray
 
@@ -96,13 +95,9 @@ class BoundInputs:
         _in_range("T", self.T, 0, ends="[)")
 
 
-# theorem: (c, k, M, rho_hat at most 2 rho, steps at most 1/rho_hat) of its right
-# side c rho_hat/(rho_hat - rho) (delta + k rho_hat M^2 sum alpha^2) / sum alpha
-_THEOREMS = {
-    "ProjectedThm21": (1.0, 0.5, "L", False, False),
-    "ProximalThm26": (1.0, 1.0, "L", True, True),
-    "SmoothCor29": (2.0, 0.5, "sigma", False, True),
-}
+# theorem: (c, k, M, caps) of c rho_hat/(rho_hat - rho) (delta + k rho_hat M^2 sum alpha^2) /
+# sum alpha, its row (a, b, M, caps) of `solver.LEMMAS` summed: c = 2/a, k = b/2
+_THEOREMS = {name: (2.0 / a, b / 2.0, m, *caps) for name, (a, b, m, *caps) in LEMMAS.items()}
 # corollary: its theorem at rho_hat = 2 rho and T + 1 steps gamma/sqrt(T+1)
 COROLLARIES = {"Cor22": "ProjectedThm21", "Cor27": "ProximalThm26"}
 BOUND_VARIANTS = (*_THEOREMS, *COROLLARIES)
@@ -112,12 +107,10 @@ def theoretical_bound(variant: str, inputs: BoundInputs) -> float:
     """Exact right side of the selected guarantee on E||grad envelope||^2.
 
     Every variant reads the T + 1 constant steps gamma/sqrt(T+1) as gamma
-    and T, and sums them in closed form, gamma sqrt(T+1) and gamma^2, so no
-    step array is built at any T.  A theorem also reads rho_hat.  A
-    corollary is its theorem at rho_hat = 2 rho > 0, whose preconditions it
-    keeps (Cor27's step cap is gamma/sqrt(T+1) <= 1/(2 rho); Cor22 has
-    none).  A precondition that fails, or a value beyond the floats, raises
-    ``ValueError``.
+    and T, summed in closed form (gamma sqrt(T+1) and gamma^2) at any T, and
+    a theorem also reads rho_hat.  A corollary is its theorem at rho_hat =
+    2 rho > 0 under that theorem's caps.  A cap that fails, or a value
+    beyond the floats, raises ``ValueError``.
     """
     return _formula(f"{variant} bound", lambda: _bound(variant, inputs))
 
@@ -345,10 +338,10 @@ def run_sweep(
             raise ConfigError(f"gamma={gamma!r} at T={T}: {exc}") from None
     x0 = default_x0(problem)
 
-    projected = problem.regularizer.kind in (ProxKind.ZERO, ProxKind.BOX, ProxKind.BALL)
-    variant = "SmoothCor29" if problem.smooth else "Cor22" if projected else "Cor27"
+    theorem = lemma_of(problem)
+    variant = next((c for c, t in COROLLARIES.items() if t == theorem), theorem)
     # a corollary derives rho_hat = 2 rho, so it reads rho_hat / 2 (1/2 for convex g)
-    rho = problem.rho if problem.smooth else rho_hat / 2.0
+    rho = rho_hat / 2.0 if variant in COROLLARIES else problem.rho
 
     # a solve that misses inner_tol still returns its point and certified gap
     def envelope_point(x: Array) -> MoreauPoint:

@@ -10,20 +10,21 @@ iterate and the plain and (t+1)-weighted means of the iterates, which the
 convex stages in `boost` start from.  Neither keeps a trajectory: a run,
 t* included, holds O(CHUNK d) memory at every horizon.
 
-`check_descent_lemma` and `check_prox_identity` turn the two single-step
-facts the analysis rests on into Monte-Carlo / algebraic checks that run
-against live problem instances.
+`LEMMAS` holds the one-step lemma behind each theorem.  `check_descent_lemma`
+checks the one that covers a problem by Monte Carlo, and `check_prox_identity`
+the fixed point of the proximal subproblem, on live problem instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, _generator, _in_range, _integer
+from .core import CompositeProblem, _formula, _generator, _in_range, _integer
 from .moreau import MoreauPoint, moreau_prox
+from .prox import ProxKind
 
 Array = np.ndarray
 
@@ -290,22 +291,39 @@ def run_averaged(
 # ---------------------------------------------------------------------------
 # single-step guarantees
 
+# lemma: (a, b, M, rho_hat at most 2 rho, steps at most 1/rho_hat) of its one step
+# E||x+ - x_hat||^2 <= (1 - a alpha (rho_hat - rho)) ||x - x_hat||^2 + b alpha^2 M^2;
+# README "Experiments" derives each theorem of `harness` from its row
+LEMMAS = {
+    "ProjectedThm21": (2.0, 1.0, "L", False, False),
+    "ProximalThm26": (2.0, 2.0, "L", True, True),
+    "SmoothCor29": (1.0, 1.0, "sigma", False, True),
+}
+LEMMA_ROUNDOFF = 16  # a one-step check's allowance, in eps (||x - x_hat||^2 + noise)
+
+
+def lemma_of(problem: CompositeProblem) -> str:
+    """The row of `LEMMAS` that covers ``problem``, whose bound a sweep prints."""
+    indicator = problem.regularizer.kind in (ProxKind.ZERO, ProxKind.BOX, ProxKind.BALL)
+    return "SmoothCor29" if problem.smooth else "ProjectedThm21" if indicator else "ProximalThm26"
+
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Monte-Carlo estimate of the one-step contraction vs its bound."""
+    """Monte-Carlo estimate of the one-step contraction vs the bound of the
+    `LEMMAS` row ``variant``, with the roundoff ``allowance`` of that bound."""
 
     estimate: float
     ci_half_width: float
     bound: float
+    allowance: float
     n_samples: int
     variant: str
-    violated: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "violated", self.estimate - self.ci_half_width > self.bound
-        )
+    @property
+    def violated(self) -> bool:
+        """True unless estimate - ci_half_width - bound <= allowance: a NaN is violated."""
+        return not self.estimate - self.ci_half_width - self.bound <= self.allowance
 
 
 def check_descent_lemma(
@@ -319,56 +337,42 @@ def check_descent_lemma(
 ) -> LemmaReport:
     """One-step mean-square contraction toward the proximal point.
 
-    Estimates E||x_{t+1} - x_hat||^2 over n_samples independent draws and
-    compares against the closed-form right side of the variant that
-    ``problem.smooth`` picks: "weakly_convex", a (rho_hat - rho)-strength
-    contraction plus 2 alpha^2 L^2, or "smooth", the alpha^2 sigma^2 term of
-    an exact gradient plus noise.  Flags violation when the estimate minus
-    its 95% confidence half-width exceeds the bound.
+    Estimates E||x_{t+1} - x_hat||^2 over n_samples independent draws against
+    the one-step bound of the `LEMMAS` row `lemma_of` picks, the row under
+    the bound a sweep prints.  Flags violation when the estimate minus its
+    95% confidence half-width exceeds the bound by more than LEMMA_ROUNDOFF
+    eps (||x_t - x_hat||^2 + noise term): `toy1d:abs` meets it with equality.
 
-    Raises ``ValueError`` before any solve unless rho_hat exceeds rho,
-    alpha lies in (0, step_cap(rho_hat)] and n_samples >= 2, which the
-    half-width needs.  At alpha = 0 estimate and bound are equal in exact
-    arithmetic, so the verdict would be roundoff.
+    Raises ``ValueError`` before any solve unless rho_hat exceeds rho, alpha
+    is positive, both meet the row's caps, its constant is certified, its
+    noise term is finite and n_samples >= 2, which the half-width needs.  At
+    alpha = 0 estimate and bound are equal, so the verdict would be roundoff.
     """
     rng = _generator(rng_or_seed)
-    variant = "smooth" if problem.smooth else "weakly_convex"
-    # the weakly convex variant's contraction needs rho_hat <= 2 rho
-    cap = 2 * problem.rho if variant == "weakly_convex" and problem.rho > 0 else math.inf
+    variant = lemma_of(problem)
+    a, b, m, rho_hat_capped, steps_capped = LEMMAS[variant]
+    cap = 2.0 * problem.rho if rho_hat_capped else math.inf
     _in_range("rho_hat", rho_hat, problem.rho, cap, "(]")
-    _in_range("alpha", alpha, 0.0, step_cap(rho_hat), "(]")
+    _in_range("alpha", alpha, 0.0, step_cap(rho_hat) if steps_capped else math.inf, "(]")
     _in_range("n_samples", n_samples, 2, ends="[)")
+    M = {"L": problem.lipschitz_L, "sigma": problem.sigma}[m]
+    if M is None:
+        raise ValueError(f"{variant} needs a certified {'lipschitz_L' if m == 'L' else m}")
+    noise_term = _formula("noise term b alpha^2 M^2", lambda: b * alpha * alpha * M**2)
+    contraction = a * alpha * (rho_hat - problem.rho)
     x_t = np.asarray(x_t, dtype=float)
 
-    if variant == "weakly_convex":
-        L = problem.lipschitz_L
-        if L is None:
-            raise ValueError("weakly convex variant needs a certified lipschitz_L")
-        noise_term = 2.0 * alpha * alpha * L * L
-        contraction = 2.0 * alpha * (rho_hat - problem.rho)
-    else:
-        if problem.sigma is None:
-            raise ValueError("smooth variant needs a certified sigma")
-        noise_term = alpha * alpha * problem.sigma**2
-        contraction = alpha * (rho_hat - problem.rho)
-
-    point = moreau_prox(problem, x_t, 1.0 / rho_hat, inner_tol)
-    x_hat = point.x_hat
+    x_hat = moreau_prox(problem, x_t, 1.0 / rho_hat, inner_tol).x_hat
     dist_sq = float(np.sum((x_t - x_hat) ** 2))
     bound = dist_sq + noise_term - contraction * dist_sq
 
     draws = problem.g_oracle.sample(x_t, problem.g_oracle.draw(rng, n_samples))
     stepped = problem.regularizer.prox(x_t - alpha * draws, alpha)
     sq = np.sum((stepped - x_hat) ** 2, axis=-1)
-    est = float(sq.mean())
     sem = float(sq.std(ddof=1) / math.sqrt(n_samples))
-    return LemmaReport(
-        estimate=est,
-        ci_half_width=1.96 * sem,
-        bound=bound,
-        n_samples=n_samples,
-        variant=variant,
-    )
+    allowance = LEMMA_ROUNDOFF * math.ulp(1.0) * (dist_sq + noise_term)
+    return LemmaReport(estimate=float(sq.mean()), ci_half_width=1.96 * sem, bound=bound,
+                       allowance=allowance, n_samples=n_samples, variant=variant)
 
 
 def check_prox_identity(

@@ -1,12 +1,15 @@
-"""Builders only the tests use: an oracle that draws nothing, and the exact
-minimum of a one-dimensional robust regression to check solvers against."""
+"""Builders only the tests use: an oracle that draws nothing, the exact
+minimum of a one-dimensional robust regression to check solvers against,
+and a shipped instance under a regularizer that is no indicator."""
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
 
 from proxsgm.core import CompositeProblem, StochasticOracle
-from proxsgm.problems import _linear_data
+from proxsgm.problems import _linear_data, problem_from_id
+from proxsgm.prox import l1_regularizer
 
 Array = np.ndarray
 
@@ -24,6 +27,19 @@ def deterministic_oracle(subgradient: Callable[[Array], Array]) -> StochasticOra
         return v if w.ndim == 1 else np.tile(v, (len(w), 1))
 
     return StochasticOracle(sample=sample, draw=no_draws)
+
+
+# the instance `with_l1` puts under 0.1 ||x||_1
+L1_BASE = "robust_regression:40:2:1"
+
+
+def with_l1(base: CompositeProblem | None = None, rho: float = 0.5) -> CompositeProblem:
+    """``base`` (default `L1_BASE`) with r = 0.1 ||x||_1 and the declared modulus
+    rho, so its row is ProximalThm26.  Its g is convex, so every rho >= 0 is a
+    valid modulus; dom r is the whole space, so it has no diameter."""
+    base = problem_from_id(L1_BASE) if base is None else base
+    return dataclasses.replace(base, regularizer=l1_regularizer(0.1), rho=rho,
+                               domain_diameter=None)
 
 
 def exact_min_1d_robust_regression(problem: CompositeProblem) -> tuple[float, float]:

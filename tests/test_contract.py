@@ -9,6 +9,8 @@ those calls.  The value set is finite, so the cross is exhaustive.
 import dataclasses
 import inspect
 import math
+import subprocess
+import sys
 import tempfile
 from enum import Enum
 from pathlib import Path
@@ -39,6 +41,7 @@ from proxsgm import (
     fit_rate,
     iteration_bound,
     l1_regularizer,
+    make_phase_retrieval,
     make_robust_regression,
     make_smooth_ls_noisy,
     map_back,
@@ -60,6 +63,8 @@ from proxsgm import (
 )
 from proxsgm.moreau import ParameterError
 from proxsgm.prox import ProxKind
+
+from builders import L1_BASE, with_l1
 
 VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308)
 
@@ -245,10 +250,20 @@ row("StepSchedule", "alphas", lambda v, P: StepSchedule(np.array([0.1, v, 0.1]))
 row("StepSchedule", "rho_hat", lambda v, P: StepSchedule(np.full(3, 0.1), rho_hat=v))
 row("StepSchedule.constant", "gamma", lambda v, P: StepSchedule.constant(v, 3))
 row("sample_tstar", "alphas", lambda v, P: sample_tstar(np.array([1.0, v]), rng()))
+# the projected row caps neither rho_hat nor alpha: alpha = 1e308 is refused by
+# its noise term alpha^2 L^2, which leaves the floats; the proximal row caps both
 row("check_descent_lemma", "rho_hat",
-    lambda v, P: check_descent_lemma(P("toy1d:absquad"), np.array([0.8]), v, 0.1, 20, 0))
+    lambda v, P: check_descent_lemma(P("toy1d:absquad"), np.array([0.8]), v, 0.1, 20, 0),
+    case="(ProjectedThm21)")
 row("check_descent_lemma", "alpha",
-    lambda v, P: check_descent_lemma(P("toy1d:absquad"), np.array([0.8]), 4.0, v, 20, 0))
+    lambda v, P: check_descent_lemma(P("toy1d:absquad"), np.array([0.8]), 4.0, v, 20, 0),
+    case="(ProjectedThm21)")
+row("check_descent_lemma", "rho_hat",
+    lambda v, P: check_descent_lemma(with_l1(P(L1_BASE)), PT, v, 0.5, 20, 0),
+    case="(ProximalThm26)")
+row("check_descent_lemma", "alpha",
+    lambda v, P: check_descent_lemma(with_l1(P(L1_BASE)), PT, 1.0, v, 20, 0),
+    case="(ProximalThm26)")
 row("check_descent_lemma", "inner_tol",
     lambda v, P: check_descent_lemma(P("toy1d:absquad"), np.array([0.8]), 4.0, 0.1, 20, 0, v))
 row("check_prox_identity", "rho_hat",
@@ -331,6 +346,40 @@ def test_every_public_horizon_is_in_the_table():
                     or dataclasses.is_dataclass(getattr(proxsgm, name))})
     with_T = {name for name, obj in entries.items() if "T" in inspect.signature(obj).parameters}
     assert with_T == set(HORIZONS)
+
+
+# an integer too large for a float, at each integer an entry converts: each
+# of these raised OverflowError from float(v) or numpy's conversion
+HUGE = 10**400
+OVERSIZED = {
+    "StepSchedule.constant": (lambda P: StepSchedule.constant(1.0, HUGE), ValueError),
+    "BoundInputs": (lambda P: BoundInputs(delta=1, rho=1, L=1, gamma=1, T=HUGE), ValueError),
+    "ExperimentConfig": (lambda P: ExperimentConfig(problem_id="toy1d:abs", horizons=(HUGE,),
+                                                    gamma=0.1), ConfigError),
+    "make_phase_retrieval": (lambda P: make_phase_retrieval(HUGE, 2, 0), ValueError),
+    "problem_from_id": (lambda P: P("phase_retrieval:5:2:" + "9" * 400), ValueError),
+}
+
+
+@pytest.mark.parametrize("entry", OVERSIZED)
+def test_an_integer_beyond_the_floats_raises_the_entry_error(entry):
+    problems = Problems()
+    call, error = OVERSIZED[entry]
+    with pytest.raises(error, match="an integer too large for a float"):
+        call(problems)
+    assert problems.calls == 0
+
+
+def test_cli_bounds_refuses_a_horizon_beyond_the_floats():
+    # it ended in an OverflowError traceback with exit 1
+    args = ["bounds", "--variant", "Cor22", "--delta", "1", "--rho", "1", "--L", "1",
+            "--gamma", "1", "--T", "1" + "0" * 400]
+    proc = subprocess.run([sys.executable, "-m", "proxsgm.cli", *args], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: T must be finite and nonnegative, "
+                           "got an integer too large for a float\n")
 
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)

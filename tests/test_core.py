@@ -221,6 +221,19 @@ def test_certifications_reject_a_sample_that_measures_nothing(check, n_pairs, ra
         check(make_toy1d("absquad"), n_pairs, radius, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("field", ["g_value", "g_full_subgradient"])
+@pytest.mark.parametrize("check", [check_weak_convexity, check_hypomonotonicity])
+def test_certifications_flag_a_nan_gap(check, field):
+    # gap > tol is False for a NaN gap or tolerance, which certified both
+    # inequalities on a g that returns NaN
+    p = problem_from_id("robust_regression:40:2:1")
+    f = getattr(p, field)
+    broken = dataclasses.replace(p, **{field: lambda x: f(x) * math.nan})
+    rep = check(broken, 50, 1.0, np.random.default_rng(0))
+    assert rep.violated
+    assert not check(p, 50, 1.0, np.random.default_rng(0)).violated
+
+
 def test_post_init_validation():
     ora = constant_oracle([1.0])
     with pytest.raises(ValueError):

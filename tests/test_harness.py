@@ -9,6 +9,8 @@ import pytest
 
 from proxsgm.boost import optimal_gamma
 from proxsgm.harness import (
+    _THEOREMS,
+    COROLLARIES,
     CSV_COLUMNS,
     BoundInputs,
     ConfigError,
@@ -22,7 +24,16 @@ from proxsgm.harness import (
 from proxsgm.moreau import InnerAccuracyError, moreau_prox
 from proxsgm.problems import default_x0, problem_from_id
 from proxsgm.prox import l1_regularizer
-from proxsgm.solver import StepSchedule, check_prox_identity, sample_tstar
+from proxsgm.solver import (
+    LEMMAS,
+    StepSchedule,
+    check_descent_lemma,
+    check_prox_identity,
+    lemma_of,
+    sample_tstar,
+)
+
+from builders import L1_BASE, with_l1
 
 
 # ------------------------------------------------------------ bound values
@@ -39,6 +50,34 @@ def summed(variant, steps, delta, rho, rho_hat, L=None, sigma=None):
     noise = L if m == "L" else sigma
     a = np.asarray(steps, dtype=float)
     return c * rho_hat / (rho_hat - rho) * (delta + k * rho_hat * noise**2 * (a**2).sum()) / a.sum()
+
+
+@pytest.mark.parametrize("theorem", list(LEMMAS))
+def test_each_theorem_is_its_lemma_summed_through_the_envelope(theorem):
+    # with lambda = 1/rho_hat, phi_lam(x+) <= phi(x_hat) + (rho_hat/2)||x+ - x_hat||^2
+    # and ||grad phi_lam(x)|| = rho_hat ||x - x_hat||: a lemma (a, b, M) sums to
+    # the right side (c, k, M) = (2/a, b/2, M) under the same caps
+    a, b, m, rho_hat_capped, steps_capped = LEMMAS[theorem]
+    assert _THEOREMS[theorem] == (2.0 / a, b / 2.0, m, rho_hat_capped, steps_capped)
+    assert _THEOREMS[theorem][:3] == THEOREMS[theorem]
+
+
+@pytest.mark.parametrize("pid, row", [
+    ("phase_retrieval:50:10:0", "ProjectedThm21"),
+    ("robust_regression:40:2:1", "ProjectedThm21"),
+    ("toy1d:abs", "ProjectedThm21"),
+    ("toy1d:absquad", "ProjectedThm21"),
+    ("smooth_ls:60:5:2", "SmoothCor29"),
+    ("l1", "ProximalThm26"),
+])
+def test_one_rule_picks_the_printed_bound_and_the_checked_lemma(pid, row):
+    p = with_l1() if pid == "l1" else problem_from_id(pid)
+    rho_hat = 2.0 * p.rho if p.rho > 0 else 1.0
+    cfg = ExperimentConfig(problem_id=L1_BASE if pid == "l1" else pid, horizons=(3, 7),
+                           gamma=0.5 / rho_hat, n_seeds=2, output="")
+    printed = run_sweep(cfg, problem=p, clock=lambda: 0.0).variant
+    checked = check_descent_lemma(p, default_x0(p), rho_hat, 0.5 / rho_hat, 10, 0).variant
+    assert COROLLARIES.get(printed, printed) == checked == lemma_of(p) == row
 
 
 def test_cor22_hand_value():

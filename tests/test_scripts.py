@@ -28,6 +28,7 @@ DIGEST_AREAS = [
     "stationarity",
     "problems",
     "bounds",
+    "descent_lemma",
 ]
 
 

@@ -13,7 +13,9 @@ from proxsgm.core import (
     CompositeProblem,
     StochasticOracle,
     point_value,
+    sample_domain_points,
 )
+from proxsgm.harness import BoundInputs, theoretical_bound
 from proxsgm.moreau import moreau_grid_oracle, moreau_prox
 from proxsgm.problems import (
     default_x0,
@@ -34,7 +36,7 @@ from proxsgm.solver import (
     sample_tstar,
 )
 
-from builders import deterministic_oracle, no_draws
+from builders import deterministic_oracle, no_draws, with_l1
 
 
 def constant_gradient_problem(c, reg=None):
@@ -522,7 +524,7 @@ def test_descent_lemma_weakly_convex_no_violation():
     p = make_phase_retrieval(20, 5, 6)
     x = np.array([0.4, -0.2, 0.1, 0.6, -0.5])
     rep = check_descent_lemma(p, x, 2.0 * p.rho, 1.0 / (4.0 * p.rho), 20_000, 11)
-    assert rep.variant == "weakly_convex"
+    assert rep.variant == "ProjectedThm21"
     assert not rep.violated
     assert rep.n_samples == 20_000
 
@@ -531,7 +533,55 @@ def test_descent_lemma_smooth_variant_no_violation():
     p = make_smooth_ls_noisy(25, 3, 0.1, 4)
     x = np.array([0.5, -0.4, 0.9])
     rep = check_descent_lemma(p, x, 2.0 * p.rho, 1.0 / (4.0 * p.rho), 20_000, 12)
-    assert rep.variant == "smooth"
+    assert rep.variant == "SmoothCor29"
+    assert not rep.violated
+
+
+def test_descent_lemma_checks_the_proximal_row():
+    # an l1 regularizer is no indicator, so its row is ProximalThm26, which
+    # the five shipped families never reach
+    p = with_l1()
+    anchors = sample_domain_points(p, 10, 2.0, np.random.default_rng(31))
+    worst = -math.inf
+    for j, x in enumerate(anchors):
+        rep = check_descent_lemma(p, x, 1.0, 0.5, 100_000, np.random.default_rng([37, j]))
+        assert rep.variant == "ProximalThm26"
+        assert not rep.violated
+        worst = max(worst, rep.estimate - rep.ci_half_width - rep.bound)
+    assert worst < -1.0
+
+
+def test_descent_lemma_refuses_the_proximal_row_at_rho_zero():
+    # its contraction needs rho < rho_hat <= 2 rho, an empty range at rho = 0,
+    # which theoretical_bound refuses as well
+    p = with_l1(rho=0.0)
+    with pytest.raises(ValueError, match=r"rho_hat must lie in \(0.0, 0.0\]"):
+        check_descent_lemma(p, default_x0(p), 1.0, 0.5, 100, 0)
+    with pytest.raises(ValueError, match=r"rho_hat must lie in \(0.0, 0.0\]"):
+        theoretical_bound("ProximalThm26", BoundInputs(delta=1.0, rho=0.0, rho_hat=1.0,
+                                                       L=p.lipschitz_L, gamma=0.5, T=0))
+
+
+def test_descent_lemma_flags_a_nan_estimate():
+    # estimate - ci > bound is False for a NaN estimate, which read as no violation
+    p = make_toy1d("absquad")
+    nan_oracle = dataclasses.replace(p.g_oracle, sample=lambda x, w: np.full((len(w), 1), np.nan))
+    rep = check_descent_lemma(dataclasses.replace(p, g_oracle=nan_oracle), np.array([0.8]),
+                              4.0, 0.1, 100, 0)
+    assert math.isnan(rep.estimate)
+    assert rep.violated
+
+
+def test_descent_lemma_allows_roundoff_on_a_tight_bound():
+    # toy1d:abs at rho_hat = 1, alpha = 1/2, |x| > 1 meets the projected
+    # lemma with equality: x_hat = x - sign(x), ||x+ - x_hat||^2 = 1/4
+    p = make_toy1d("abs")
+    rep = check_descent_lemma(p, np.array([1.7]), 1.0, 0.5, 10, 0)
+    assert rep.variant == "ProjectedThm21"
+    assert rep.ci_half_width == 0.0
+    assert abs(rep.estimate - rep.bound) <= rep.allowance
+    eps = np.finfo(float).eps
+    assert rep.allowance == pytest.approx(solver_mod.LEMMA_ROUNDOFF * eps * (1.0 + 0.25))
     assert not rep.violated
 
 
@@ -539,18 +589,31 @@ def test_descent_lemma_validation():
     p = make_toy1d("absquad")
     with pytest.raises(ValueError):
         check_descent_lemma(p, np.array([0.5]), p.rho, 0.1, 100, 0)  # rho_hat <= rho
-    with pytest.raises(ValueError):
-        check_descent_lemma(p, np.array([0.5]), 4.0, 0.3, 100, 0)  # alpha > 1/rho_hat
+    # the caps of the rows that have them: rho_hat <= 2 rho (proximal) and
+    # alpha <= 1/rho_hat (proximal and smooth)
+    q = with_l1()
+    with pytest.raises(ValueError, match=r"rho_hat must lie in \(0.5, 1.0\]"):
+        check_descent_lemma(q, default_x0(q), 1.5, 0.1, 100, 0)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        check_descent_lemma(q, default_x0(q), 1.0, 1.5, 100, 0)
+    s = make_smooth_ls_noisy(25, 3, 0.1, 4)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        check_descent_lemma(s, default_x0(s), 4.0 * s.rho, 1.0 / s.rho, 100, 0)
+    # the projected row has no step cap: alpha = 1/2 > 1/rho_hat = 1/4 holds
+    assert not check_descent_lemma(p, np.array([0.5]), 4.0, 0.5, 100, 0).violated
 
 
-@pytest.mark.parametrize("pid, field, message", [
-    ("toy1d:absquad", "lipschitz_L", "weakly convex variant needs a certified lipschitz_L"),
-    ("smooth_ls:25:3:4", "sigma", "smooth variant needs a certified sigma"),
-])
-def test_descent_lemma_needs_the_constant_of_its_variant(pid, field, message):
-    p = dataclasses.replace(problem_from_id(pid), **{field: None})
+@pytest.mark.parametrize("problem, field, message", [
+    (lambda: problem_from_id("toy1d:absquad"), "lipschitz_L",
+     "ProjectedThm21 needs a certified lipschitz_L"),
+    (with_l1, "lipschitz_L", "ProximalThm26 needs a certified lipschitz_L"),
+    (lambda: problem_from_id("smooth_ls:25:3:4"), "sigma", "SmoothCor29 needs a certified sigma"),
+], ids=["projected", "proximal", "smooth"])
+def test_descent_lemma_needs_the_constant_of_its_variant(problem, field, message):
+    p = dataclasses.replace(problem(), **{field: None})
+    rho_hat = 2.0 * p.rho
     with pytest.raises(ValueError, match=message):
-        check_descent_lemma(p, default_x0(p), 2.0 * p.rho, 1.0 / (4.0 * p.rho), 100, 0)
+        check_descent_lemma(p, default_x0(p), rho_hat, 0.5 / rho_hat, 100, 0)
 
 
 @pytest.mark.parametrize(
