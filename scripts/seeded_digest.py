@@ -11,7 +11,8 @@ Areas (every input is fixed here, so the digests depend only on the code):
 * ``run_psgm``: every ``RunResult`` field of seeded runs on five families,
   and every ``AveragedRun`` field of ``run_averaged`` on the same inputs.
 * ``moreau_prox`` / ``moreau_grid_oracle``: proximal point, envelope value
-  and gradient, certificate and gap at sampled anchors.
+  and gradient, certificate and gap at sampled anchors; the grid is the
+  reference in ``tests/reference.py``.
 * ``run_sweep``: every row and per-horizon statistic of small sweeps.
 * ``boost``: the outputs of ``two_stage_convex``, ``strongly_convex_stage``
   and ``regularized_pipeline`` on one small convex instance.
@@ -51,7 +52,10 @@ import itertools
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# the grid reference the tests own, tests/reference.py
+sys.path.insert(0, str(ROOT / "tests"))
 
 import numpy as np  # noqa: E402
 
@@ -70,12 +74,7 @@ from proxsgm.harness import (  # noqa: E402
     run_sweep,
     theoretical_bound,
 )
-from proxsgm.moreau import (  # noqa: E402
-    GridSpec,
-    moreau_grid_oracle,
-    moreau_prox,
-    stationarity_report,
-)
+from proxsgm.moreau import moreau_prox, stationarity_report  # noqa: E402
 from proxsgm.problems import default_x0, problem_from_id  # noqa: E402
 from proxsgm.prox import (  # noqa: E402
     ProxKind,
@@ -85,6 +84,7 @@ from proxsgm.prox import (  # noqa: E402
     quadratic_regularizer,
     zero_regularizer,
 )
+from reference import GridSpec, moreau_grid_oracle  # noqa: E402
 
 FAMILIES = (
     "phase_retrieval:30:4:3",

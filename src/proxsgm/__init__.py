@@ -34,12 +34,10 @@ from .problems import (
     problem_from_id,
 )
 from .moreau import (
-    GridSpec,
     InnerAccuracyError,
     MoreauPoint,
     StationarityReport,
     envelope_grad_fd_check,
-    moreau_grid_oracle,
     moreau_prox,
     prox_gradient_mapping,
     stationarity_report,
@@ -101,12 +99,10 @@ __all__ = [
     "make_smooth_ls_noisy",
     "make_toy1d",
     "problem_from_id",
-    "GridSpec",
     "InnerAccuracyError",
     "MoreauPoint",
     "StationarityReport",
     "envelope_grad_fd_check",
-    "moreau_grid_oracle",
     "moreau_prox",
     "prox_gradient_mapping",
     "stationarity_report",

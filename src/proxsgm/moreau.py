@@ -9,15 +9,14 @@ is strongly convex with modulus 1/lam - rho, so it has a unique solution
 x_hat, and the envelope gradient is exactly (x - x_hat) / lam.  Its norm is
 the stationarity measure everything else in this package reports.
 
-Two oracles are provided.  ``moreau_prox`` solves the subproblem
-iteratively: bisection on the subgradient selection in one dimension,
-proximal gradient for smooth g, and otherwise a subdifferential-sampling
-polish, started on a cold solve after a 50-step deterministic proximal
-subgradient warm-up.  The polish and the proximal gradient certify the
-gap with one bound, `_cert_gap`; the warm-up only moves its start off x.
-``moreau_grid_oracle`` brute-forces low-dimensional subproblems on a
-refined grid and exists so the iterative path can be cross-checked against
-an implementation that shares none of its search code.
+``moreau_prox`` solves the subproblem iteratively: bisection on the
+subgradient selection in one dimension, proximal gradient for smooth g,
+and otherwise a subdifferential-sampling polish, started on a cold solve
+after a 50-step deterministic proximal subgradient warm-up.  The polish
+and the proximal gradient certify the gap with one bound, `_cert_gap`; the
+warm-up only moves its start off x.  `stationarity_report` and
+`solver.check_prox_identity` read a `MoreauPoint` from any solve of the
+subproblem.
 
 Each polish round probes g-subgradients at y and at y + delta u_j in one
 stacked call and finds the min-norm point v of their convex hull plus the
@@ -50,11 +49,6 @@ _SMOOTH_MAX_ITER = 1_000_000
 # make_phase_retrieval(20, 2, 51) at x = (3, 3)).
 _WARMUP_STEPS = 50
 
-# Grid rows whose subproblem values are evaluated at once: a block's
-# temporaries stay cache-sized where a whole 801^2 grid's take 154 MB.
-_GRID_BLOCK = 4096
-
-
 # Importing scipy.optimize costs more than importing the rest of the package,
 # so it is imported on first call.  No solve path and no test calls either
 # name; they stay only because bench/tracer.py wraps both, until the
@@ -75,10 +69,6 @@ def minimize(*args, **kwargs):
 
 class ParameterError(ValueError):
     """Envelope parameter outside (1e-150, 1/rho)."""
-
-
-class DimensionError(ValueError):
-    """Grid oracle restricted to dim <= 2."""
 
 
 class InnerAccuracyError(RuntimeError):
@@ -606,82 +596,6 @@ def moreau_prox(
             f"inner solver reached gap {gap:.3e} > tol {tol:.3e}", point
         )
     return point
-
-
-# ---------------------------------------------------------------------------
-# grid oracle
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Exhaustive-search control: points per axis and the number of
-    refinement passes around the best cell."""
-
-    points_per_dim: int = 241
-    n_refine: int = 1
-
-
-def moreau_grid_oracle(
-    problem: CompositeProblem,
-    x: Array,
-    lam: float,
-    grid: GridSpec = GridSpec(),
-) -> MoreauPoint:
-    """Brute-force proximal point for dim <= 2 problems.
-
-    Minimizes the subproblem over a grid covering a dom-r window around x
-    whose radius is lam * L plus the distance from x to dom r, then
-    refines around the best cell.  Shares no search code with the iterative
-    path on purpose, only ``_validate_lam`` and ``_finish_point``; it is the
-    cross-check oracle.
-    """
-    problem.require_deterministic()
-    _validate_lam(problem, lam)
-    _in_range("dim", problem.dim, 1, 2, "[]", DimensionError)
-    _in_range("points_per_dim", grid.points_per_dim, 3, ends="[)")
-    # a negative count searches no grid, yet the gap below would be reported
-    _in_range("n_refine", grid.n_refine, 0, ends="[)")
-    x = np.asarray(x, dtype=float)
-    r = problem.regularizer
-    center = r.project_domain(x)
-    L = problem.lipschitz_L
-    if L is None:
-        L = float(np.linalg.norm(problem.g_full_subgradient(center))) + 1.0
-    hw = lam * L + float(np.linalg.norm(x - center)) + 0.5
-
-    d = problem.dim
-    n = grid.points_per_dim
-    best = center
-    for level in range(grid.n_refine + 1):
-        axes = [np.linspace(best[j] - hw, best[j] + hw, n) for j in range(d)]
-        pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        # rows are independent, so a block's values are the whole grid's;
-        # a later block wins only below the minimum so far, and a NaN (the
-        # whole grid's argmin) ends the scan, as np.argmin picks the first
-        for row in range(0, len(pts), _GRID_BLOCK):
-            block = pts[row:row + _GRID_BLOCK]
-            vals = (
-                problem.g_value(block)
-                + r.value(block)
-                + np.sum((block - x) ** 2, axis=1) / (2.0 * lam)
-            )
-            j = int(np.argmin(vals))
-            if row == 0 or not vals[j] >= v_best:
-                k, v_best = row + j, float(vals[j])
-            if math.isnan(v_best):
-                break
-        if v_best == math.inf:
-            raise ValueError("grid window contains no feasible point")
-        if not math.isfinite(v_best):
-            what = "NaN" if math.isnan(v_best) else "unbounded below (-inf)"
-            raise ValueError(f"subproblem value is {what} at grid point {pts[k]}")
-        best = pts[k]
-        step = 2.0 * hw / (n - 1)
-        # conditioning of the subproblem can put the true minimizer up to
-        # sqrt((1+rho lam)/(1-rho lam)) coarse steps away from the argmin
-        hw = 2.5 * step
-    gap = (1.0 / lam + problem.rho) * d * step**2 / 8.0
-    return _finish_point(problem, x, lam, best, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -391,9 +391,9 @@ def check_prox_identity(
     + (1 - alpha rho_hat) x_hat).  Returns the residual norm; the contract
     is residual <= inner tolerance times a conditioning factor of 10.
 
-    Pass ``point`` to reuse an already computed MoreauPoint (for example
-    from the grid oracle); it must have been evaluated at (x, 1/rho_hat),
-    else ``ValueError``.  Raises ``ValueError`` before any solve unless
+    Pass ``point`` to reuse a MoreauPoint from any solve of the same
+    subproblem; it must have been evaluated at (x, 1/rho_hat), else
+    ``ValueError``.  Raises ``ValueError`` before any solve unless
     rho_hat exceeds rho and alpha lies in (0, step_cap(rho_hat)].
     """
     _in_range("rho_hat", rho_hat, problem.rho)

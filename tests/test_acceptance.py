@@ -22,13 +22,7 @@ from proxsgm.boost import (
 )
 from proxsgm.core import sample_domain_points
 from proxsgm.harness import ExperimentConfig, run_sweep
-from proxsgm.moreau import (
-    GridSpec,
-    envelope_grad_fd_check,
-    moreau_grid_oracle,
-    moreau_prox,
-    prox_gradient_mapping,
-)
+from proxsgm.moreau import envelope_grad_fd_check, moreau_prox, prox_gradient_mapping
 from proxsgm.problems import default_x0, problem_from_id
 from proxsgm.solver import (
     LEMMA_ROUNDOFF,
@@ -38,6 +32,8 @@ from proxsgm.solver import (
     lemma_of,
     run_psgm,
 )
+
+from reference import GridSpec, moreau_grid_oracle
 
 BENCHMARKS = (
     "phase_retrieval:50:10:0",

@@ -45,7 +45,6 @@ from proxsgm import (
     make_robust_regression,
     make_smooth_ls_noisy,
     map_back,
-    moreau_grid_oracle,
     moreau_prox,
     optimal_gamma,
     parse_config_file,
@@ -233,8 +232,6 @@ for pid, x in ENVELOPES.items():
         ParameterError, case=f"({pid})")
     row("moreau_prox", "tol", lambda v, P, pid=pid, x=x: envelope(P(pid), x, 0.2, v),
         case=f"({pid})")
-row("moreau_grid_oracle", "lam",
-    lambda v, P: moreau_grid_oracle(P("toy1d:absquad"), np.array([0.8]), v), ParameterError)
 row("envelope_grad_fd_check", "lam",
     lambda v, P: envelope_grad_fd_check(P("toy1d:absquad"), np.array([0.8]), v), ParameterError)
 row("envelope_grad_fd_check", "h",

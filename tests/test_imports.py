@@ -1,6 +1,7 @@
 """Import cost: the package, its sweeps, the envelope QP path and the
 invariant suites load numpy, not scipy, and all of them run with scipy
-blocked.
+blocked.  None of them loads a module from tests/: the library does not
+depend on the references it is checked against.
 
 No solve path imports scipy; ``moreau.lsq_linear`` and ``moreau.minimize``
 import it on first call.  A sweep runs its trials one after another on the
@@ -13,14 +14,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
 
 PROBE = f"""
 import sys
 sys.path.insert(0, {SRC!r})
+# the references are importable, so only the library's own imports keep them out
+sys.path.insert(1, {str(TESTS)!r})
 
 def scipy_modules():
     return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+def test_modules():
+    return sorted(k for k, m in list(sys.modules.items())
+                  if (getattr(m, "__file__", None) or "").startswith({str(TESTS)!r}))
 
 import proxsgm, proxsgm.cli, proxsgm.checks
 print("import", scipy_modules())
@@ -40,6 +48,7 @@ print("qp", "scipy.optimize" in sys.modules)
 from proxsgm.checks import run_all_checks
 run_all_checks()
 print("checks", scipy_modules())
+print("tests", test_modules())
 """
 
 
@@ -47,7 +56,7 @@ def test_scipy_is_loaded_on_first_use_only():
     out = subprocess.run(
         [sys.executable, "-c", PROBE], capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert out == ["import []", "sweep [] False", "qp False", "checks []"]
+    assert out == ["import []", "sweep [] False", "qp False", "checks []", "tests []"]
 
 
 BLOCKED = f"""

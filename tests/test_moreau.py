@@ -15,12 +15,9 @@ from proxsgm.core import (
     sample_domain_points,
 )
 from proxsgm.moreau import (
-    DimensionError,
-    GridSpec,
     InnerAccuracyError,
     ParameterError,
     envelope_grad_fd_check,
-    moreau_grid_oracle,
     moreau_prox,
     prox_gradient_mapping,
     stationarity_report,
@@ -34,7 +31,9 @@ from proxsgm.problems import (
 )
 from proxsgm.prox import box_indicator, l1_regularizer, zero_regularizer
 
+import reference
 from builders import deterministic_oracle
+from reference import GridSpec, moreau_grid_oracle
 
 FINE_1D = GridSpec(points_per_dim=100_001, n_refine=2)
 
@@ -228,10 +227,10 @@ def test_1d_bracket_widens_to_a_far_kink(side, lam, x):
 ], ids=["2d", "infeasible_rows", "tie"])
 def test_grid_blocks_pick_the_whole_grid_minimum(monkeypatch, pid, x, lam, grid):
     p = problem_from_id(pid)
-    default = moreau._GRID_BLOCK
+    default = reference._GRID_BLOCK
 
     def point_bytes(block):
-        monkeypatch.setattr(moreau, "_GRID_BLOCK", block)
+        monkeypatch.setattr(reference, "_GRID_BLOCK", block)
         pt = moreau_grid_oracle(p, np.array(x), lam, grid)
         return [np.asarray(v).tobytes() for v in dataclasses.astuple(pt)]
 
@@ -242,7 +241,7 @@ def test_grid_blocks_pick_the_whole_grid_minimum(monkeypatch, pid, x, lam, grid)
 
 def test_grid_rejects_high_dimension():
     p = quadratic_problem(3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"dim must lie in \[1, 2\], got 3"):
         moreau_grid_oracle(p, np.zeros(3), 0.5)
 
 

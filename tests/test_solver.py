@@ -16,7 +16,7 @@ from proxsgm.core import (
     sample_domain_points,
 )
 from proxsgm.harness import BoundInputs, theoretical_bound
-from proxsgm.moreau import moreau_grid_oracle, moreau_prox
+from proxsgm.moreau import moreau_prox
 from proxsgm.problems import (
     default_x0,
     make_phase_retrieval,
@@ -37,6 +37,7 @@ from proxsgm.solver import (
 )
 
 from builders import deterministic_oracle, no_draws, with_l1
+from reference import GridSpec, moreau_grid_oracle
 
 
 def constant_gradient_problem(c, reg=None):
@@ -651,8 +652,6 @@ def test_prox_identity_rejects_a_non_positive_alpha(monkeypatch, alpha):
 
 
 def test_prox_identity_boxed_1d_grid_oracle():
-    from proxsgm.moreau import GridSpec
-
     p = make_toy1d("absquad")
     x = np.array([0.7])
     pt = moreau_grid_oracle(p, x, 0.25, GridSpec(points_per_dim=100_001, n_refine=2))
